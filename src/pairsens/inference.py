@@ -18,7 +18,9 @@ import numpy as np
 
 from .core import PairedSample, SensitivityParam, TestSpec
 from .randdist import EnumSpec
-from .testing import run_test
+# run_test stays a name of this module because bench/tracer.py wraps
+# inference.run_test; the searches decide through rejector
+from .testing import rejector, run_test  # noqa: F401
 
 __all__ = [
     "ChangepointResult",
@@ -132,12 +134,13 @@ def changepoint_gamma(
         raise ValueError("tol must be positive")
     engine = engine or EnumSpec()
     evals = 0
+    spec = TestSpec(tau=tau, alpha=alpha, alternative=alternative, method=method)
+    decide = rejector(sample, spec, engine)
 
     def rejects(g: float) -> bool:
         nonlocal evals
         evals += 1
-        spec = TestSpec(tau=tau, alpha=alpha, alternative=alternative, method=method)
-        return run_test(sample, spec, SensitivityParam(g), engine).reject
+        return decide(SensitivityParam(g))
 
     common = dict(
         tolerance=tol,
@@ -320,7 +323,7 @@ def sensitivity_interval(
     def make_rejector(alternative: str):
         def rejects(t: float) -> bool:
             spec = TestSpec(tau=t, alpha=alpha, alternative=alternative, method=method)
-            return run_test(sample, spec, sens, engine).reject
+            return rejector(sample, spec, engine)(sens)
 
         return rejects
 

@@ -10,6 +10,7 @@ exactly over all ``2**n`` sign vectors; larger ones use seeded Monte Carlo.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -21,6 +22,7 @@ from .rng import SeedLike, as_generator
 __all__ = [
     "EnumSpec",
     "ReferenceDistribution",
+    "SignDraws",
     "build_f_hat",
     "build_g_hat",
     "build_pair",
@@ -37,15 +39,23 @@ _CUM_SLACK = 1e-12
 # roundoff); mathematically that happens only when all entries coincide.
 _DEGENERATE_RTOL = 1e-12
 
+# Peak bytes an exact build holds per enumerated sign vector: the signed sums,
+# + counts, weights, both statistics, their temporaries and the sort of two
+# kinds (tracemalloc measured 136 at 18 pairs).
+_EXACT_BYTES_PER_DRAW = 144
+
 
 @dataclass(frozen=True)
 class EnumSpec:
     """How to construct a reference distribution.
 
     Mode "auto" enumerates exactly when the sample has at most ``exact_cap``
-    pairs (the default cap of 20 means about a million assignments, a few
-    tens of milliseconds) and otherwise runs ``draws`` seeded Monte Carlo
-    draws.  Mode "exact" refuses samples above the cap.  The seed may be an
+    pairs (the default cap of 20 means about a million assignments and about
+    half a second per reference-distribution build on one core) and
+    otherwise runs ``draws`` seeded Monte Carlo draws.  Mode "exact" refuses
+    samples above the cap.  An exact enumeration that would need more than
+    the machine's physical memory (about 150 bytes per assignment) raises
+    ValueError before allocating anything.  The seed may be an
     int or a numpy SeedSequence; results are bit-reproducible given
     ``(seed, draws)`` regardless of how work is scheduled, because draws
     consume a counter-based Philox stream in fixed order (draw ``b`` owns
@@ -171,20 +181,48 @@ class ReferenceDistribution:
         return float(np.sum(self.weights * (self.values - mu) ** 2))
 
 
+def _physical_memory_bytes() -> Union[int, None]:
+    """Installed physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_exact_fits(n_pairs: int) -> None:
+    """Refuse, before allocating, an enumeration larger than physical memory."""
+    need = _EXACT_BYTES_PER_DRAW * 2**n_pairs
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"exact enumeration of {n_pairs} pairs needs about {need / 2**30:.1f} GiB "
+            f"but this machine has {have / 2**30:.1f} GiB; "
+            f"lower the exact cap to use Monte Carlo draws"
+        )
+
+
 def _enumerate_exact(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed subset sums of m and m**2 plus the count of + signs per vector.
 
     Doubling construction: bit ``i`` of the assignment index gives the sign
     of pair ``i``, so each of the ``2**n`` vectors costs O(1) amortized.
+    Each step writes the + half from the current prefix, then turns the
+    prefix itself into the - half, all within arrays allocated once.
     """
-    s1 = np.zeros(1)
-    s2 = np.zeros(1)
-    k = np.zeros(1, dtype=np.int64)
+    _check_exact_fits(m.size)
+    total = 1 << m.size
+    s1 = np.zeros(total)
+    s2 = np.zeros(total)
+    k = np.zeros(total, dtype=np.int64)
+    size = 1
     for mi in m:
-        s1 = np.concatenate([s1 - mi, s1 + mi])
         mi2 = mi * mi
-        s2 = np.concatenate([s2 - mi2, s2 + mi2])
-        k = np.concatenate([k, k + 1])
+        np.add(s1[:size], mi, out=s1[size : 2 * size])
+        np.subtract(s1[:size], mi, out=s1[:size])
+        np.add(s2[:size], mi2, out=s2[size : 2 * size])
+        np.subtract(s2[:size], mi2, out=s2[:size])
+        np.add(k[:size], 1, out=k[size : 2 * size])
+        size *= 2
     return s1, s2, k
 
 
@@ -265,6 +303,62 @@ def _merge_atoms(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
+class SignDraws:
+    """Signed sums of one ``(sample, tau)`` over the engine's sign draws.
+
+    The only code that makes draws: reference-distribution builds and the
+    searches' reject-only decisions both read them from here.  The exact
+    enumeration does not depend on the bias bound, so it is made on first
+    use and kept for every later bound asked of the same object; Monte Carlo
+    signs threshold uniforms against theta, so they are redrawn for each
+    bound from the engine's seed (common random numbers).
+    """
+
+    def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec):
+        self.m = np.abs(sample.y - tau)
+        self.mode = engine.resolve(sample.n_pairs)
+        self.engine = engine
+        self.n_draws = 2**sample.n_pairs if self.mode == "exact" else engine.draws
+        self._enumeration = None
+
+    def statistics(
+        self, sens: SensitivityParam
+    ) -> tuple[np.ndarray, np.ndarray, Union[np.ndarray, None]]:
+        """Per-draw mean and studentized statistics, and per-draw weights.
+
+        Exact draws weigh ``theta**k * (1 - theta)**(n - k)`` with ``k`` the
+        number of + signs; Monte Carlo draws all weigh ``1 / n_draws`` and
+        the weights are returned as None.
+        """
+        theta = sens.theta
+        if self.mode == "exact":
+            if self._enumeration is None:
+                self._enumeration = _enumerate_exact(self.m)
+            s1, s2, k = self._enumeration
+            n = self.m.size
+            ks = np.arange(n + 1)
+            table = theta**ks * (1.0 - theta) ** (n - ks)
+            weights = table[k]
+        else:
+            s1, s2 = _draw_monte_carlo(self.m, theta, self.engine.draws, self.engine.seed)
+            weights = None
+        abar, tstat = _statistics(s1, s2, self.m, sens)
+        return abar, tstat, weights
+
+    def weight_at_most(
+        self, vals: np.ndarray, weights: Union[np.ndarray, None], t: float
+    ) -> float:
+        """Total weight of the draws whose statistic is <= t.
+
+        Adds the same per-draw weights as the sorted distribution's CDF, in
+        another order, so the two differ by at most ``n_draws`` roundings.
+        """
+        below = vals <= t
+        if weights is None:
+            return np.count_nonzero(below) / self.n_draws
+        return float(weights @ below)
+
+
 def _build(
     sample: PairedSample,
     tau: float,
@@ -272,20 +366,8 @@ def _build(
     engine: EnumSpec,
     kinds: tuple[str, ...],
 ) -> tuple[ReferenceDistribution, ...]:
-    mode = engine.resolve(sample.n_pairs)
-    m = np.abs(sample.y - tau)
-    if mode == "exact":
-        s1, s2, k = _enumerate_exact(m)
-        theta = sens.theta
-        ks = np.arange(sample.n_pairs + 1)
-        table = theta**ks * (1.0 - theta) ** (sample.n_pairs - ks)
-        draw_weights = table[k]
-        n_draws = s1.size
-    else:
-        s1, s2 = _draw_monte_carlo(m, sens.theta, engine.draws, engine.seed)
-        draw_weights = None
-        n_draws = engine.draws
-    abar, tstat = _statistics(s1, s2, m, sens)
+    draws = SignDraws(sample, tau, engine)
+    abar, tstat, draw_weights = draws.statistics(sens)
     by_kind = {"mean": abar, "studentized": tstat}
 
     out = []
@@ -293,20 +375,20 @@ def _build(
         vals = by_kind[kind]
         order, starts = _merge_atoms(vals)
         merged_vals = vals[order][starts]
-        if mode == "exact":
+        if draw_weights is not None:
             merged_w = np.add.reduceat(draw_weights[order], starts)
             counts = None
         else:
             counts = np.diff(np.concatenate((starts, [vals.size])))
-            merged_w = counts / n_draws
+            merged_w = counts / draws.n_draws
         out.append(
             ReferenceDistribution(
                 values=merged_vals,
                 weights=merged_w,
-                mode=mode,
+                mode=draws.mode,
                 statistic_kind=kind,
-                n_draws=int(n_draws),
-                seed=engine.seed if mode == "monte_carlo" else None,
+                n_draws=int(draws.n_draws),
+                seed=engine.seed if draws.mode == "monte_carlo" else None,
                 counts=counts,
             )
         )

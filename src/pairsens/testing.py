@@ -10,7 +10,7 @@ the sign-normalized scale where reject means statistic >= critical value.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -24,15 +24,30 @@ from .core import (
     sample_mean_and_se,
 )
 from .randdist import (
+    _CUM_SLACK,
     EnumSpec,
     ReferenceDistribution,
+    SignDraws,
     build_f_hat,
     build_g_hat,
     build_pair,
     observed_statistics,
 )
 
-__all__ = ["run_test", "test_combined", "test_neyman", "test_perm_t", "test_studentized"]
+__all__ = [
+    "rejector",
+    "run_test",
+    "test_combined",
+    "test_neyman",
+    "test_perm_t",
+    "test_studentized",
+]
+
+# A masked weight sum this close to the reject threshold, in units of
+# n_draws * eps, is re-decided from the sorted distribution.  Two float sums
+# of the same n_draws weights in different orders differ by less than
+# n_draws * eps (each is within (n_draws - 1) * eps / 2 of the true sum).
+_GUARD_EPS_PER_DRAW = 2.0
 
 
 def _normalized(sample: PairedSample, spec: TestSpec) -> tuple[PairedSample, TestSpec]:
@@ -47,6 +62,17 @@ def _normalized(sample: PairedSample, spec: TestSpec) -> tuple[PairedSample, Tes
 
 def _engine_fields(dist: ReferenceDistribution) -> tuple[str, Union[int, str]]:
     return dist.mode, "exact" if dist.mode == "exact" else dist.n_draws
+
+
+def _all_at_tau(sample: PairedSample, tau: float) -> bool:
+    """perm-t is degenerate when every ``|y_i - tau|`` is zero."""
+    return not np.any(np.abs(sample.y - tau))
+
+
+def _se(sample: PairedSample, tau: float, sens: SensitivityParam) -> float:
+    """Standard error of the bias-corrected differences; 0 makes a
+    studentized or combined test degenerate."""
+    return sample_mean_and_se(d_values(sample, tau, sens))[1]
 
 
 def _conservative(dist: ReferenceDistribution, stat: float) -> Union[float, None]:
@@ -111,7 +137,7 @@ def test_perm_t(
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)
     dbar, _ = observed_statistics(norm_sample, norm_spec.tau, sens)
-    if not np.any(np.abs(norm_sample.y - norm_spec.tau)):
+    if _all_at_tau(norm_sample, norm_spec.tau):
         mode = engine.resolve(norm_sample.n_pairs)
         return TestResult(
             method="perm_t",
@@ -155,8 +181,7 @@ def test_studentized(
     """Studentized test: same worst-case assignment law, per-draw studentization."""
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)
-    d = d_values(norm_sample, norm_spec.tau, sens)
-    _, sd = sample_mean_and_se(d)
+    sd = _se(norm_sample, norm_spec.tau, sens)
     if sd == 0.0:
         mode = engine.resolve(norm_sample.n_pairs)
         return TestResult(
@@ -208,8 +233,7 @@ def test_combined(
     """
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)
-    d = d_values(norm_sample, norm_spec.tau, sens)
-    _, sd = sample_mean_and_se(d)
+    sd = _se(norm_sample, norm_spec.tau, sens)
     if sd == 0.0:
         mode = engine.resolve(norm_sample.n_pairs)
         return TestResult(
@@ -270,3 +294,52 @@ def run_test(
 ) -> TestResult:
     """Dispatch on ``spec.method``."""
     return _DISPATCH[spec.method](sample, spec, sens, engine)
+
+
+def rejector(
+    sample: PairedSample,
+    spec: TestSpec,
+    engine: Union[EnumSpec, None] = None,
+) -> Callable[[SensitivityParam], bool]:
+    """``run_test(sample, spec, sens, engine).reject`` as a function of ``sens``.
+
+    For searches, which need only the decision.  ``stat >= quantile(p)``
+    holds exactly when the weight of draws at or below ``stat`` reaches
+    ``p`` (less the quantile's slack), so the decision is a masked sum over
+    the draws, with no sort, merge or ``ReferenceDistribution``.  The exact
+    enumeration is made once and shared by every bias bound asked of the
+    returned function; per bound only the weights and the per-draw
+    statistics are recomputed, on the same arithmetic path as a build.  A
+    masked sum too close to the threshold for its roundoff to be ruled out
+    is re-decided by ``run_test``, so the decisions are those of
+    ``run_test``.
+    """
+    engine = engine or EnumSpec()
+    method = spec.method
+    if method == "neyman":
+        return lambda sens: test_neyman(sample, spec, sens).reject
+    norm_sample, norm_spec = _normalized(sample, spec)
+    tau = norm_spec.tau
+    draws = SignDraws(norm_sample, tau, engine)
+    threshold = 1.0 - norm_spec.alpha - _CUM_SLACK
+    guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
+
+    def rejects(sens: SensitivityParam) -> bool:
+        if method == "perm_t":
+            if _all_at_tau(norm_sample, tau):
+                return False
+        elif _se(norm_sample, tau, sens) == 0.0:
+            return False
+        abar, tstat, weights = draws.statistics(sens)
+        dbar, stat = observed_statistics(norm_sample, tau, sens)
+        compared = {
+            "perm_t": ((abar, dbar),),
+            "studentized": ((tstat, stat),),
+            "combined": ((abar, dbar), (tstat, stat)),
+        }[method]
+        below = [draws.weight_at_most(vals, weights, t) for vals, t in compared]
+        if any(abs(b - threshold) < guard for b in below):
+            return run_test(sample, spec, sens, engine).reject
+        return all(b >= threshold for b in below)
+
+    return rejects

@@ -23,3 +23,21 @@ def ks_distance(dist_a, dist_b):
     grid = np.union1d(dist_a.values, dist_b.values)
     gaps = [abs(dist_a.cdf(t) - dist_b.cdf(t)) for t in grid]
     return max(gaps)
+
+
+def enumerate_exact_concat(m):
+    """Reference doubling enumeration that concatenates new arrays per pair.
+
+    Returns the signed sums of m and m**2 and the count of + signs for all
+    ``2**n`` sign vectors, bit ``i`` of the index giving the sign of pair
+    ``i``; the in-place enumeration must equal it element for element.
+    """
+    s1 = np.zeros(1)
+    s2 = np.zeros(1)
+    k = np.zeros(1, dtype=np.int64)
+    for mi in m:
+        s1 = np.concatenate([s1 - mi, s1 + mi])
+        mi2 = mi * mi
+        s2 = np.concatenate([s2 - mi2, s2 + mi2])
+        k = np.concatenate([k, k + 1])
+    return s1, s2, k

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import pairsens as ps
-from helpers import ks_distance, mc_quantile_consistent
+from helpers import enumerate_exact_concat, ks_distance, mc_quantile_consistent
+from pairsens import cli, randdist
 
 
 def exact_engine(cap=20):
@@ -187,6 +188,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ps.EnumSpec(mode="bootstrap")
 
+    def test_exact_larger_than_memory_fails_fast(self, monkeypatch):
+        # 2**22 assignments need far more than the pretended 64 MiB; the
+        # check must fire before anything of that size is allocated
+        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
+        s = ps.PairedSample(np.arange(1.0, 23.0))
+        engine = ps.EnumSpec(mode="exact", exact_cap=22)
+        with pytest.raises(ValueError, match="exact enumeration of 22 pairs"):
+            ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), engine)
+        spec = ps.TestSpec(tau=0.0, method="studentized")
+        with pytest.raises(ValueError, match="exact enumeration of 22 pairs"):
+            ps.testing.rejector(s, spec, engine)(ps.SensitivityParam(2.0))
+
+    def test_exact_larger_than_memory_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
+        path = tmp_path / "pairs.csv"
+        path.write_text("".join(f"{v}\n" for v in range(1, 23)))
+        code = cli.main(["test", "--input", str(path), "--tau", "0", "--gamma", "2",
+                         "--exact-below", "22"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: exact enumeration of 22 pairs")
+
 
 class TestMonteCarloDeterminism:
     def test_same_seed_bit_identical(self):
@@ -242,6 +264,15 @@ class TestExactEnumerationOracle:
         assert_allclose(f.values, naive_vals, atol=1e-12)
         assert_allclose(f.weights, [atoms[v] for v in sorted(atoms)], atol=1e-12)
         assert f.n_draws == 8
+
+
+class TestEnumerateExactInPlace:
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 17])
+    def test_equals_concatenating_oracle(self, n):
+        m = np.abs(np.random.default_rng(n).normal(size=n))
+        for got, want in zip(randdist._enumerate_exact(m), enumerate_exact_concat(m)):
+            assert got.dtype == want.dtype
+            assert_array_equal(got, want)
 
 
 class TestExactVsMonteCarlo:
