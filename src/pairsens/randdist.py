@@ -10,6 +10,7 @@ exactly over all ``2**n`` sign vectors; larger ones use seeded Monte Carlo.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -17,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .core import PairedSample, SensitivityParam
-from .rng import SeedLike, as_generator
+from .rng import SeedLike, as_seed_sequence
 
 __all__ = [
     "EnumSpec",
@@ -44,6 +45,14 @@ _DEGENERATE_RTOL = 1e-12
 # kinds (tracemalloc measured 136 at 18 pairs).
 _EXACT_BYTES_PER_DRAW = 144
 
+# Bytes a Monte Carlo build holds per draw x pair: its float64 sign matrix.
+_MC_BYTES_PER_SIGN = 8
+
+# Signs made per Monte Carlo generation block.  A block's raw bits and
+# float64 signs (12 bytes a sign, 768 KiB) fit one core's L2 cache, so the
+# passes that threshold and rescale them read from cache, not memory.
+_MC_BLOCK_SIGNS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -58,9 +67,12 @@ class EnumSpec:
     ValueError before allocating anything.  The seed may be an
     int or a numpy SeedSequence; results are bit-reproducible given
     ``(seed, draws)`` regardless of how work is scheduled, because draws
-    consume a counter-based Philox stream in fixed order (draw ``b`` owns
-    the ``b``-th block of uniforms, so a parallel worker could regenerate
-    any block from the seed alone).
+    consume a counter-based Philox stream in fixed order: sign ``j`` of draw
+    ``b`` is made from the ``(b * n + j)``-th 32-bit half of the raw stream,
+    low half of each 64-bit word first, so a parallel worker could
+    regenerate any block of draws from the seed alone.  A Monte Carlo build
+    holds 8 bytes per draw x pair, and one that would need more than the
+    machine's physical memory raises ValueError before allocating.
     """
 
     mode: str = "auto"
@@ -189,15 +201,13 @@ def _physical_memory_bytes() -> Union[int, None]:
         return None
 
 
-def _check_exact_fits(n_pairs: int) -> None:
-    """Refuse, before allocating, an enumeration larger than physical memory."""
-    need = _EXACT_BYTES_PER_DRAW * 2**n_pairs
+def _check_fits(need: int, what: str, remedy: str) -> None:
+    """Refuse, before allocating, work that needs more than physical memory."""
     have = _physical_memory_bytes()
     if have is not None and need > have:
         raise ValueError(
-            f"exact enumeration of {n_pairs} pairs needs about {need / 2**30:.1f} GiB "
-            f"but this machine has {have / 2**30:.1f} GiB; "
-            f"lower the exact cap to use Monte Carlo draws"
+            f"{what} needs about {need / 2**30:.1f} GiB "
+            f"but this machine has {have / 2**30:.1f} GiB; {remedy}"
         )
 
 
@@ -209,7 +219,11 @@ def _enumerate_exact(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Each step writes the + half from the current prefix, then turns the
     prefix itself into the - half, all within arrays allocated once.
     """
-    _check_exact_fits(m.size)
+    _check_fits(
+        _EXACT_BYTES_PER_DRAW * 2**m.size,
+        f"exact enumeration of {m.size} pairs",
+        "lower the exact cap to use Monte Carlo draws",
+    )
     total = 1 << m.size
     s1 = np.zeros(total)
     s2 = np.zeros(total)
@@ -226,25 +240,65 @@ def _enumerate_exact(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return s1, s2, k
 
 
+def _sign_cut(theta: float) -> int:
+    """Raw 32-bit value below which a Monte Carlo sign is +1.
+
+    numpy makes a float32 uniform from a raw 32-bit value ``x`` as
+    ``(x >> 8) * 2**-24`` and compares it with theta rounded to float32, so
+    ``u < theta`` holds exactly when ``x`` is below the returned cut.  A
+    theta that rounds to 1.0 gives ``2**32``: every sign is +1.
+    """
+    return math.ceil(float(np.float32(theta)) * 2**24) << 8
+
+
 def _draw_monte_carlo(
     m: np.ndarray, theta: float, draws: int, seed: SeedLike
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors."""
-    rng = as_generator(seed)
-    # 24-bit uniforms are ample for thresholding against theta and cut the
-    # generation cost of large simulations roughly in half
-    u = rng.random((draws, m.size), dtype=np.float32)
-    signs = np.where(u < theta, 1.0, -1.0)
+    """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors.
+
+    The ``draws x n`` sign matrix is filled a block of rows at a time by
+    thresholding the raw Philox stream (see ``_sign_cut``), then reduced by
+    one matrix product.  The product stays whole: BLAS row sums of a slice
+    of rows can differ in the last bits from those of the full matrix.
+    """
+    n = m.size
+    _check_fits(
+        _MC_BYTES_PER_SIGN * draws * n,
+        f"Monte Carlo sign matrix of {draws} draws x {n} pairs",
+        "use fewer Monte Carlo draws",
+    )
+    signs = np.empty((draws, n))
+    cut = _sign_cut(theta)
+    if cut > np.iinfo(np.uint32).max:
+        signs.fill(1.0)
+    else:
+        cut = np.uint32(cut)
+        raw = np.random.Philox(as_seed_sequence(seed))
+        # an even row count keeps every block's 32-bit halves in whole
+        # 64-bit words, so the stream does not depend on the block size
+        rows = max(2, _MC_BLOCK_SIGNS // n // 2 * 2)
+        for start in range(0, draws, rows):
+            block = signs[start : start + rows]
+            # little-endian: each word's low half comes first, as numpy uses it
+            x = raw.random_raw((block.size + 1) // 2).view(np.uint32)
+            np.less(x[: block.size].reshape(block.shape), cut, out=block)
+            block *= 2.0
+            block -= 1.0
     sums = signs @ np.column_stack([m, m * m])
     return sums[:, 0], sums[:, 1]
 
 
 def _statistics(
-    s1: np.ndarray, s2: np.ndarray, m: np.ndarray, sens: SensitivityParam
-) -> tuple[np.ndarray, np.ndarray]:
+    s1: np.ndarray,
+    s2: np.ndarray,
+    m: np.ndarray,
+    sens: SensitivityParam,
+    studentized: bool,
+) -> tuple[np.ndarray, Union[np.ndarray, None]]:
     """Per-draw mean statistic and studentized statistic from signed sums.
 
-    Uses ``sum(A^2) = (1 + c^2) sum(m^2) - 2c sum(v m^2)`` with
+    The studentized statistic is None unless ``studentized`` is set.  It
+    uses ``sum(A^2) = (1 + c^2) sum(m^2) - 2c sum(v m^2)`` with
     ``c = 2*theta - 1``, so each draw needs only the two signed sums.
     Degenerate draws (zero within-draw variance) map to 0 when the mean is
     0 and to +/-inf matching the sign of the mean otherwise.
@@ -252,6 +306,8 @@ def _statistics(
     n = m.size
     c = sens.sign_bias
     abar = (s1 - c * np.sum(m)) / n
+    if not studentized:
+        return abar, None
     sumsq = (1.0 + c * c) * np.sum(m * m) - 2.0 * c * s2
     np.maximum(sumsq, 0.0, out=sumsq)
     ssd = sumsq - n * abar * abar
@@ -291,7 +347,7 @@ def observed_statistics(
         else:
             s1 += mi
             s2 += mi * mi
-    abar, tstat = _statistics(np.array([s1]), np.array([s2]), m, sens)
+    abar, tstat = _statistics(np.array([s1]), np.array([s2]), m, sens, True)
     return float(abar[0]), float(tstat[0])
 
 
@@ -310,8 +366,8 @@ class SignDraws:
     searches' reject-only decisions both read them from here.  The exact
     enumeration does not depend on the bias bound, so it is made on first
     use and kept for every later bound asked of the same object; Monte Carlo
-    signs threshold uniforms against theta, so they are redrawn for each
-    bound from the engine's seed (common random numbers).
+    signs threshold raw random bits against theta, so they are redrawn for
+    each bound from the engine's seed (common random numbers).
     """
 
     def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec):
@@ -322,10 +378,11 @@ class SignDraws:
         self._enumeration = None
 
     def statistics(
-        self, sens: SensitivityParam
-    ) -> tuple[np.ndarray, np.ndarray, Union[np.ndarray, None]]:
+        self, sens: SensitivityParam, studentized: bool
+    ) -> tuple[np.ndarray, Union[np.ndarray, None], Union[np.ndarray, None]]:
         """Per-draw mean and studentized statistics, and per-draw weights.
 
+        The studentized statistics are None unless ``studentized`` is set.
         Exact draws weigh ``theta**k * (1 - theta)**(n - k)`` with ``k`` the
         number of + signs; Monte Carlo draws all weigh ``1 / n_draws`` and
         the weights are returned as None.
@@ -342,7 +399,7 @@ class SignDraws:
         else:
             s1, s2 = _draw_monte_carlo(self.m, theta, self.engine.draws, self.engine.seed)
             weights = None
-        abar, tstat = _statistics(s1, s2, self.m, sens)
+        abar, tstat = _statistics(s1, s2, self.m, sens, studentized)
         return abar, tstat, weights
 
     def weight_at_most(
@@ -367,7 +424,7 @@ def _build(
     kinds: tuple[str, ...],
 ) -> tuple[ReferenceDistribution, ...]:
     draws = SignDraws(sample, tau, engine)
-    abar, tstat, draw_weights = draws.statistics(sens)
+    abar, tstat, draw_weights = draws.statistics(sens, "studentized" in kinds)
     by_kind = {"mean": abar, "studentized": tstat}
 
     out = []

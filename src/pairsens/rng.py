@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "as_generator", "as_seed_sequence", "spawn"]
+__all__ = ["SeedLike", "as_generator", "as_seed_sequence"]
 
 SeedLike = Union[int, np.random.SeedSequence, None]
 
@@ -27,8 +27,3 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
-
-
-def spawn(seed: SeedLike, n: int) -> list[np.random.SeedSequence]:
-    """Derive ``n`` independent child sequences from ``seed``."""
-    return as_seed_sequence(seed).spawn(n)

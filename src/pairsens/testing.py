@@ -330,7 +330,7 @@ def rejector(
                 return False
         elif _se(norm_sample, tau, sens) == 0.0:
             return False
-        abar, tstat, weights = draws.statistics(sens)
+        abar, tstat, weights = draws.statistics(sens, method != "perm_t")
         dbar, stat = observed_statistics(norm_sample, tau, sens)
         compared = {
             "perm_t": ((abar, dbar),),

@@ -1,6 +1,9 @@
-"""Shared checks for comparing Monte Carlo and exact reference distributions."""
+"""Shared checks for comparing Monte Carlo and exact reference distributions,
+and the reference implementations that faster paths are tested against."""
 
 import numpy as np
+
+from pairsens.rng import as_generator
 
 
 def mc_quantile_consistent(exact, mc, p, n_sigma=3.0):
@@ -41,3 +44,16 @@ def enumerate_exact_concat(m):
         s2 = np.concatenate([s2 - mi2, s2 + mi2])
         k = np.concatenate([k, k + 1])
     return s1, s2, k
+
+
+def draw_monte_carlo_where(m, theta, draws, seed):
+    """Reference Monte Carlo draw through float32 uniforms and ``np.where``.
+
+    Holds the float32 uniforms, the mask and the float64 signs at once; the
+    raw-bit, blocked draw must give the same signed sums bit for bit.
+    """
+    rng = as_generator(seed)
+    u = rng.random((draws, m.size), dtype=np.float32)
+    signs = np.where(u < theta, 1.0, -1.0)
+    sums = signs @ np.column_stack([m, m * m])
+    return sums[:, 0], sums[:, 1]

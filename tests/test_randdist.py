@@ -3,8 +3,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import pairsens as ps
-from helpers import enumerate_exact_concat, ks_distance, mc_quantile_consistent
+from helpers import (
+    draw_monte_carlo_where,
+    enumerate_exact_concat,
+    ks_distance,
+    mc_quantile_consistent,
+)
 from pairsens import cli, randdist
+from pairsens.rng import as_seed_sequence
 
 
 def exact_engine(cap=20):
@@ -273,6 +279,115 @@ class TestEnumerateExactInPlace:
         for got, want in zip(randdist._enumerate_exact(m), enumerate_exact_concat(m)):
             assert got.dtype == want.dtype
             assert_array_equal(got, want)
+
+
+# theta = gamma / (1 + gamma) at gammas 1, 1.5, 7/3, 4, 999, 1000 and 1e9
+# (which rounds to 1.0 in float32), and 0.8's float32 value and both its
+# neighbours; 0.7 * 2**24 lies nearer the integer below than the one above
+_THETAS = (
+    0.5, 0.6, 0.7, 0.8, 0.999, 1000 / 1001, 1e9 / (1 + 1e9),
+    float(np.float32(0.8)),
+    float(np.nextafter(np.float32(0.8), np.float32(0.0))),
+    float(np.nextafter(np.float32(0.8), np.float32(1.0))),
+)
+
+
+_SEEDS = (0, 20160907, *np.random.SeedSequence(5).spawn(2))
+
+
+class _RawWords:
+    """Stand-in bit generator whose raw stream is the given 32-bit values."""
+
+    def __init__(self, x):
+        self._words = iter(x.view(np.uint64))
+
+    def random_raw(self, k):
+        return np.fromiter(self._words, np.uint64, k)
+
+
+class TestDrawMonteCarloRawBits:
+    @pytest.mark.parametrize("block", [None, 1, 7, 2**22])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 257, 999])
+    def test_equals_float32_where_oracle(self, n, block, monkeypatch):
+        # draws of 1 and 2 give odd and even draws x pairs for odd n; 1001 is
+        # a multiple of no block's row count here, and spans several blocks
+        # at block sizes 1 and 7, and from 100 pairs at the default size
+        if block is not None:
+            monkeypatch.setattr(randdist, "_MC_BLOCK_SIGNS", block)
+        m = np.abs(np.random.default_rng(n).normal(size=n))
+        for theta in _THETAS:
+            for seed in _SEEDS:
+                for draws in (1, 2, 1001):
+                    got = randdist._draw_monte_carlo(m, theta, draws, seed)
+                    want = draw_monte_carlo_where(m, theta, draws, seed)
+                    for g, w in zip(got, want):
+                        assert_array_equal(g, w)
+
+    def test_theta_rounding_to_one_draws_only_plus(self):
+        m = np.array([1.0, 2.0, 4.0])
+        assert randdist._sign_cut(1e9 / (1 + 1e9)) == 2**32
+        s1, s2 = randdist._draw_monte_carlo(m, 1e9 / (1 + 1e9), 5, 0)
+        assert_array_equal(s1, np.full(5, 7.0))
+        assert_array_equal(s2, np.full(5, 21.0))
+
+    @pytest.mark.parametrize("k", [1, 2, 1001, 65537])
+    def test_numpy_float32_uniforms_are_raw_bits(self, k):
+        # guards the stream the raw-bit draw relies on: if numpy changes how
+        # a float32 uniform is made from Philox output, this fails
+        for seed in _SEEDS:
+            ss = as_seed_sequence(seed)
+            u = np.random.Generator(np.random.Philox(ss)).random(k, dtype=np.float32)
+            x = np.random.Philox(ss).random_raw((k + 1) // 2).view(np.uint32)[:k]
+            assert_array_equal(u, (x >> 8).astype(np.float32) * np.float32(2.0**-24))
+            for theta in _THETAS:
+                cut = randdist._sign_cut(theta)
+                assert_array_equal(u < theta, x < cut if cut < 2**32 else True)
+
+    def test_signs_split_at_theta(self, monkeypatch):
+        # u < theta is monotone in the raw value, so signs right at the lowest
+        # and highest raw value of the 24-bit uniforms either side of the cut
+        # are right at every raw value; a stand-in bit generator feeds
+        # exactly those values to a one-pair draw
+        for theta in _THETAS:
+            j = (randdist._sign_cut(theta) >> 8) + np.arange(-2, 2)
+            j = j[j < 2**24]
+            x = np.concatenate([j << 8, (j << 8) + 255]).astype(np.uint32)
+            monkeypatch.setattr(np.random, "Philox", lambda seed, x=x: _RawWords(x))
+            s1, _ = randdist._draw_monte_carlo(np.array([1.0]), theta, x.size, 0)
+            u = (x >> 8).astype(np.float32) * np.float32(2.0**-24)
+            assert_array_equal(s1 > 0, u < theta)
+
+
+class TestStatisticsKinds:
+    def test_mean_alone_is_bit_identical(self):
+        rng = np.random.default_rng(51)
+        m = np.abs(rng.normal(size=12))
+        s1, s2 = randdist._draw_monte_carlo(m, 0.7, 2000, 3)
+        sens = ps.SensitivityParam(0.7 / 0.3)
+        abar, tstat = randdist._statistics(s1, s2, m, sens, False)
+        assert tstat is None
+        assert_array_equal(abar, randdist._statistics(s1, s2, m, sens, True)[0])
+
+
+class TestMonteCarloMemory:
+    # 10000 draws x 1000 pairs need 80 MB of signs, more than the pretended
+    # 64 MiB; the check must fire before anything of that size is allocated
+    def test_larger_than_memory_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
+        s = ps.PairedSample(np.arange(1.0, 1001.0))
+        with pytest.raises(ValueError, match="sign matrix of 10000 draws x 1000 pairs"):
+            ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), mc_engine(10_000))
+        ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), mc_engine(1_000))
+
+    def test_larger_than_memory_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
+        path = tmp_path / "pairs.csv"
+        path.write_text("".join(f"{v}\n" for v in range(1, 1001)))
+        code = cli.main(["test", "--input", str(path), "--tau", "0", "--gamma", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: Monte Carlo sign matrix of 10000 draws x 1000 pairs"
+        )
 
 
 class TestExactVsMonteCarlo:
