@@ -321,11 +321,10 @@ def sensitivity_interval(
     center = float(y.mean())
 
     def make_rejector(alternative: str):
-        def rejects(t: float) -> bool:
-            spec = TestSpec(tau=t, alpha=alpha, alternative=alternative, method=method)
-            return rejector(sample, spec, engine)(sens)
-
-        return rejects
+        # one decider, and so one set of draw buffers, per side's search
+        spec = TestSpec(tau=center, alpha=alpha, alternative=alternative, method=method)
+        decide = rejector(sample, spec, engine)
+        return lambda t: decide(sens, t)
 
     lower, lower_bracket, lower_inf, nm_lo = _invert_one_side(
         make_rejector("greater"), center, step, tol, -1.0, max_expansions, precheck_points

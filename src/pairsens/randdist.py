@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -40,10 +40,21 @@ _CUM_SLACK = 1e-12
 # roundoff); mathematically that happens only when all entries coincide.
 _DEGENERATE_RTOL = 1e-12
 
-# Peak bytes an exact build holds per enumerated sign vector: the signed sums,
-# + counts, weights, both statistics, their temporaries and the sort of two
-# kinds (tracemalloc measured 136 at 18 pairs).
-_EXACT_BYTES_PER_DRAW = 144
+# Bytes an exact SignDraws holds per sign vector, all a search holds: the
+# signed sums, + counts, weights, both statistics, the scratch array and the
+# mask (tracemalloc measured 57 at 18 pairs).
+_EXACT_BYTES_PER_DRAW = 64
+
+# Peak bytes an exact build holds per sign vector: the statistics and
+# weights, the sort and merge of two kinds, and the first distribution while
+# the second is made (tracemalloc measured 112 at 18 pairs).
+_EXACT_BUILD_BYTES_PER_DRAW = 120
+
+# Share of physical memory that one allocation may plan to use.  Work above
+# it is refused, not attempted: near all of memory the machine swaps or the
+# process is killed.  A constant, so the refusal (exit 2) depends only on the
+# input and the machine.
+_MEMORY_BUDGET_FRACTION = 0.5
 
 # Bytes a Monte Carlo build holds per draw x pair: its float64 sign matrix.
 _MC_BYTES_PER_SIGN = 8
@@ -59,20 +70,20 @@ class EnumSpec:
     """How to construct a reference distribution.
 
     Mode "auto" enumerates exactly when the sample has at most ``exact_cap``
-    pairs (the default cap of 20 means about a million assignments and about
-    half a second per reference-distribution build on one core) and
-    otherwise runs ``draws`` seeded Monte Carlo draws.  Mode "exact" refuses
-    samples above the cap.  An exact enumeration that would need more than
-    the machine's physical memory (about 150 bytes per assignment) raises
-    ValueError before allocating anything.  The seed may be an
+    pairs (the default cap of 20 means about a million assignments, and on
+    one core of a 2-vCPU Xeon about 0.2 s to build one reference
+    distribution, 0.4 s to build both) and otherwise runs ``draws`` seeded
+    Monte Carlo draws.  Mode "exact" refuses samples above the cap.  An
+    exact build holds about 120 bytes per assignment and a search about
+    64; work that would need more than half the machine's physical memory
+    raises ValueError before allocating anything.  The seed may be an
     int or a numpy SeedSequence; results are bit-reproducible given
     ``(seed, draws)`` regardless of how work is scheduled, because draws
     consume a counter-based Philox stream in fixed order: sign ``j`` of draw
     ``b`` is made from the ``(b * n + j)``-th 32-bit half of the raw stream,
     low half of each 64-bit word first, so a parallel worker could
     regenerate any block of draws from the seed alone.  A Monte Carlo build
-    holds 8 bytes per draw x pair, and one that would need more than the
-    machine's physical memory raises ValueError before allocating.
+    holds 8 bytes per draw x pair, under the same memory budget.
     """
 
     mode: str = "auto"
@@ -202,32 +213,43 @@ def _physical_memory_bytes() -> Union[int, None]:
 
 
 def _check_fits(need: int, what: str, remedy: str) -> None:
-    """Refuse, before allocating, work that needs more than physical memory."""
+    """Refuse, before allocating, work that needs more than the memory budget."""
     have = _physical_memory_bytes()
-    if have is not None and need > have:
+    if have is not None and need > _MEMORY_BUDGET_FRACTION * have:
         raise ValueError(
-            f"{what} needs about {need / 2**30:.1f} GiB "
-            f"but this machine has {have / 2**30:.1f} GiB; {remedy}"
+            f"{what} needs about {need / 2**30:.1f} GiB, more than "
+            f"{_MEMORY_BUDGET_FRACTION:.0%} of this machine's {have / 2**30:.1f} GiB; "
+            f"{remedy}"
         )
 
 
-def _enumerate_exact(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed subset sums of m and m**2 plus the count of + signs per vector.
+def _check_exact_fits(n_pairs: int, bytes_per_draw: int) -> None:
+    _check_fits(
+        bytes_per_draw * 2**n_pairs,
+        f"exact enumeration of {n_pairs} pairs",
+        "lower the exact cap to use Monte Carlo draws",
+    )
+
+
+def _enumerate_exact(
+    m: np.ndarray,
+    s1: np.ndarray,
+    s2: np.ndarray,
+    k: Union[np.ndarray, None] = None,
+) -> None:
+    """Fill s1 and s2 with the signed subset sums of m and m**2 over all
+    ``2**n`` sign vectors, and k, when given, with their counts of + signs.
 
     Doubling construction: bit ``i`` of the assignment index gives the sign
     of pair ``i``, so each of the ``2**n`` vectors costs O(1) amortized.
     Each step writes the + half from the current prefix, then turns the
-    prefix itself into the - half, all within arrays allocated once.
+    prefix itself into the - half, all within the caller's arrays.  The
+    counts depend on ``n`` alone, so a caller that keeps k passes it once.
     """
-    _check_fits(
-        _EXACT_BYTES_PER_DRAW * 2**m.size,
-        f"exact enumeration of {m.size} pairs",
-        "lower the exact cap to use Monte Carlo draws",
-    )
-    total = 1 << m.size
-    s1 = np.zeros(total)
-    s2 = np.zeros(total)
-    k = np.zeros(total, dtype=np.int64)
+    s1[0] = 0.0
+    s2[0] = 0.0
+    if k is not None:
+        k[0] = 0
     size = 1
     for mi in m:
         mi2 = mi * mi
@@ -235,9 +257,9 @@ def _enumerate_exact(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         np.subtract(s1[:size], mi, out=s1[:size])
         np.add(s2[:size], mi2, out=s2[size : 2 * size])
         np.subtract(s2[:size], mi2, out=s2[:size])
-        np.add(k[:size], 1, out=k[size : 2 * size])
+        if k is not None:
+            np.add(k[:size], 1, out=k[size : 2 * size])
         size *= 2
-    return s1, s2, k
 
 
 def _sign_cut(theta: float) -> int:
@@ -288,16 +310,32 @@ def _draw_monte_carlo(
     return sums[:, 0], sums[:, 1]
 
 
+class _StatBuffers(NamedTuple):
+    """Per-draw arrays that ``_statistics`` writes, all of one length."""
+
+    abar: np.ndarray
+    tstat: np.ndarray
+    scratch: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def empty(cls, size: int) -> "_StatBuffers":
+        return cls(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+
+
 def _statistics(
     s1: np.ndarray,
     s2: np.ndarray,
     m: np.ndarray,
     sens: SensitivityParam,
     studentized: bool,
+    out: _StatBuffers,
 ) -> tuple[np.ndarray, Union[np.ndarray, None]]:
     """Per-draw mean statistic and studentized statistic from signed sums.
 
-    The studentized statistic is None unless ``studentized`` is set.  It
+    Both are written into ``out`` and returned as ``out.abar`` and
+    ``out.tstat``, which stay valid until ``out`` is written again; the
+    studentized statistic is None unless ``studentized`` is set.  It
     uses ``sum(A^2) = (1 + c^2) sum(m^2) - 2c sum(v m^2)`` with
     ``c = 2*theta - 1``, so each draw needs only the two signed sums.
     Degenerate draws (zero within-draw variance) map to 0 when the mean is
@@ -305,22 +343,30 @@ def _statistics(
     """
     n = m.size
     c = sens.sign_bias
-    abar = (s1 - c * np.sum(m)) / n
+    abar = np.subtract(s1, c * np.sum(m), out=out.abar)
+    np.divide(abar, n, out=abar)
     if not studentized:
         return abar, None
-    sumsq = (1.0 + c * c) * np.sum(m * m) - 2.0 * c * s2
+    # the sum of squares and its tolerance pass through tstat, written last
+    sumsq = np.multiply(2.0 * c, s2, out=out.tstat)
+    np.subtract((1.0 + c * c) * np.sum(m * m), sumsq, out=sumsq)
     np.maximum(sumsq, 0.0, out=sumsq)
-    ssd = sumsq - n * abar * abar
+    ssd = np.multiply(n, abar, out=out.scratch)
+    np.multiply(ssd, abar, out=ssd)
+    np.subtract(sumsq, ssd, out=ssd)
     np.maximum(ssd, 0.0, out=ssd)
-    degenerate = ssd <= _DEGENERATE_RTOL * sumsq
+    tol = np.multiply(_DEGENERATE_RTOL, sumsq, out=sumsq)
+    degenerate = np.less_equal(ssd, tol, out=out.mask)
     if n < 2:
-        degenerate = np.ones_like(degenerate)
-    tstat = np.empty_like(abar)
-    ok = ~degenerate
-    if np.any(ok):
-        tstat[ok] = abar[ok] / np.sqrt(ssd[ok] / (n * (n - 1)))
+        degenerate.fill(True)
+    tstat = out.tstat
     da = abar[degenerate]
     tstat[degenerate] = np.where(da > 0, np.inf, np.where(da < 0, -np.inf, 0.0))
+    if n >= 2:
+        ok = np.logical_not(degenerate, out=degenerate)
+        den = np.divide(ssd, n * (n - 1), out=ssd)
+        np.sqrt(den, out=den)
+        np.divide(abar, den, out=tstat, where=ok)
     return abar, tstat
 
 
@@ -347,7 +393,9 @@ def observed_statistics(
         else:
             s1 += mi
             s2 += mi * mi
-    abar, tstat = _statistics(np.array([s1]), np.array([s2]), m, sens, True)
+    abar, tstat = _statistics(
+        np.array([s1]), np.array([s2]), m, sens, True, _StatBuffers.empty(1)
+    )
     return float(abar[0]), float(tstat[0])
 
 
@@ -360,22 +408,48 @@ def _merge_atoms(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SignDraws:
-    """Signed sums of one ``(sample, tau)`` over the engine's sign draws.
+    """Signed sums of one sample over the engine's sign draws, at a
+    hypothesized value that can move.
 
     The only code that makes draws: reference-distribution builds and the
-    searches' reject-only decisions both read them from here.  The exact
-    enumeration does not depend on the bias bound, so it is made on first
-    use and kept for every later bound asked of the same object; Monte Carlo
+    searches' reject-only decisions both read them from here.  Every
+    per-draw array is allocated once, when the object is made, and each
+    call writes into it, so an object kept for a whole search costs no
+    allocation per evaluation.  Arrays returned by ``statistics`` are
+    views into these buffers and stay valid until the next call.
+
+    The exact enumeration does not depend on the bias bound, so it is made
+    on first use after each move and kept for every bound asked at that
+    value; the + counts depend only on the number of pairs and are made
+    once, and the weights are kept while theta is unchanged.  Monte Carlo
     signs threshold raw random bits against theta, so they are redrawn for
     each bound from the engine's seed (common random numbers).
     """
 
     def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec):
-        self.m = np.abs(sample.y - tau)
-        self.mode = engine.resolve(sample.n_pairs)
+        n = sample.n_pairs
+        self.y = sample.y
+        self.mode = engine.resolve(n)
         self.engine = engine
-        self.n_draws = 2**sample.n_pairs if self.mode == "exact" else engine.draws
-        self._enumeration = None
+        if self.mode == "exact":
+            _check_exact_fits(n, _EXACT_BYTES_PER_DRAW)
+            self.n_draws = 2**n
+            self._s1 = np.empty(self.n_draws)
+            self._s2 = np.empty(self.n_draws)
+            self._k = None
+            self._w = np.empty(self.n_draws)
+        else:
+            self.n_draws = engine.draws
+            self._w = None
+        self._out = _StatBuffers.empty(self.n_draws)
+        self._theta = None
+        self.move_to(tau)
+
+    def move_to(self, tau: float) -> None:
+        """Make later calls use the hypothesized value ``tau``."""
+        self.tau = tau
+        self.m = np.abs(self.y - tau)
+        self._enumerated = False
 
     def statistics(
         self, sens: SensitivityParam, studentized: bool
@@ -389,31 +463,36 @@ class SignDraws:
         """
         theta = sens.theta
         if self.mode == "exact":
-            if self._enumeration is None:
-                self._enumeration = _enumerate_exact(self.m)
-            s1, s2, k = self._enumeration
-            n = self.m.size
-            ks = np.arange(n + 1)
-            table = theta**ks * (1.0 - theta) ** (n - ks)
-            weights = table[k]
+            if not self._enumerated:
+                k = None
+                if self._k is None:
+                    k = self._k = np.empty(self.n_draws, dtype=np.int64)
+                _enumerate_exact(self.m, self._s1, self._s2, k)
+                self._enumerated = True
+            if theta != self._theta:
+                n = self.m.size
+                ks = np.arange(n + 1)
+                table = theta**ks * (1.0 - theta) ** (n - ks)
+                # "clip" writes straight into out; "raise" would buffer a copy
+                np.take(table, self._k, out=self._w, mode="clip")
+                self._theta = theta
+            s1, s2 = self._s1, self._s2
         else:
             s1, s2 = _draw_monte_carlo(self.m, theta, self.engine.draws, self.engine.seed)
-            weights = None
-        abar, tstat = _statistics(s1, s2, self.m, sens, studentized)
-        return abar, tstat, weights
+        abar, tstat = _statistics(s1, s2, self.m, sens, studentized, self._out)
+        return abar, tstat, self._w
 
-    def weight_at_most(
-        self, vals: np.ndarray, weights: Union[np.ndarray, None], t: float
-    ) -> float:
+    def weight_at_most(self, vals: np.ndarray, t: float) -> float:
         """Total weight of the draws whose statistic is <= t.
 
-        Adds the same per-draw weights as the sorted distribution's CDF, in
-        another order, so the two differ by at most ``n_draws`` roundings.
+        ``vals`` comes from the last ``statistics`` call.  Adds the same
+        per-draw weights as the sorted distribution's CDF, in another
+        order, so the two differ by at most ``n_draws`` roundings.
         """
-        below = vals <= t
-        if weights is None:
+        below = np.less_equal(vals, t, out=self._out.scratch)
+        if self._w is None:
             return np.count_nonzero(below) / self.n_draws
-        return float(weights @ below)
+        return float(self._w @ below)
 
 
 def _build(
@@ -423,8 +502,13 @@ def _build(
     engine: EnumSpec,
     kinds: tuple[str, ...],
 ) -> tuple[ReferenceDistribution, ...]:
+    if engine.resolve(sample.n_pairs) == "exact":
+        _check_exact_fits(sample.n_pairs, _EXACT_BUILD_BYTES_PER_DRAW)
     draws = SignDraws(sample, tau, engine)
     abar, tstat, draw_weights = draws.statistics(sens, "studentized" in kinds)
+    mode, n_draws = draws.mode, int(draws.n_draws)
+    # frees the sums, counts and scratch before the sorts allocate
+    del draws
     by_kind = {"mean": abar, "studentized": tstat}
 
     out = []
@@ -437,15 +521,15 @@ def _build(
             counts = None
         else:
             counts = np.diff(np.concatenate((starts, [vals.size])))
-            merged_w = counts / draws.n_draws
+            merged_w = counts / n_draws
         out.append(
             ReferenceDistribution(
                 values=merged_vals,
                 weights=merged_w,
-                mode=draws.mode,
+                mode=mode,
                 statistic_kind=kind,
-                n_draws=int(draws.n_draws),
-                seed=engine.seed if draws.mode == "monte_carlo" else None,
+                n_draws=n_draws,
+                seed=engine.seed if mode == "monte_carlo" else None,
                 counts=counts,
             )
         )

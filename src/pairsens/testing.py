@@ -10,6 +10,7 @@ the sign-normalized scale where reject means statistic >= critical value.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Union
 
 import numpy as np
@@ -300,46 +301,53 @@ def rejector(
     sample: PairedSample,
     spec: TestSpec,
     engine: Union[EnumSpec, None] = None,
-) -> Callable[[SensitivityParam], bool]:
-    """``run_test(sample, spec, sens, engine).reject`` as a function of ``sens``.
+) -> Callable[..., bool]:
+    """``run_test(sample, spec, sens, engine).reject`` as a function of
+    ``sens`` and, optionally, ``tau`` (default ``spec.tau``).
 
-    For searches, which need only the decision.  ``stat >= quantile(p)``
-    holds exactly when the weight of draws at or below ``stat`` reaches
-    ``p`` (less the quantile's slack), so the decision is a masked sum over
-    the draws, with no sort, merge or ``ReferenceDistribution``.  The exact
-    enumeration is made once and shared by every bias bound asked of the
-    returned function; per bound only the weights and the per-draw
-    statistics are recomputed, on the same arithmetic path as a build.  A
-    masked sum too close to the threshold for its roundoff to be ruled out
-    is re-decided by ``run_test``, so the decisions are those of
-    ``run_test``.
+    For searches, which need only the decision: one returned function serves
+    a whole search over the bias bound or over the hypothesized value.
+    ``stat >= quantile(p)`` holds exactly when the weight of draws at or
+    below ``stat`` reaches ``p`` (less the quantile's slack), so the
+    decision is a masked sum over the draws, with no sort, merge or
+    ``ReferenceDistribution``.  The draws live in one ``SignDraws`` whose
+    buffers are allocated once and rewritten at each evaluation: the exact
+    enumeration is redone only when tau moves and the weights only when the
+    bias bound does.  A masked sum too close to the threshold for its
+    roundoff to be ruled out is re-decided by ``run_test``, so the decisions
+    are those of ``run_test``.
     """
     engine = engine or EnumSpec()
     method = spec.method
     if method == "neyman":
-        return lambda sens: test_neyman(sample, spec, sens).reject
+        return lambda sens, tau=spec.tau: test_neyman(
+            sample, replace(spec, tau=tau), sens
+        ).reject
     norm_sample, norm_spec = _normalized(sample, spec)
-    tau = norm_spec.tau
-    draws = SignDraws(norm_sample, tau, engine)
+    flip = spec.alternative != "greater"
+    draws = SignDraws(norm_sample, norm_spec.tau, engine)
     threshold = 1.0 - norm_spec.alpha - _CUM_SLACK
     guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
 
-    def rejects(sens: SensitivityParam) -> bool:
+    def rejects(sens: SensitivityParam, tau: float = spec.tau) -> bool:
+        t = -tau if flip else tau
         if method == "perm_t":
-            if _all_at_tau(norm_sample, tau):
+            if _all_at_tau(norm_sample, t):
                 return False
-        elif _se(norm_sample, tau, sens) == 0.0:
+        elif _se(norm_sample, t, sens) == 0.0:
             return False
-        abar, tstat, weights = draws.statistics(sens, method != "perm_t")
-        dbar, stat = observed_statistics(norm_sample, tau, sens)
+        if t != draws.tau:
+            draws.move_to(t)
+        abar, tstat, _ = draws.statistics(sens, method != "perm_t")
+        dbar, stat = observed_statistics(norm_sample, t, sens)
         compared = {
             "perm_t": ((abar, dbar),),
             "studentized": ((tstat, stat),),
             "combined": ((abar, dbar), (tstat, stat)),
         }[method]
-        below = [draws.weight_at_most(vals, weights, t) for vals, t in compared]
+        below = [draws.weight_at_most(vals, at) for vals, at in compared]
         if any(abs(b - threshold) < guard for b in below):
-            return run_test(sample, spec, sens, engine).reject
+            return run_test(sample, replace(spec, tau=tau), sens, engine).reject
         return all(b >= threshold for b in below)
 
     return rejects

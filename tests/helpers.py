@@ -3,6 +3,7 @@ and the reference implementations that faster paths are tested against."""
 
 import numpy as np
 
+from pairsens.randdist import _DEGENERATE_RTOL
 from pairsens.rng import as_generator
 
 
@@ -57,3 +58,32 @@ def draw_monte_carlo_where(m, theta, draws, seed):
     signs = np.where(u < theta, 1.0, -1.0)
     sums = signs @ np.column_stack([m, m * m])
     return sums[:, 0], sums[:, 1]
+
+
+def statistics_alloc(s1, s2, m, sens, studentized):
+    """Reference per-draw statistics that allocate a fresh array per step.
+
+    The mean and, when ``studentized`` is set, the studentized statistic of
+    every draw from its signed sums; non-degenerate draws are divided by a
+    boolean gather and scatter.  The in-place version must equal it bit for
+    bit.
+    """
+    n = m.size
+    c = sens.sign_bias
+    abar = (s1 - c * np.sum(m)) / n
+    if not studentized:
+        return abar, None
+    sumsq = (1.0 + c * c) * np.sum(m * m) - 2.0 * c * s2
+    np.maximum(sumsq, 0.0, out=sumsq)
+    ssd = sumsq - n * abar * abar
+    np.maximum(ssd, 0.0, out=ssd)
+    degenerate = ssd <= _DEGENERATE_RTOL * sumsq
+    if n < 2:
+        degenerate = np.ones_like(degenerate)
+    tstat = np.empty_like(abar)
+    ok = ~degenerate
+    if np.any(ok):
+        tstat[ok] = abar[ok] / np.sqrt(ssd[ok] / (n * (n - 1)))
+    da = abar[degenerate]
+    tstat[degenerate] = np.where(da > 0, np.inf, np.where(da < 0, -np.inf, 0.0))
+    return abar, tstat

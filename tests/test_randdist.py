@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,6 +10,7 @@ from helpers import (
     enumerate_exact_concat,
     ks_distance,
     mc_quantile_consistent,
+    statistics_alloc,
 )
 from pairsens import cli, randdist
 from pairsens.rng import as_seed_sequence
@@ -272,13 +275,33 @@ class TestExactEnumerationOracle:
         assert f.n_draws == 8
 
 
+def _enumerate_into(m, k=True):
+    # caller-owned arrays full of garbage, so every entry must be written
+    s1 = np.full(2**m.size, np.nan)
+    s2 = np.full(2**m.size, np.nan)
+    counts = np.full(2**m.size, -1, dtype=np.int64) if k else None
+    randdist._enumerate_exact(m, s1, s2, counts)
+    return s1, s2, counts
+
+
 class TestEnumerateExactInPlace:
     @pytest.mark.parametrize("n", [0, 1, 2, 8, 17])
     def test_equals_concatenating_oracle(self, n):
         m = np.abs(np.random.default_rng(n).normal(size=n))
-        for got, want in zip(randdist._enumerate_exact(m), enumerate_exact_concat(m)):
+        for got, want in zip(_enumerate_into(m), enumerate_exact_concat(m)):
             assert got.dtype == want.dtype
             assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 17])
+    def test_reenumeration_into_used_arrays(self, n):
+        # a search moves tau and enumerates again over the last sums
+        rng = np.random.default_rng(100 + n)
+        s1, s2, _ = _enumerate_into(np.abs(rng.normal(size=n)))
+        m = np.abs(rng.normal(size=n))
+        randdist._enumerate_exact(m, s1, s2)
+        want1, want2, _ = enumerate_exact_concat(m)
+        assert_array_equal(s1, want1)
+        assert_array_equal(s2, want2)
 
 
 # theta = gamma / (1 + gamma) at gammas 1, 1.5, 7/3, 4, 999, 1000 and 1e9
@@ -358,15 +381,104 @@ class TestDrawMonteCarloRawBits:
             assert_array_equal(s1 > 0, u < theta)
 
 
+def _garbage_buffers(size):
+    out = randdist._StatBuffers.empty(size)
+    for arr in out:
+        arr.fill(np.nan if arr.dtype == float else True)
+    return out
+
+
 class TestStatisticsKinds:
     def test_mean_alone_is_bit_identical(self):
         rng = np.random.default_rng(51)
         m = np.abs(rng.normal(size=12))
         s1, s2 = randdist._draw_monte_carlo(m, 0.7, 2000, 3)
         sens = ps.SensitivityParam(0.7 / 0.3)
-        abar, tstat = randdist._statistics(s1, s2, m, sens, False)
+        abar, tstat = randdist._statistics(s1, s2, m, sens, False, _garbage_buffers(2000))
         assert tstat is None
-        assert_array_equal(abar, randdist._statistics(s1, s2, m, sens, True)[0])
+        full = randdist._statistics(s1, s2, m, sens, True, _garbage_buffers(2000))
+        assert_array_equal(abar, full[0])
+
+
+# samples whose exact draws include every kind: ordinary, degenerate with a
+# zero mean, degenerate with a nonzero mean (a single pair, equal |y - tau|)
+_STAT_SAMPLES = {
+    "one-pair": np.array([2.0]),
+    "two-pairs": np.array([0.5, -1.5]),
+    "constant": np.full(6, 3.0),
+    "ties": np.array([1.0, 1.0, 3.0, -2.0, 0.0, 1.0, 4.0]),
+    "random": np.random.default_rng(52).normal(loc=0.4, size=12),
+}
+
+
+class TestStatisticsInPlace:
+    """The in-place statistics against the allocating oracle, bit for bit."""
+
+    @pytest.mark.parametrize("studentized", [False, True])
+    @pytest.mark.parametrize("name", sorted(_STAT_SAMPLES))
+    def test_exact_sums(self, name, studentized):
+        y = _STAT_SAMPLES[name]
+        out = _garbage_buffers(2**y.size)
+        # one buffer set across taus and gammas, as a search uses it
+        for tau in (0.0, 1.0, float(y[0])):
+            m = np.abs(y - tau)
+            s1, s2, _ = enumerate_exact_concat(m)
+            for gamma in (1.0, 2.0, 1000.0):
+                sens = ps.SensitivityParam(gamma)
+                got = randdist._statistics(s1, s2, m, sens, studentized, out)
+                want = statistics_alloc(s1, s2, m, sens, studentized)
+                assert_array_equal(got[0], want[0])
+                if studentized:
+                    assert_array_equal(got[1], want[1])
+                else:
+                    assert got[1] is None and want[1] is None
+
+    @pytest.mark.parametrize("name", sorted(_STAT_SAMPLES))
+    def test_monte_carlo_sums(self, name):
+        y = _STAT_SAMPLES[name]
+        out = _garbage_buffers(3001)
+        for seed, gamma in ((0, 1.0), (1, 2.5), (2, 40.0)):
+            sens = ps.SensitivityParam(gamma)
+            m = np.abs(y - 0.5)
+            s1, s2 = randdist._draw_monte_carlo(m, sens.theta, 3001, seed)
+            got = randdist._statistics(s1, s2, m, sens, True, out)
+            want = statistics_alloc(s1, s2, m, sens, True)
+            assert_array_equal(got[0], want[0])
+            assert_array_equal(got[1], want[1])
+
+
+class TestMemoryBudget:
+    def test_refused_between_budget_and_physical_memory(self, monkeypatch):
+        # 10000 draws x 600 pairs need 45.8 MiB of signs: less than the
+        # pretended 64 MiB, more than the budget's share of it
+        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
+        need = randdist._MC_BYTES_PER_SIGN * 10_000 * 600
+        assert randdist._MEMORY_BUDGET_FRACTION * 64 * 2**20 < need < 64 * 2**20
+        s = ps.PairedSample(np.arange(1.0, 601.0))
+        with pytest.raises(ValueError, match="sign matrix of 10000 draws x 600 pairs"):
+            ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), mc_engine(10_000))
+
+    def test_figures_cover_what_exact_work_holds(self):
+        # tracemalloc peaks at 18 pairs, per sign vector, against the figures
+        # checked before allocating
+        s = ps.PairedSample(np.random.default_rng(53).normal(loc=0.5, size=18))
+        engine = exact_engine()
+        spec = ps.TestSpec(tau=0.0, method="combined")
+        tracemalloc.start()
+        try:
+            decide = ps.testing.rejector(s, spec, engine)
+            for gamma, tau in ((2.0, 0.0), (3.0, 0.0), (3.0, 0.1)):
+                decide(ps.SensitivityParam(gamma), tau)
+            search = tracemalloc.get_traced_memory()[1]
+            del decide
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), engine)
+            build = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert search <= randdist._EXACT_BYTES_PER_DRAW * 2**18
+        assert build <= randdist._EXACT_BUILD_BYTES_PER_DRAW * 2**18
 
 
 class TestMonteCarloMemory:
