@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .core import PairedSample, SensitivityParam, TestSpec
+from .core import METHODS, PairedSample, SensitivityParam, TestSpec
 from .inference import changepoint_gamma, design_sensitivity, sensitivity_interval
 from .randdist import EnumSpec
 from .sim import SCENARIO_NAMES, estimate_size_power_multi, load_allocation
@@ -24,12 +24,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_CLI_METHODS = {
-    "perm-t": "perm_t",
-    "neyman": "neyman",
-    "studentized": "studentized",
-    "combined": "combined",
-}
+_CLI_METHODS = {method.replace("_", "-"): method for method in METHODS}
 
 
 class CliError(Exception):
@@ -313,11 +308,11 @@ def cmd_simulate(args) -> int:
         if part not in _CLI_METHODS:
             raise CliError(f"unknown method {part!r}")
         methods.append(_CLI_METHODS[part])
-    engine = EnumSpec(
-        mode="auto", exact_cap=args.exact_below, draws=args.mc_draws, seed=0
-    )
     rows = []
     try:
+        engine = EnumSpec(
+            mode="auto", exact_cap=args.exact_below, draws=args.mc_draws, seed=0
+        )
         for g in gammas:
             results = estimate_size_power_multi(
                 scenario,

@@ -130,8 +130,8 @@ def changepoint_gamma(
     """
     if gamma_max <= 1.0:
         raise ValueError("gamma_max must exceed 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
     engine = engine or EnumSpec()
     evals = 0
     spec = TestSpec(tau=tau, alpha=alpha, alternative=alternative, method=method)
@@ -317,6 +317,8 @@ def sensitivity_interval(
     span = float(y.max() - y.min())
     if tol is None:
         tol = 1e-6 * span + 1e-12
+    elif not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     step = span if span > 0 else max(abs(float(y[0])), 1.0)
     center = float(y.mean())
 
@@ -370,6 +372,8 @@ def design_sensitivity(
         mean = float(mean)
         abs_moment = float(abs_moment)
         source = "analytic"
+    if not all(math.isfinite(v) for v in (tau, mean, abs_moment)):
+        raise ValueError("tau, mean and abs_moment must be finite")
     if abs_moment <= 0.0:
         raise ValueError("design sensitivity undefined: E|Y - tau| must be positive")
     shift = abs(mean - tau)

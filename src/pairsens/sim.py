@@ -19,11 +19,13 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
 
-from .core import PairedSample, SensitivityParam, d_values
-from .randdist import EnumSpec, build_pair, observed_statistics
+from .core import METHODS, PairedSample, SensitivityParam, TestSpec
+# build_pair and observed_statistics stay names of this module because
+# bench/tracer.py wraps them; the replications decide through rejections
+from .randdist import EnumSpec, build_pair, observed_statistics  # noqa: F401
 from .rng import SeedLike, as_generator, as_seed_sequence
+from .testing import rejections
 
 __all__ = [
     "Allocation",
@@ -223,9 +225,8 @@ def estimate_size_power_multi(
     scen = _resolve_scenario(scenario, n_pairs)
     n = scen.n_pairs
     methods = list(methods)
-    known = ("perm_t", "neyman", "studentized", "combined")
     for mth in methods:
-        if mth not in known:
+        if mth not in METHODS:
             raise ValueError(f"unknown method {mth!r}")
     if replications < 1:
         raise ValueError("replications must be positive")
@@ -234,59 +235,33 @@ def estimate_size_power_multi(
     engine = engine or EnumSpec()
     sens = SensitivityParam(gamma)
 
-    def pack(rates):
-        return [
-            ScenarioResult(
-                method=mth,
-                gamma_tested=gamma,
-                rejection_rate=rate,
-                replications=replications,
-                mc_se=math.sqrt(rate * (1.0 - rate) / replications),
-                tau=tau,
-                alpha=alpha,
-                n_pairs=n,
-                seed=seed,
-            )
-            for mth, rate in rates
-        ]
-
-    # alpha = 0 tests never reject; short-circuit rather than asking the
-    # procedures for an impossible level
-    if alpha == 0.0:
-        return pack([(mth, 0.0) for mth in methods])
-
-    needs_dists = any(mth != "neyman" for mth in methods)
-    needs_sd = any(mth != "perm_t" for mth in methods)
-    if needs_sd and n < 2:
-        raise ValueError("studentized procedures need at least two pairs")
-    z_crit = float(ndtri(1.0 - alpha))
-    p = 1.0 - alpha
-    counts = dict.fromkeys(methods, 0)
-    for child in as_seed_sequence(seed).spawn(replications):
-        ss_data, ss_engine = child.spawn(2)
-        smp = PairedSample(scen.draw(as_generator(ss_data)))
-        d = d_values(smp, tau, sens)
-        sd = float(np.sqrt(d.var(ddof=1) / n)) if n >= 2 else 0.0
-        # same statistic path as the test procedures
-        dbar, stat = observed_statistics(smp, tau, sens)
-        degenerate = sd == 0.0
-        if needs_dists and np.any(np.abs(smp.y - tau)):
-            fhat, ghat = build_pair(smp, tau, sens, engine.reseeded(ss_engine))
-            rej_f = dbar >= fhat.quantile(p)
-            rej_s = not degenerate and stat >= ghat.quantile(p)
-        else:
-            rej_f = rej_s = False
-        for mth in methods:
-            if mth == "neyman":
-                hit = not degenerate and float(d.mean()) / sd >= z_crit
-            elif mth == "perm_t":
-                hit = rej_f
-            elif mth == "studentized":
-                hit = rej_s
-            else:
-                hit = rej_f and rej_s
-            counts[mth] += bool(hit)
-    return pack([(mth, counts[mth] / replications) for mth in methods])
+    counts = [0] * len(methods)
+    # alpha = 0 tests never reject; skip the replications rather than asking
+    # the procedures for an impossible level
+    if alpha > 0.0:
+        if n < 2 and any(mth != "perm_t" for mth in methods):
+            raise ValueError("studentized procedures need at least two pairs")
+        spec = TestSpec(tau=tau, alpha=alpha)
+        for child in as_seed_sequence(seed).spawn(replications):
+            ss_data, ss_engine = child.spawn(2)
+            smp = PairedSample(scen.draw(as_generator(ss_data)))
+            hits = rejections(smp, spec, sens, engine.reseeded(ss_engine), methods)
+            counts = [count + hit for count, hit in zip(counts, hits)]
+    rates = [count / replications for count in counts]
+    return [
+        ScenarioResult(
+            method=mth,
+            gamma_tested=gamma,
+            rejection_rate=rate,
+            replications=replications,
+            mc_se=math.sqrt(rate * (1.0 - rate) / replications),
+            tau=tau,
+            alpha=alpha,
+            n_pairs=n,
+            seed=seed,
+        )
+        for mth, rate in zip(methods, rates)
+    ]
 
 
 def estimate_size_power(

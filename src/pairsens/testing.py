@@ -11,7 +11,7 @@ the sign-normalized scale where reject means statistic >= critical value.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -36,6 +36,7 @@ from .randdist import (
 )
 
 __all__ = [
+    "rejections",
     "rejector",
     "run_test",
     "test_combined",
@@ -55,236 +56,65 @@ def _normalized(sample: PairedSample, spec: TestSpec) -> tuple[PairedSample, Tes
     """Reduce a "less" alternative to "greater" on the negated sample."""
     if spec.alternative == "greater":
         return sample, spec
-    flipped = TestSpec(
-        tau=-spec.tau, alpha=spec.alpha, alternative="greater", method=spec.method
-    )
-    return PairedSample(-sample.y), flipped
+    return PairedSample(-sample.y), replace(spec, tau=-spec.tau, alternative="greater")
 
 
-def _engine_fields(dist: ReferenceDistribution) -> tuple[str, Union[int, str]]:
-    return dist.mode, "exact" if dist.mode == "exact" else dist.n_draws
+# The reference distributions each method compares its observed statistic
+# with: "mean" is the non-studentized worst case, "studentized" the per-draw
+# studentized one.  neyman reads none; it uses a normal quantile.
+_KINDS = {
+    "neyman": (),
+    "perm_t": ("mean",),
+    "studentized": ("studentized",),
+    "combined": ("mean", "studentized"),
+}
 
-
-def _all_at_tau(sample: PairedSample, tau: float) -> bool:
-    """perm-t is degenerate when every ``|y_i - tau|`` is zero."""
-    return not np.any(np.abs(sample.y - tau))
+# The kinds in the order observed_statistics and SignDraws.statistics
+# return their statistics.
+_STATISTICS = ("mean", "studentized")
 
 
 def _se(sample: PairedSample, tau: float, sens: SensitivityParam) -> float:
-    """Standard error of the bias-corrected differences; 0 makes a
-    studentized or combined test degenerate."""
+    """Standard error of the bias-corrected differences."""
     return sample_mean_and_se(d_values(sample, tau, sens))[1]
 
 
-def _conservative(dist: ReferenceDistribution, stat: float) -> Union[float, None]:
-    """(1 + count) / (1 + draws) variant for Monte Carlo distributions."""
-    count = dist.tail_count(stat)
-    if count is None:
-        return None
-    return (1 + count) / (1 + dist.n_draws)
+def _degenerate(
+    method: str, sample: PairedSample, tau: float, sens: SensitivityParam
+) -> bool:
+    """perm-t is degenerate when every ``|y_i - tau|`` is zero; every other
+    method when the standard error is 0.  A degenerate test does not reject."""
+    if method == "perm_t":
+        return not np.any(np.abs(sample.y - tau))
+    return _se(sample, tau, sens) == 0.0
 
 
-def test_neyman(
-    sample: PairedSample, spec: TestSpec, sens: SensitivityParam
-) -> TestResult:
-    """Large-sample test: studentized mean against a standard normal quantile."""
-    norm_sample, norm_spec = _normalized(sample, spec)
-    d = d_values(norm_sample, norm_spec.tau, sens)
-    dbar, sd = sample_mean_and_se(d)
-    critical = float(ndtri(1.0 - norm_spec.alpha))
+def _neyman(
+    sample: PairedSample, tau: float, alpha: float, sens: SensitivityParam
+) -> tuple[Union[float, None], float, bool]:
+    """The studentized mean (None when degenerate), the normal critical value,
+    and whether the first reaches the second."""
+    dbar, sd = sample_mean_and_se(d_values(sample, tau, sens))
+    critical = float(ndtri(1.0 - alpha))
     if sd == 0.0:
-        return TestResult(
-            method="neyman",
-            tau=spec.tau,
-            gamma=sens.gamma,
-            alpha=spec.alpha,
-            alternative=spec.alternative,
-            statistic=None,
-            critical_value=critical,
-            p_value_upper=1.0,
-            reject=False,
-            degenerate=True,
-            mode="normal",
-        )
+        return None, critical, False
     stat = dbar / sd
-    return TestResult(
-        method="neyman",
-        tau=spec.tau,
-        gamma=sens.gamma,
-        alpha=spec.alpha,
-        alternative=spec.alternative,
-        statistic=stat,
-        critical_value=critical,
-        p_value_upper=float(ndtr(-stat)),
-        reject=bool(stat >= critical),
-        mode="normal",
-    )
+    return stat, critical, bool(stat >= critical)
 
 
-def test_perm_t(
+def _build(
+    kinds: tuple[str, ...],
     sample: PairedSample,
-    spec: TestSpec,
+    tau: float,
     sens: SensitivityParam,
-    engine: Union[EnumSpec, None] = None,
-) -> TestResult:
-    """Permutational t: mean statistic against the non-studentized worst case.
-
-    Rejects iff the bias-corrected mean reaches the 1 - alpha quantile of
-    the mean reference distribution; the reported p-value upper bound is
-    that distribution's tail weight at the observed statistic.  If every
-    ``|y_i - tau|`` is zero the whole comparison is degenerate and the test
-    does not reject.
-    """
-    engine = engine or EnumSpec()
-    norm_sample, norm_spec = _normalized(sample, spec)
-    dbar, _ = observed_statistics(norm_sample, norm_spec.tau, sens)
-    if _all_at_tau(norm_sample, norm_spec.tau):
-        mode = engine.resolve(norm_sample.n_pairs)
-        return TestResult(
-            method="perm_t",
-            tau=spec.tau,
-            gamma=sens.gamma,
-            alpha=spec.alpha,
-            alternative=spec.alternative,
-            statistic=dbar,
-            critical_value=0.0,
-            p_value_upper=1.0,
-            reject=False,
-            degenerate=True,
-            mode=mode,
-            n_draws="exact" if mode == "exact" else engine.draws,
-        )
-    fhat = build_f_hat(norm_sample, norm_spec.tau, sens, engine)
-    critical = fhat.quantile(1.0 - norm_spec.alpha)
-    mode, n_draws = _engine_fields(fhat)
-    return TestResult(
-        method="perm_t",
-        tau=spec.tau,
-        gamma=sens.gamma,
-        alpha=spec.alpha,
-        alternative=spec.alternative,
-        statistic=dbar,
-        critical_value=critical,
-        p_value_upper=fhat.tail_prob(dbar),
-        reject=bool(dbar >= critical),
-        mode=mode,
-        n_draws=n_draws,
-        p_value_upper_conservative=_conservative(fhat, dbar),
-    )
-
-
-def test_studentized(
-    sample: PairedSample,
-    spec: TestSpec,
-    sens: SensitivityParam,
-    engine: Union[EnumSpec, None] = None,
-) -> TestResult:
-    """Studentized test: same worst-case assignment law, per-draw studentization."""
-    engine = engine or EnumSpec()
-    norm_sample, norm_spec = _normalized(sample, spec)
-    sd = _se(norm_sample, norm_spec.tau, sens)
-    if sd == 0.0:
-        mode = engine.resolve(norm_sample.n_pairs)
-        return TestResult(
-            method="studentized",
-            tau=spec.tau,
-            gamma=sens.gamma,
-            alpha=spec.alpha,
-            alternative=spec.alternative,
-            statistic=None,
-            critical_value=None,
-            p_value_upper=1.0,
-            reject=False,
-            degenerate=True,
-            mode=mode,
-            n_draws="exact" if mode == "exact" else engine.draws,
-        )
-    ghat = build_g_hat(norm_sample, norm_spec.tau, sens, engine)
-    _, stat = observed_statistics(norm_sample, norm_spec.tau, sens)
-    critical = ghat.quantile(1.0 - norm_spec.alpha)
-    mode, n_draws = _engine_fields(ghat)
-    return TestResult(
-        method="studentized",
-        tau=spec.tau,
-        gamma=sens.gamma,
-        alpha=spec.alpha,
-        alternative=spec.alternative,
-        statistic=stat,
-        critical_value=critical,
-        p_value_upper=ghat.tail_prob(stat),
-        reject=bool(stat >= critical),
-        mode=mode,
-        n_draws=n_draws,
-        p_value_upper_conservative=_conservative(ghat, stat),
-    )
-
-
-def test_combined(
-    sample: PairedSample,
-    spec: TestSpec,
-    sens: SensitivityParam,
-    engine: Union[EnumSpec, None] = None,
-) -> TestResult:
-    """Conjunction of the permutational t and studentized tests.
-
-    Rejects exactly when both constituents reject.  The reported critical
-    value is the larger of the two thresholds on the studentized scale, and
-    the p-value upper bound is the max of the two.  Both constituents share
-    one set of assignment draws.
-    """
-    engine = engine or EnumSpec()
-    norm_sample, norm_spec = _normalized(sample, spec)
-    sd = _se(norm_sample, norm_spec.tau, sens)
-    if sd == 0.0:
-        mode = engine.resolve(norm_sample.n_pairs)
-        return TestResult(
-            method="combined",
-            tau=spec.tau,
-            gamma=sens.gamma,
-            alpha=spec.alpha,
-            alternative=spec.alternative,
-            statistic=None,
-            critical_value=None,
-            p_value_upper=1.0,
-            reject=False,
-            degenerate=True,
-            mode=mode,
-            n_draws="exact" if mode == "exact" else engine.draws,
-        )
-    fhat, ghat = build_pair(norm_sample, norm_spec.tau, sens, engine)
-    dbar, stat = observed_statistics(norm_sample, norm_spec.tau, sens)
-    p = 1.0 - norm_spec.alpha
-    f_crit = fhat.quantile(p)
-    g_crit = ghat.quantile(p)
-    p_f = fhat.tail_prob(dbar)
-    p_s = ghat.tail_prob(stat)
-    cons_f = _conservative(fhat, dbar)
-    cons_s = _conservative(ghat, stat)
-    mode, n_draws = _engine_fields(fhat)
-    return TestResult(
-        method="combined",
-        tau=spec.tau,
-        gamma=sens.gamma,
-        alpha=spec.alpha,
-        alternative=spec.alternative,
-        statistic=stat,
-        critical_value=max(f_crit / sd, g_crit),
-        p_value_upper=max(p_f, p_s),
-        reject=bool(dbar >= f_crit and stat >= g_crit),
-        mode=mode,
-        n_draws=n_draws,
-        p_value_upper_conservative=(
-            None if cons_f is None else max(cons_f, cons_s)
-        ),
-    )
-
-
-_DISPATCH = {
-    "neyman": lambda sample, spec, sens, engine: test_neyman(sample, spec, sens),
-    "perm_t": test_perm_t,
-    "studentized": test_studentized,
-    "combined": test_combined,
-}
+    engine: EnumSpec,
+) -> dict[str, ReferenceDistribution]:
+    """The reference distributions of ``kinds``, from one set of draws; the
+    build functions are looked up at call time, so wrappers see each build."""
+    if len(kinds) == 2:
+        return dict(zip(kinds, build_pair(sample, tau, sens, engine)))
+    build = build_f_hat if kinds == ("mean",) else build_g_hat
+    return {kinds[0]: build(sample, tau, sens, engine)}
 
 
 def run_test(
@@ -293,8 +123,121 @@ def run_test(
     sens: SensitivityParam,
     engine: Union[EnumSpec, None] = None,
 ) -> TestResult:
-    """Dispatch on ``spec.method``."""
-    return _DISPATCH[spec.method](sample, spec, sens, engine)
+    """Run the procedure ``spec.method`` names.
+
+    Each procedure compares an observed statistic with the 1 - alpha
+    quantile of the reference distributions ``_KINDS`` names for it:
+
+    - ``neyman``: the studentized mean against a standard normal quantile;
+    - ``perm_t``: the bias-corrected mean against the non-studentized
+      worst case;
+    - ``studentized``: the studentized mean against the worst case with
+      per-draw studentization;
+    - ``combined``: both of the last two, from one set of assignment draws.
+      It rejects exactly when both reject; the reported critical value is
+      the larger of the two thresholds on the studentized scale.
+
+    The p-value upper bound is the reference distribution's tail weight at
+    the observed statistic, the larger of the two for ``combined``; Monte
+    Carlo results also report the conservative ``(1 + count) / (1 + draws)``
+    variant.  A degenerate test (see ``_degenerate``) does not reject.
+    """
+    norm_sample, norm_spec = _normalized(sample, spec)
+    method, tau = spec.method, norm_spec.tau
+    reported = dict(
+        method=method,
+        tau=spec.tau,
+        gamma=sens.gamma,
+        alpha=spec.alpha,
+        alternative=spec.alternative,
+    )
+    if method == "neyman":
+        stat, critical, reject = _neyman(norm_sample, tau, norm_spec.alpha, sens)
+        return TestResult(
+            **reported,
+            statistic=stat,
+            critical_value=critical,
+            p_value_upper=1.0 if stat is None else float(ndtr(-stat)),
+            reject=reject,
+            degenerate=stat is None,
+            mode="normal",
+        )
+    engine = engine or EnumSpec()
+    if _degenerate(method, norm_sample, tau, sens):
+        perm_t = method == "perm_t"
+        dbar = observed_statistics(norm_sample, tau, sens)[0] if perm_t else None
+        mode = engine.resolve(norm_sample.n_pairs)
+        return TestResult(
+            **reported,
+            statistic=dbar,
+            critical_value=0.0 if perm_t else None,
+            p_value_upper=1.0,
+            reject=False,
+            degenerate=True,
+            mode=mode,
+            n_draws="exact" if mode == "exact" else engine.draws,
+        )
+    kinds = _KINDS[method]
+    dists = _build(kinds, norm_sample, tau, sens, engine)
+    observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, tau, sens)))
+    critical = {kind: dists[kind].quantile(1.0 - norm_spec.alpha) for kind in kinds}
+    counts = [dists[kind].tail_count(observed[kind]) for kind in kinds]
+    reported_critical = critical[kinds[-1]]
+    if method == "combined":
+        reported_critical = max(
+            critical["mean"] / _se(norm_sample, tau, sens), reported_critical
+        )
+    dist = dists[kinds[0]]
+    return TestResult(
+        **reported,
+        statistic=observed[kinds[-1]],
+        critical_value=reported_critical,
+        p_value_upper=max(dists[kind].tail_prob(observed[kind]) for kind in kinds),
+        reject=all(observed[kind] >= critical[kind] for kind in kinds),
+        mode=dist.mode,
+        n_draws="exact" if dist.mode == "exact" else dist.n_draws,
+        p_value_upper_conservative=(
+            None if counts[0] is None else (1 + max(counts)) / (1 + dist.n_draws)
+        ),
+    )
+
+
+def test_neyman(
+    sample: PairedSample, spec: TestSpec, sens: SensitivityParam
+) -> TestResult:
+    """``run_test`` with the large-sample normal test, whatever ``spec.method``."""
+    return run_test(sample, replace(spec, method="neyman"), sens)
+
+
+def test_perm_t(
+    sample: PairedSample,
+    spec: TestSpec,
+    sens: SensitivityParam,
+    engine: Union[EnumSpec, None] = None,
+) -> TestResult:
+    """``run_test`` with the permutational t, whatever ``spec.method``."""
+    return run_test(sample, replace(spec, method="perm_t"), sens, engine)
+
+
+def test_studentized(
+    sample: PairedSample,
+    spec: TestSpec,
+    sens: SensitivityParam,
+    engine: Union[EnumSpec, None] = None,
+) -> TestResult:
+    """``run_test`` with the studentized test, whatever ``spec.method``."""
+    return run_test(sample, replace(spec, method="studentized"), sens, engine)
+
+
+def test_combined(
+    sample: PairedSample,
+    spec: TestSpec,
+    sens: SensitivityParam,
+    engine: Union[EnumSpec, None] = None,
+) -> TestResult:
+    """``run_test`` with the conjunction of the permutational t and
+    studentized tests, whatever ``spec.method``."""
+    return run_test(sample, replace(spec, method="combined"), sens, engine)
 
 
 def rejector(
@@ -319,35 +262,56 @@ def rejector(
     """
     engine = engine or EnumSpec()
     method = spec.method
-    if method == "neyman":
-        return lambda sens, tau=spec.tau: test_neyman(
-            sample, replace(spec, tau=tau), sens
-        ).reject
+    kinds = _KINDS[method]
     norm_sample, norm_spec = _normalized(sample, spec)
     flip = spec.alternative != "greater"
-    draws = SignDraws(norm_sample, norm_spec.tau, engine)
+    # neyman reads no draws
+    draws = SignDraws(norm_sample, norm_spec.tau, engine) if kinds else None
     threshold = 1.0 - norm_spec.alpha - _CUM_SLACK
-    guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
 
     def rejects(sens: SensitivityParam, tau: float = spec.tau) -> bool:
         t = -tau if flip else tau
-        if method == "perm_t":
-            if _all_at_tau(norm_sample, t):
-                return False
-        elif _se(norm_sample, t, sens) == 0.0:
+        if not kinds:
+            return _neyman(norm_sample, t, norm_spec.alpha, sens)[2]
+        if _degenerate(method, norm_sample, t, sens):
             return False
         if t != draws.tau:
             draws.move_to(t)
-        abar, tstat, _ = draws.statistics(sens, method != "perm_t")
-        dbar, stat = observed_statistics(norm_sample, t, sens)
-        compared = {
-            "perm_t": ((abar, dbar),),
-            "studentized": ((tstat, stat),),
-            "combined": ((abar, dbar), (tstat, stat)),
-        }[method]
-        below = [draws.weight_at_most(vals, at) for vals, at in compared]
+        drawn = dict(zip(_STATISTICS, draws.statistics(sens, "studentized" in kinds)))
+        observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, t, sens)))
+        below = [draws.weight_at_most(drawn[kind], observed[kind]) for kind in kinds]
+        guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
         if any(abs(b - threshold) < guard for b in below):
             return run_test(sample, replace(spec, tau=tau), sens, engine).reject
         return all(b >= threshold for b in below)
 
     return rejects
+
+
+def rejections(
+    sample: PairedSample,
+    spec: TestSpec,
+    sens: SensitivityParam,
+    engine: EnumSpec,
+    methods: Sequence[str],
+) -> list[bool]:
+    """``run_test(sample, replace(spec, method=m), sens, engine).reject`` for
+    each ``m`` in ``methods``; ``spec.method`` is not read.
+
+    The methods that draw share one reference build, of the kinds they
+    compare, made only when one of them is not degenerate.
+    """
+    norm_sample, norm_spec = _normalized(sample, spec)
+    tau, alpha = norm_spec.tau, norm_spec.alpha
+    drawing = [m for m in methods if _KINDS[m]]
+    drawn = {m for m in drawing if not _degenerate(m, norm_sample, tau, sens)}
+    kinds = tuple(k for k in _STATISTICS if any(k in _KINDS[m] for m in drawn))
+    observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, tau, sens)))
+    dists = _build(kinds, norm_sample, tau, sens, engine) if kinds else {}
+    passed = {k: observed[k] >= dists[k].quantile(1.0 - alpha) for k in kinds}
+    return [
+        m in drawn and all(passed[kind] for kind in _KINDS[m])
+        if _KINDS[m]
+        else _neyman(norm_sample, tau, alpha, sens)[2]
+        for m in methods
+    ]

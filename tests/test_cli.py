@@ -124,6 +124,12 @@ class TestCmdChangepoint:
         assert hi - lo <= out["tolerance"] * (1 + 1e-9)
         assert lo <= out["gamma_changepoint"] <= hi
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_bad_tol_exits_two(self, diff_csv, tol):
+        proc = run_cli("changepoint", "--input", diff_csv, "--tau", 0, "--tol", tol)
+        assert proc.returncode == 2
+        assert "tol" in proc.stderr
+
 
 class TestCmdInterval:
     def test_single_gamma_matches_closed_form(self, tmp_path):
@@ -162,6 +168,12 @@ class TestCmdInterval:
         proc = run_cli("interval", "--input", path)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_two(self, diff_csv, tol):
+        proc = run_cli("interval", "--input", diff_csv, "--gamma", 1, "--tol", tol)
+        assert proc.returncode == 2
+        assert "tol" in proc.stderr
+
 
 class TestCmdDesignSensitivity:
     def test_analytic_example(self):
@@ -184,6 +196,13 @@ class TestCmdDesignSensitivity:
     def test_requires_one_input_style(self):
         proc = run_cli("design-sensitivity", "--tau", 0)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--mean", "--abs-moment", "--tau"])
+    def test_non_finite_input_exits_two(self, flag):
+        values = {"--mean": 0.5, "--abs-moment": 0.7, "--tau": 0, flag: "nan"}
+        proc = run_cli("design-sensitivity", *[x for kv in values.items() for x in kv])
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
 
 
 class TestCmdSimulate:
@@ -221,6 +240,13 @@ class TestCmdSimulate:
                            "--pairs", 10, *common)
         assert via_file.returncode == via_name.returncode == 0
         assert via_file.stdout == via_name.stdout
+
+    @pytest.mark.parametrize("flag, value", [("--mc-draws", 0), ("--exact-below", 31)])
+    def test_bad_engine_input_exits_two(self, flag, value):
+        proc = run_cli("simulate", "--scenario", "counterexample", "--pairs", 4,
+                       "--tau", 2.5, "--gamma", 4, "--reps", 5, flag, value)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
 
     def test_scenario_and_allocation_conflict(self, tmp_path):
         path = tmp_path / "alloc.csv"

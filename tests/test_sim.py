@@ -248,31 +248,43 @@ class TestEstimateSizePower:
     def test_multi_matches_single_and_direct_test_calls(self):
         # the shared-draw kernel must agree with looping the public test
         # functions over the same substreams
-        alloc = ps.scenario_counterexample(8)
+        methods = ("perm_t", "neyman", "studentized", "combined")
         tau, alpha, gamma, reps, seed = 2.5, 0.1, 2.0, 60, 11
-        engine = ps.EnumSpec(mode="monte_carlo", draws=400)
-        multi = ps.estimate_size_power_multi(
-            alloc, ["perm_t", "neyman", "studentized", "combined"],
-            tau, alpha, gamma, replications=reps, seed=seed, engine=engine,
-        )
-        single = [
-            ps.estimate_size_power(alloc, m, tau, alpha, gamma,
-                                   replications=reps, seed=seed, engine=engine)
-            for m in ("perm_t", "neyman", "studentized", "combined")
+        inputs = [
+            (ps.scenario_counterexample(8), ps.EnumSpec(mode="monte_carlo", draws=400)),
+            (ps.scenario_counterexample(8), ps.EnumSpec(mode="exact")),
+            # every replication is degenerate for every method
+            (ps.Allocation(delta=np.full(8, tau), eta=np.zeros(8), pi=np.full(8, 0.8)),
+             ps.EnumSpec(mode="exact")),
         ]
-        assert [r.rejection_rate for r in multi] == [r.rejection_rate for r in single]
-
-        counts = dict.fromkeys(("perm_t", "neyman", "studentized", "combined"), 0)
         sens = ps.SensitivityParam(gamma)
-        for child in as_seed_sequence(seed).spawn(reps):
-            ss_data, ss_engine = child.spawn(2)
-            smp = ps.PairedSample(alloc.draw(as_generator(ss_data)))
-            eng = engine.reseeded(ss_engine)
-            for method in counts:
-                spec = ps.TestSpec(tau=tau, alpha=alpha, method=method)
-                counts[method] += testing.run_test(smp, spec, sens, eng).reject
-        for res in multi:
-            assert res.rejection_rate == counts[res.method] / reps
+        for alloc, engine in inputs:
+            multi = ps.estimate_size_power_multi(
+                alloc, methods, tau, alpha, gamma,
+                replications=reps, seed=seed, engine=engine,
+            )
+            single = [
+                ps.estimate_size_power(alloc, m, tau, alpha, gamma,
+                                       replications=reps, seed=seed, engine=engine)
+                for m in methods
+            ]
+            assert [r.rejection_rate for r in multi] == [r.rejection_rate for r in single]
+
+            counts = dict.fromkeys(methods, 0)
+            degenerate = dict.fromkeys(methods, 0)
+            for child in as_seed_sequence(seed).spawn(reps):
+                ss_data, ss_engine = child.spawn(2)
+                smp = ps.PairedSample(alloc.draw(as_generator(ss_data)))
+                eng = engine.reseeded(ss_engine)
+                for method in counts:
+                    spec = ps.TestSpec(tau=tau, alpha=alpha, method=method)
+                    res = testing.run_test(smp, spec, sens, eng)
+                    counts[method] += res.reject
+                    degenerate[method] += res.degenerate
+            for res in multi:
+                assert res.rejection_rate == counts[res.method] / reps
+            if not np.any(alloc.eta):
+                assert degenerate == dict.fromkeys(methods, reps)
 
     def test_exactness_under_constant_effects(self):
         # sharp-null configuration: Y = tau + V * eta with P(V = +1) = theta;
@@ -289,6 +301,15 @@ class TestEstimateSizePower:
             replications=reps, seed=13, engine=ps.EnumSpec(mode="exact", exact_cap=10),
         )
         assert res.rejection_rate <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / reps)
+
+    def test_repeated_method_reported_once_per_entry(self):
+        common = dict(tau=2.5, alpha=0.05, gamma=1.0, n_pairs=10, replications=30,
+                      engine=ps.EnumSpec(mode="monte_carlo", draws=200))
+        multi = ps.estimate_size_power_multi(
+            "counterexample", ["perm_t", "neyman", "perm_t"], **common)
+        single = ps.estimate_size_power("counterexample", "perm_t", **common)
+        assert single.rejection_rate > 0.5
+        assert multi[0] == multi[2] == single
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from helpers import PROCEDURES
 from numpy.testing import assert_allclose
 from scipy import stats
+from test_search_decision import CASES, ENGINES, GAMMAS
 
 import pairsens as ps
 from pairsens import testing
@@ -253,3 +256,41 @@ class TestRunTestDispatch:
         for method in ps.METHODS:
             res = testing.run_test(s, spec(0.0, method=method), sens)
             assert res.method == method
+
+
+def _differential_configurations():
+    for name, y, tau, alpha in CASES:
+        for method in ps.METHODS:
+            for alternative in ps.ALTERNATIVES:
+                for mode in ENGINES:
+                    yield pytest.param(y, tau, alpha, method, alternative, mode,
+                                       id=f"{name}-{method}-{alternative}-{mode}")
+    for alternative in ps.ALTERNATIVES:
+        for mode in ENGINES:
+            yield pytest.param(np.array([2.0]), 0.0, 0.05, "perm_t", alternative, mode,
+                               id=f"single-pair-perm_t-{alternative}-{mode}")
+
+
+def _fields(result):
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    return [(f.name, repr(getattr(result, f.name))) for f in fields(result)]
+
+
+class TestRunTestMatchesProcedures:
+    @pytest.mark.parametrize("y, tau, alpha, method, alternative, mode",
+                             list(_differential_configurations()))
+    def test_every_field_equal(self, y, tau, alpha, method, alternative, mode):
+        sample = ps.PairedSample(y)
+        sp = spec(tau, alpha, alternative, method)
+        engine = ENGINES[mode]
+        wrapper = getattr(ps, f"test_{method}")
+        # the wrappers ignore spec.method
+        other = replace(sp, method=ps.METHODS[ps.METHODS.index(method) - 1])
+        for g in GAMMAS:
+            sens = ps.SensitivityParam(g)
+            expected = _fields(PROCEDURES[method](sample, sp, sens, engine))
+            assert _fields(testing.run_test(sample, sp, sens, engine)) == expected
+            if method == "neyman":
+                assert _fields(wrapper(sample, other, sens)) == expected
+            else:
+                assert _fields(wrapper(sample, other, sens, engine)) == expected
