@@ -114,6 +114,16 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+def _gammas(args) -> list[float]:
+    if args.gammas is not None:
+        gammas = _float_list(args.gammas, "--gammas")
+    elif args.gamma is not None:
+        gammas = [args.gamma]
+    else:
+        raise CliError("provide --gamma or --gammas")
+    return [_check_gamma(g) for g in gammas]
+
+
 def _add_engine_flags(sub, reps_help="Monte Carlo draws for the reference distribution"):
     sub.add_argument("--reps", type=int, default=10_000, help=reps_help)
     sub.add_argument("--seed", type=int, default=0, help="random seed (echoed in output)")
@@ -198,16 +208,8 @@ def cmd_changepoint(args) -> int:
 def cmd_interval(args) -> int:
     sample = _read_differences(args.input)
     engine = _engine_from(args)
-    if args.gammas is not None:
-        gammas = _float_list(args.gammas, "--gammas")
-    elif args.gamma is not None:
-        gammas = [args.gamma]
-    else:
-        raise CliError("provide --gamma or --gammas")
-    for g in gammas:
-        _check_gamma(g)
     rows = []
-    for g in gammas:
+    for g in _gammas(args):
         try:
             res = sensitivity_interval(
                 sample,
@@ -294,14 +296,7 @@ def cmd_simulate(args) -> int:
         scenario = name
         pairs = args.pairs
         scenario_name = name
-    if args.gammas is not None:
-        gammas = _float_list(args.gammas, "--gammas")
-    elif args.gamma is not None:
-        gammas = [args.gamma]
-    else:
-        raise CliError("provide --gamma or --gammas")
-    for g in gammas:
-        _check_gamma(g)
+    gammas = _gammas(args)
     methods = []
     for part in args.methods.split(","):
         part = part.strip()

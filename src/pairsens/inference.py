@@ -2,10 +2,12 @@
 
 The changepoint is the smallest bias bound at which a test stops rejecting;
 sensitivity intervals invert the one-sided tests over the hypothesized
-value.  Both searches bisect a reject indicator evaluated with common random
-numbers (one engine seed reused at every point), making the indicator a
-deterministic function of the search variable; non-monotone indicators are
-detected on a grid and reported, never silently resolved.
+value.  Both searches read a reject indicator evaluated with common random
+numbers (one engine seed reused at every point), a deterministic function of
+the search variable, through three shared helpers: ``_walk`` (doubling steps
+outward), ``_scan`` (a monotonicity grid) and ``_bisect``.  The changepoint
+bisects, scans, then bisects again; each interval side walks, scans, then
+bisects.  Non-monotone indicators are reported, never silently resolved.
 """
 
 from __future__ import annotations
@@ -108,6 +110,58 @@ class DesignSensitivityResult:
     note: Union[str, None] = None
 
 
+def _bisect(rejects, rej: float, acc: float, tol: float, geometric_above: float = math.inf):
+    """Narrow a bracket that rejects at ``rej`` and not at ``acc``; return both ends.
+
+    Midpoints are geometric once both ends are at least ``geometric_above``,
+    else (or when that one is not strictly inside) arithmetic.  Stops at width
+    ``tol`` or when no float lies strictly inside.
+    """
+    while abs(acc - rej) > tol:
+        lo, hi = min(rej, acc), max(rej, acc)
+        mid = math.sqrt(lo * hi) if lo >= geometric_above else 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        if rejects(mid):
+            rej = mid
+        else:
+            acc = mid
+    return rej, acc
+
+
+def _scan(rejects, grid: list[float]) -> tuple[list[tuple[float, float]], int]:
+    """Evaluate ``grid`` in order, starting from its rejecting end.
+
+    Once the indicator turns off it should stay off; each rejection after a
+    non-rejection is an inversion ``(last non-rejecting point, point)``.
+    Returns the inversions and the index of the last rejecting point.
+    """
+    inversions, last, accepted = [], -1, None
+    for i, t in enumerate(grid):
+        if rejects(t):
+            last = i
+            if accepted is not None:
+                inversions.append((accepted, t))
+        else:
+            accepted = t
+    return inversions, last
+
+
+def _walk(rejects, start: float, delta: float, want: bool, steps: int) -> tuple[float, bool]:
+    """Step from ``start`` by ``delta``, doubling it, until ``rejects`` is ``want``.
+
+    Returns ``(point, True)``, or ``(next point, False)`` after ``steps`` evaluations.
+    """
+    for _ in range(steps):
+        if rejects(start) == want:
+            return start, True
+        start += delta
+        delta *= 2.0
+    return start, False
+
+
 def changepoint_gamma(
     sample: PairedSample,
     tau: float,
@@ -119,17 +173,17 @@ def changepoint_gamma(
     alternative: str = "greater",
     grid_points: int = 50,
 ) -> ChangepointResult:
-    """Bisect the reject indicator over the bias bound.
+    """Bisect the reject indicator over the bias bound, scan, bisect again.
 
-    Bisection runs on [1, gamma_max], switching to geometric midpoints above
-    10 since the bound lives on an odds-ratio scale.  A post-hoc scan over a
-    coarse geometric grid checks that the indicator is monotone; if a
-    rejection reappears past the bracket, the changepoint is moved to the
-    supremum of rejecting grid points and refined locally, and the
+    ``_bisect`` runs on [1, gamma_max], switching to geometric midpoints above
+    10 since the bound lives on an odds-ratio scale.  ``_scan`` then walks a
+    coarse geometric grid from 1 to check that the indicator is monotone; if
+    a rejection reappears past the bracket, the changepoint is moved to the
+    supremum of rejecting grid points and bisected again locally, and the
     inversions are reported in the result.
     """
-    if gamma_max <= 1.0:
-        raise ValueError("gamma_max must exceed 1")
+    if not (math.isfinite(gamma_max) and gamma_max > 1.0):
+        raise ValueError("gamma_max must be finite and exceed 1")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
     engine = engine or EnumSpec()
@@ -142,78 +196,34 @@ def changepoint_gamma(
         evals += 1
         return decide(SensitivityParam(g))
 
-    common = dict(
+    at_one = rejects(1.0)
+    exceeded = at_one and rejects(gamma_max)
+    lo, hi, inversions = 1.0, 1.0, []
+    if exceeded:
+        lo, hi = gamma_max, math.inf
+    elif at_one:
+        lo, hi = _bisect(rejects, 1.0, gamma_max, tol, 10.0)
+        if grid_points >= 2:
+            scan_hi = min(gamma_max, max(2.0 * hi, hi + 1.0))
+            grid = np.geomspace(1.0, scan_hi, grid_points).tolist()
+            inversions, last = _scan(rejects, grid)
+            if inversions and grid[last] > lo:
+                above = grid[last + 1] if last + 1 < len(grid) else gamma_max
+                lo, hi = _bisect(rejects, grid[last], above, tol, 10.0)
+
+    return ChangepointResult(
+        gamma_changepoint=0.5 * (lo + hi),
+        bracket=(lo, hi),
         tolerance=tol,
         method=method,
         tau=tau,
         alpha=alpha,
         alternative=alternative,
-    )
-    if not rejects(1.0):
-        return ChangepointResult(
-            gamma_changepoint=1.0,
-            bracket=(1.0, 1.0),
-            rejects_at_gamma_one=False,
-            exceeded_gamma_max=False,
-            monotone=True,
-            inversions=(),
-            n_evaluations=evals,
-            **common,
-        )
-    if rejects(gamma_max):
-        return ChangepointResult(
-            gamma_changepoint=math.inf,
-            bracket=(gamma_max, math.inf),
-            rejects_at_gamma_one=True,
-            exceeded_gamma_max=True,
-            monotone=True,
-            inversions=(),
-            n_evaluations=evals,
-            **common,
-        )
-
-    def bisect(lo: float, hi: float) -> tuple[float, float]:
-        while hi - lo > tol:
-            mid = math.sqrt(lo * hi) if lo >= 10.0 else 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                break
-            if rejects(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
-    lo, hi = bisect(1.0, gamma_max)
-
-    inversions: list[tuple[float, float]] = []
-    if grid_points >= 2:
-        scan_hi = min(gamma_max, max(2.0 * hi, hi + 1.0))
-        grid = np.geomspace(1.0, scan_hi, grid_points)
-        flags = [rejects(float(g)) for g in grid]
-        last_false: Union[float, None] = None
-        for g, f in zip(grid, flags):
-            if not f:
-                last_false = float(g)
-            elif last_false is not None:
-                inversions.append((last_false, float(g)))
-        if inversions:
-            rejecting = [float(g) for g, f in zip(grid, flags) if f]
-            top = max(rejecting)
-            if top > lo:
-                above = [float(g) for g, f in zip(grid, flags) if not f and g > top]
-                lo, hi = bisect(top, min(above) if above else gamma_max)
-
-    return ChangepointResult(
-        gamma_changepoint=0.5 * (lo + hi),
-        bracket=(lo, hi),
-        rejects_at_gamma_one=True,
-        exceeded_gamma_max=False,
+        rejects_at_gamma_one=at_one,
+        exceeded_gamma_max=exceeded,
         monotone=not inversions,
         inversions=tuple(inversions),
         n_evaluations=evals,
-        **common,
     )
 
 
@@ -233,60 +243,27 @@ def _invert_one_side(
     Returns (endpoint, bracket, infinite, non_monotone); the endpoint is the
     non-rejecting edge of the final bracket.
     """
-    t_acc = center
-    width = step
-    for _ in range(max_expansions):
-        if not rejects(t_acc):
-            break
-        t_acc -= reject_direction * width
-        width *= 2.0
-    else:
+    toward_rej = reject_direction * step
+    t_acc, found = _walk(rejects, center, -toward_rej, False, max_expansions)
+    if not found:
         raise RuntimeError("could not find a non-rejected hypothesis value")
-
-    t_rej = t_acc + reject_direction * step
-    width = step
-    found = False
-    for _ in range(max_expansions):
-        if rejects(t_rej):
-            found = True
-            break
-        width *= 2.0
-        t_rej += reject_direction * width
+    t_rej, found = _walk(rejects, t_acc + toward_rej, 2.0 * toward_rej, True, max_expansions)
     if not found:
         # no rejection anywhere on this side: endpoint is -inf for the lower
         # search (reject_direction -1) and +inf for the upper (+1)
         endpoint = reject_direction * math.inf
         return endpoint, (min(t_rej, t_acc), max(t_rej, t_acc)), True, False
 
-    non_monotone = False
+    inversions = []
     if precheck_points >= 3:
-        grid = np.linspace(t_rej, t_acc, precheck_points)
-        flags = [rejects(float(t)) for t in grid]
-        # walking from the rejecting end: once the indicator turns off it
-        # should stay off
-        turned_off = False
-        for f in flags:
-            if not f:
-                turned_off = True
-            elif turned_off:
-                non_monotone = True
-        if non_monotone:
+        grid = np.linspace(t_rej, t_acc, precheck_points).tolist()
+        inversions, last = _scan(rejects, grid)
+        if inversions:
             # widen: restart the bisection from the rejecting grid point
             # closest to the non-rejecting side (grid runs t_rej -> t_acc)
-            rej_pts = [float(t) for t, f in zip(grid, flags) if f]
-            if rej_pts:
-                t_rej = rej_pts[-1]
-
-    # bisection keeping reject at t_rej, no-reject at t_acc
-    while abs(t_acc - t_rej) > tol:
-        mid = 0.5 * (t_acc + t_rej)
-        if not (min(t_rej, t_acc) < mid < max(t_rej, t_acc)):
-            break
-        if rejects(mid):
-            t_rej = mid
-        else:
-            t_acc = mid
-    return t_acc, (min(t_rej, t_acc), max(t_rej, t_acc)), False, non_monotone
+            t_rej = grid[last]
+    t_rej, t_acc = _bisect(rejects, t_rej, t_acc, tol)
+    return t_acc, (min(t_rej, t_acc), max(t_rej, t_acc)), False, bool(inversions)
 
 
 def sensitivity_interval(
@@ -303,10 +280,11 @@ def sensitivity_interval(
 
     The lower endpoint is the infimum of values not rejected against the
     greater alternative; the upper endpoint is the supremum not rejected
-    against the less alternative.  A coarse precheck between the bracketing
-    points flags non-monotone indicators (the bracket is then widened to the
-    outermost rejecting point and the result marked).  Endpoints are +/-inf
-    when the corresponding test rejects nowhere beyond the expansion cap.
+    against the less alternative.  Each side walks outward from the sample
+    mean to a non-rejected and then a rejected value, scans a coarse grid
+    between them for non-monotone indicators (the bracket is then widened to
+    the outermost rejecting point and the result marked), then bisects.
+    Endpoints are +/-inf when the test rejects nowhere within the expansion cap.
     """
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must be in (0, 1)")
@@ -377,20 +355,17 @@ def design_sensitivity(
     if abs_moment <= 0.0:
         raise ValueError("design sensitivity undefined: E|Y - tau| must be positive")
     shift = abs(mean - tau)
-    if abs_moment <= shift:
-        return DesignSensitivityResult(
-            gamma_tilde=math.inf,
-            tau=tau,
-            mean=mean,
-            abs_moment=abs_moment,
-            source=source,
-            note="E|Y - tau| does not exceed |mean - tau|; the worst-case "
-            "expectation never crosses zero, so power persists at every bound",
-        )
+    if abs_moment > shift:
+        gamma_tilde, note = (abs_moment + shift) / (abs_moment - shift), None
+    else:
+        gamma_tilde = math.inf
+        note = ("E|Y - tau| does not exceed |mean - tau|; the worst-case "
+                "expectation never crosses zero, so power persists at every bound")
     return DesignSensitivityResult(
-        gamma_tilde=(abs_moment + shift) / (abs_moment - shift),
+        gamma_tilde=gamma_tilde,
         tau=tau,
         mean=mean,
         abs_moment=abs_moment,
         source=source,
+        note=note,
     )

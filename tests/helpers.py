@@ -1,16 +1,22 @@
 """Shared checks for comparing Monte Carlo and exact reference distributions,
 and the reference implementations that faster paths are tested against."""
 
+import math
+from typing import Union
+
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from pairsens import inference
 from pairsens.core import (
     PairedSample,
+    SensitivityParam,
     TestResult,
     TestSpec,
     d_values,
     sample_mean_and_se,
 )
+from pairsens.inference import ChangepointResult
 from pairsens.randdist import (
     _DEGENERATE_RTOL,
     EnumSpec,
@@ -308,3 +314,190 @@ PROCEDURES = {
     "studentized": procedure_studentized,
     "combined": procedure_combined,
 }
+
+
+# The two searches as they were written out before they shared ``_bisect``,
+# ``_scan`` and ``_walk``.  Each search must evaluate the same points in the
+# same order and return an equal result.  ``rejector`` is looked up in
+# ``pairsens.inference`` at call time, so a test can replace it there.
+
+
+def changepoint_gamma_oracle(
+    sample: PairedSample,
+    tau: float,
+    alpha: float = 0.05,
+    method: str = "studentized",
+    engine: Union[EnumSpec, None] = None,
+    gamma_max: float = 1000.0,
+    tol: float = 1e-3,
+    alternative: str = "greater",
+    grid_points: int = 50,
+) -> ChangepointResult:
+    """The changepoint search with its own bisection and grid scan.
+
+    Bisection runs on [1, gamma_max], switching to geometric midpoints above
+    10 since the bound lives on an odds-ratio scale.  A post-hoc scan over a
+    coarse geometric grid checks that the indicator is monotone; if a
+    rejection reappears past the bracket, the changepoint is moved to the
+    supremum of rejecting grid points and refined locally, and the
+    inversions are reported in the result.
+    """
+    if gamma_max <= 1.0:
+        raise ValueError("gamma_max must exceed 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+    engine = engine or EnumSpec()
+    evals = 0
+    spec = TestSpec(tau=tau, alpha=alpha, alternative=alternative, method=method)
+    decide = inference.rejector(sample, spec, engine)
+
+    def rejects(g: float) -> bool:
+        nonlocal evals
+        evals += 1
+        return decide(SensitivityParam(g))
+
+    common = dict(
+        tolerance=tol,
+        method=method,
+        tau=tau,
+        alpha=alpha,
+        alternative=alternative,
+    )
+    if not rejects(1.0):
+        return ChangepointResult(
+            gamma_changepoint=1.0,
+            bracket=(1.0, 1.0),
+            rejects_at_gamma_one=False,
+            exceeded_gamma_max=False,
+            monotone=True,
+            inversions=(),
+            n_evaluations=evals,
+            **common,
+        )
+    if rejects(gamma_max):
+        return ChangepointResult(
+            gamma_changepoint=math.inf,
+            bracket=(gamma_max, math.inf),
+            rejects_at_gamma_one=True,
+            exceeded_gamma_max=True,
+            monotone=True,
+            inversions=(),
+            n_evaluations=evals,
+            **common,
+        )
+
+    def bisect(lo: float, hi: float) -> tuple[float, float]:
+        while hi - lo > tol:
+            mid = math.sqrt(lo * hi) if lo >= 10.0 else 0.5 * (lo + hi)
+            if not (lo < mid < hi):
+                mid = 0.5 * (lo + hi)
+            if not (lo < mid < hi):
+                break
+            if rejects(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    lo, hi = bisect(1.0, gamma_max)
+
+    inversions: list[tuple[float, float]] = []
+    if grid_points >= 2:
+        scan_hi = min(gamma_max, max(2.0 * hi, hi + 1.0))
+        grid = np.geomspace(1.0, scan_hi, grid_points)
+        flags = [rejects(float(g)) for g in grid]
+        last_false: Union[float, None] = None
+        for g, f in zip(grid, flags):
+            if not f:
+                last_false = float(g)
+            elif last_false is not None:
+                inversions.append((last_false, float(g)))
+        if inversions:
+            rejecting = [float(g) for g, f in zip(grid, flags) if f]
+            top = max(rejecting)
+            if top > lo:
+                above = [float(g) for g, f in zip(grid, flags) if not f and g > top]
+                lo, hi = bisect(top, min(above) if above else gamma_max)
+
+    return ChangepointResult(
+        gamma_changepoint=0.5 * (lo + hi),
+        bracket=(lo, hi),
+        rejects_at_gamma_one=True,
+        exceeded_gamma_max=False,
+        monotone=not inversions,
+        inversions=tuple(inversions),
+        n_evaluations=evals,
+        **common,
+    )
+
+
+def invert_one_side_oracle(
+    rejects,
+    center: float,
+    step: float,
+    tol: float,
+    reject_direction: float,
+    max_expansions: int,
+    precheck_points: int,
+) -> tuple[float, tuple[float, float], bool, bool]:
+    """Locate the boundary between rejecting and non-rejecting tau.
+
+    ``reject_direction`` is -1 when rejection happens for small tau (lower
+    endpoint, greater alternative) and +1 when it happens for large tau.
+    Returns (endpoint, bracket, infinite, non_monotone); the endpoint is the
+    non-rejecting edge of the final bracket.
+    """
+    t_acc = center
+    width = step
+    for _ in range(max_expansions):
+        if not rejects(t_acc):
+            break
+        t_acc -= reject_direction * width
+        width *= 2.0
+    else:
+        raise RuntimeError("could not find a non-rejected hypothesis value")
+
+    t_rej = t_acc + reject_direction * step
+    width = step
+    found = False
+    for _ in range(max_expansions):
+        if rejects(t_rej):
+            found = True
+            break
+        width *= 2.0
+        t_rej += reject_direction * width
+    if not found:
+        # no rejection anywhere on this side: endpoint is -inf for the lower
+        # search (reject_direction -1) and +inf for the upper (+1)
+        endpoint = reject_direction * math.inf
+        return endpoint, (min(t_rej, t_acc), max(t_rej, t_acc)), True, False
+
+    non_monotone = False
+    if precheck_points >= 3:
+        grid = np.linspace(t_rej, t_acc, precheck_points)
+        flags = [rejects(float(t)) for t in grid]
+        # walking from the rejecting end: once the indicator turns off it
+        # should stay off
+        turned_off = False
+        for f in flags:
+            if not f:
+                turned_off = True
+            elif turned_off:
+                non_monotone = True
+        if non_monotone:
+            # widen: restart the bisection from the rejecting grid point
+            # closest to the non-rejecting side (grid runs t_rej -> t_acc)
+            rej_pts = [float(t) for t, f in zip(grid, flags) if f]
+            if rej_pts:
+                t_rej = rej_pts[-1]
+
+    # bisection keeping reject at t_rej, no-reject at t_acc
+    while abs(t_acc - t_rej) > tol:
+        mid = 0.5 * (t_acc + t_rej)
+        if not (min(t_rej, t_acc) < mid < max(t_rej, t_acc)):
+            break
+        if rejects(mid):
+            t_rej = mid
+        else:
+            t_acc = mid
+    return t_acc, (min(t_rej, t_acc), max(t_rej, t_acc)), False, non_monotone

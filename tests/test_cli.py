@@ -130,6 +130,16 @@ class TestCmdChangepoint:
         assert proc.returncode == 2
         assert "tol" in proc.stderr
 
+    @pytest.mark.parametrize("gamma_max", ["nan", "inf", "1"])
+    @pytest.mark.parametrize("y", [[1, -1, 1, -1], list(range(1, 9))])
+    def test_bad_gamma_max_exits_two(self, tmp_path, y, gamma_max):
+        # the first sample does not reject at gamma 1, the second does
+        path = tmp_path / "y.csv"
+        path.write_text("".join(f"{v}\n" for v in y))
+        proc = run_cli("changepoint", "--input", path, "--tau", 0, "--gamma-max", gamma_max)
+        assert proc.returncode == 2
+        assert "gamma_max" in proc.stderr
+
 
 class TestCmdInterval:
     def test_single_gamma_matches_closed_form(self, tmp_path):

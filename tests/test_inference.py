@@ -105,8 +105,9 @@ class TestChangepoint:
 
     def test_bad_arguments(self):
         s = ps.PairedSample([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            ps.changepoint_gamma(s, tau=0.0, gamma_max=1.0)
+        for gamma_max in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma_max"):
+                ps.changepoint_gamma(s, tau=0.0, gamma_max=gamma_max)
         with pytest.raises(ValueError):
             ps.changepoint_gamma(s, tau=0.0, tol=0.0)
 
