@@ -115,6 +115,8 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def _gammas(args) -> list[float]:
+    if args.gammas is not None and args.gamma is not None:
+        raise CliError("pass --gamma or --gammas, not both")
     if args.gammas is not None:
         gammas = _float_list(args.gammas, "--gammas")
     elif args.gamma is not None:

@@ -235,13 +235,14 @@ def _invert_one_side(
     reject_direction: float,
     max_expansions: int,
     precheck_points: int,
-) -> tuple[float, tuple[float, float], bool, bool]:
+) -> tuple[float, tuple[float, float], bool]:
     """Locate the boundary between rejecting and non-rejecting tau.
 
     ``reject_direction`` is -1 when rejection happens for small tau (lower
     endpoint, greater alternative) and +1 when it happens for large tau.
-    Returns (endpoint, bracket, infinite, non_monotone); the endpoint is the
-    non-rejecting edge of the final bracket.
+    Returns (endpoint, bracket, non_monotone); the endpoint is the
+    non-rejecting edge of the final bracket, or infinite when this side
+    rejects nowhere within the expansion cap.
     """
     toward_rej = reject_direction * step
     t_acc, found = _walk(rejects, center, -toward_rej, False, max_expansions)
@@ -252,7 +253,7 @@ def _invert_one_side(
         # no rejection anywhere on this side: endpoint is -inf for the lower
         # search (reject_direction -1) and +inf for the upper (+1)
         endpoint = reject_direction * math.inf
-        return endpoint, (min(t_rej, t_acc), max(t_rej, t_acc)), True, False
+        return endpoint, (min(t_rej, t_acc), max(t_rej, t_acc)), False
 
     inversions = []
     if precheck_points >= 3:
@@ -263,7 +264,7 @@ def _invert_one_side(
             # closest to the non-rejecting side (grid runs t_rej -> t_acc)
             t_rej = grid[last]
     t_rej, t_acc = _bisect(rejects, t_rej, t_acc, tol)
-    return t_acc, (min(t_rej, t_acc), max(t_rej, t_acc)), False, bool(inversions)
+    return t_acc, (min(t_rej, t_acc), max(t_rej, t_acc)), bool(inversions)
 
 
 def sensitivity_interval(
@@ -306,16 +307,16 @@ def sensitivity_interval(
         decide = rejector(sample, spec, engine)
         return lambda t: decide(sens, t)
 
-    lower, lower_bracket, lower_inf, nm_lo = _invert_one_side(
+    lower, lower_bracket, nm_lo = _invert_one_side(
         make_rejector("greater"), center, step, tol, -1.0, max_expansions, precheck_points
     )
-    upper, upper_bracket, upper_inf, nm_hi = _invert_one_side(
+    upper, upper_bracket, nm_hi = _invert_one_side(
         make_rejector("less"), center, step, tol, +1.0, max_expansions, precheck_points
     )
     return SensitivityInterval(
         gamma=gamma,
-        lower=-math.inf if lower_inf else lower,
-        upper=math.inf if upper_inf else upper,
+        lower=lower,
+        upper=upper,
         confidence=confidence,
         method=method,
         tol=tol,

@@ -74,8 +74,9 @@ class EnumSpec:
     one core of a 2-vCPU Xeon about 0.2 s to build one reference
     distribution, 0.4 s to build both) and otherwise runs ``draws`` seeded
     Monte Carlo draws.  Mode "exact" refuses samples above the cap.  An
-    exact build holds about 120 bytes per assignment and a search about
-    64; work that would need more than half the machine's physical memory
+    exact build (``test``) holds about 120 bytes per assignment, and a
+    reject-only decision (a search or a simulation replication) about 64;
+    work that would need more than half the machine's physical memory
     raises ValueError before allocating anything.  The seed may be an
     int or a numpy SeedSequence; results are bit-reproducible given
     ``(seed, draws)`` regardless of how work is scheduled, because draws
@@ -412,7 +413,8 @@ class SignDraws:
     hypothesized value that can move.
 
     The only code that makes draws: reference-distribution builds and the
-    searches' reject-only decisions both read them from here.  Every
+    reject-only decisions of searches and simulation replications all read
+    them from here.  Every
     per-draw array is allocated once, when the object is made, and each
     call writes into it, so an object kept for a whole search costs no
     allocation per evaluation.  Arrays returned by ``statistics`` are

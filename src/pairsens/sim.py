@@ -21,8 +21,8 @@ from typing import Union
 import numpy as np
 
 from .core import METHODS, PairedSample, SensitivityParam, TestSpec
-# build_pair and observed_statistics stay names of this module because
-# bench/tracer.py wraps them; the replications decide through rejections
+# build_pair and observed_statistics stay names here for bench/tracer.py;
+# replications decide through rejections' masked sums, with no sorted build
 from .randdist import EnumSpec, build_pair, observed_statistics  # noqa: F401
 from .rng import SeedLike, as_generator, as_seed_sequence
 from .testing import rejections
@@ -218,9 +218,11 @@ def estimate_size_power_multi(
     Replication ``r`` derives two child streams from the seed: one for the
     data draw, one for the reference-distribution engine, so results are
     reproducible bit-for-bit for a given ``(seed, replications)`` and do not
-    depend on which methods are requested together.  The mean and studentized
-    reference distributions within a replication share a single set of
-    assignment draws.
+    depend on which methods are requested together.  The methods within a
+    replication decide from a single set of assignment draws, by the same
+    masked weight sum as the searches (``testing.rejections``); no sorted
+    reference distribution is built unless a sum lies within roundoff of
+    its threshold.
     """
     scen = _resolve_scenario(scenario, n_pairs)
     n = scen.n_pairs

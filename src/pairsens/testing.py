@@ -27,7 +27,6 @@ from .core import (
 from .randdist import (
     _CUM_SLACK,
     EnumSpec,
-    ReferenceDistribution,
     SignDraws,
     build_f_hat,
     build_g_hat,
@@ -102,21 +101,6 @@ def _neyman(
     return stat, critical, bool(stat >= critical)
 
 
-def _build(
-    kinds: tuple[str, ...],
-    sample: PairedSample,
-    tau: float,
-    sens: SensitivityParam,
-    engine: EnumSpec,
-) -> dict[str, ReferenceDistribution]:
-    """The reference distributions of ``kinds``, from one set of draws; the
-    build functions are looked up at call time, so wrappers see each build."""
-    if len(kinds) == 2:
-        return dict(zip(kinds, build_pair(sample, tau, sens, engine)))
-    build = build_f_hat if kinds == ("mean",) else build_g_hat
-    return {kinds[0]: build(sample, tau, sens, engine)}
-
-
 def run_test(
     sample: PairedSample,
     spec: TestSpec,
@@ -177,8 +161,13 @@ def run_test(
             mode=mode,
             n_draws="exact" if mode == "exact" else engine.draws,
         )
+    # the builds are looked up at call time, so wrappers see each one
     kinds = _KINDS[method]
-    dists = _build(kinds, norm_sample, tau, sens, engine)
+    if len(kinds) == 2:
+        dists = dict(zip(kinds, build_pair(norm_sample, tau, sens, engine)))
+    else:
+        build = build_f_hat if kinds == ("mean",) else build_g_hat
+        dists = {kinds[0]: build(norm_sample, tau, sens, engine)}
     observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, tau, sens)))
     critical = {kind: dists[kind].quantile(1.0 - norm_spec.alpha) for kind in kinds}
     counts = [dists[kind].tail_count(observed[kind]) for kind in kinds]
@@ -240,52 +229,69 @@ def test_combined(
     return run_test(sample, replace(spec, method="combined"), sens, engine)
 
 
+def _decider(
+    sample: PairedSample,
+    spec: TestSpec,
+    engine: Union[EnumSpec, None],
+    methods: Sequence[str],
+) -> Callable[..., list[bool]]:
+    """Each of ``methods`` decided as ``run_test(...).reject`` would, as a
+    function of ``sens`` and ``tau`` (default ``spec.tau``).
+
+    ``stat >= quantile(p)`` holds exactly when the weight of draws at or
+    below ``stat`` reaches ``p`` less the quantile's slack, so a decision is
+    a masked sum, with no sort or merge, over one ``SignDraws`` that the
+    methods share.  Its buffers are rewritten at each call: the enumeration
+    only when tau moves, the weights only when the bias bound does.  A sum
+    within roundoff of the threshold is re-decided by ``run_test``.
+    """
+    engine = engine or EnumSpec()
+    norm_sample, norm_spec = _normalized(sample, spec)
+    flip = spec.alternative != "greater"
+    alpha = norm_spec.alpha
+    unique = list(dict.fromkeys(methods))
+    # neyman reads no draws
+    drawing = any(_KINDS[m] for m in unique)
+    draws = SignDraws(norm_sample, norm_spec.tau, engine) if drawing else None
+    threshold = 1.0 - alpha - _CUM_SLACK
+
+    def decide(sens: SensitivityParam, tau: float = spec.tau) -> list[bool]:
+        t = -tau if flip else tau
+        drawn = [m for m in unique if _KINDS[m] and not _degenerate(m, norm_sample, t, sens)]
+        kinds = tuple(k for k in _STATISTICS if any(k in _KINDS[m] for m in drawn))
+        if kinds:
+            if t != draws.tau:
+                draws.move_to(t)
+            stats = dict(zip(_STATISTICS, draws.statistics(sens, "studentized" in kinds)))
+            observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, t, sens)))
+            below = {k: draws.weight_at_most(stats[k], observed[k]) for k in kinds}
+            guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
+
+        def one(m: str) -> bool:
+            if not _KINDS[m]:
+                return _neyman(norm_sample, t, alpha, sens)[2]
+            if m not in drawn:
+                return False
+            if any(abs(below[k] - threshold) < guard for k in _KINDS[m]):
+                return run_test(sample, replace(spec, method=m, tau=tau), sens, engine).reject
+            return all(below[k] >= threshold for k in _KINDS[m])
+
+        decided = {m: one(m) for m in unique}
+        return [decided[m] for m in methods]
+
+    return decide
+
+
 def rejector(
     sample: PairedSample,
     spec: TestSpec,
     engine: Union[EnumSpec, None] = None,
 ) -> Callable[..., bool]:
     """``run_test(sample, spec, sens, engine).reject`` as a function of
-    ``sens`` and, optionally, ``tau`` (default ``spec.tau``).
-
-    For searches, which need only the decision: one returned function serves
-    a whole search over the bias bound or over the hypothesized value.
-    ``stat >= quantile(p)`` holds exactly when the weight of draws at or
-    below ``stat`` reaches ``p`` (less the quantile's slack), so the
-    decision is a masked sum over the draws, with no sort, merge or
-    ``ReferenceDistribution``.  The draws live in one ``SignDraws`` whose
-    buffers are allocated once and rewritten at each evaluation: the exact
-    enumeration is redone only when tau moves and the weights only when the
-    bias bound does.  A masked sum too close to the threshold for its
-    roundoff to be ruled out is re-decided by ``run_test``, so the decisions
-    are those of ``run_test``.
-    """
-    engine = engine or EnumSpec()
-    method = spec.method
-    kinds = _KINDS[method]
-    norm_sample, norm_spec = _normalized(sample, spec)
-    flip = spec.alternative != "greater"
-    # neyman reads no draws
-    draws = SignDraws(norm_sample, norm_spec.tau, engine) if kinds else None
-    threshold = 1.0 - norm_spec.alpha - _CUM_SLACK
-
-    def rejects(sens: SensitivityParam, tau: float = spec.tau) -> bool:
-        t = -tau if flip else tau
-        if not kinds:
-            return _neyman(norm_sample, t, norm_spec.alpha, sens)[2]
-        if _degenerate(method, norm_sample, t, sens):
-            return False
-        if t != draws.tau:
-            draws.move_to(t)
-        drawn = dict(zip(_STATISTICS, draws.statistics(sens, "studentized" in kinds)))
-        observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, t, sens)))
-        below = [draws.weight_at_most(drawn[kind], observed[kind]) for kind in kinds]
-        guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
-        if any(abs(b - threshold) < guard for b in below):
-            return run_test(sample, replace(spec, tau=tau), sens, engine).reject
-        return all(b >= threshold for b in below)
-
-    return rejects
+    ``sens`` and ``tau`` (default ``spec.tau``), for a whole search over
+    either or both; see ``_decider``."""
+    decide = _decider(sample, spec, engine, [spec.method])
+    return lambda sens, tau=spec.tau: decide(sens, tau)[0]
 
 
 def rejections(
@@ -296,22 +302,6 @@ def rejections(
     methods: Sequence[str],
 ) -> list[bool]:
     """``run_test(sample, replace(spec, method=m), sens, engine).reject`` for
-    each ``m`` in ``methods``; ``spec.method`` is not read.
-
-    The methods that draw share one reference build, of the kinds they
-    compare, made only when one of them is not degenerate.
-    """
-    norm_sample, norm_spec = _normalized(sample, spec)
-    tau, alpha = norm_spec.tau, norm_spec.alpha
-    drawing = [m for m in methods if _KINDS[m]]
-    drawn = {m for m in drawing if not _degenerate(m, norm_sample, tau, sens)}
-    kinds = tuple(k for k in _STATISTICS if any(k in _KINDS[m] for m in drawn))
-    observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, tau, sens)))
-    dists = _build(kinds, norm_sample, tau, sens, engine) if kinds else {}
-    passed = {k: observed[k] >= dists[k].quantile(1.0 - alpha) for k in kinds}
-    return [
-        m in drawn and all(passed[kind] for kind in _KINDS[m])
-        if _KINDS[m]
-        else _neyman(norm_sample, tau, alpha, sens)[2]
-        for m in methods
-    ]
+    each ``m`` in ``methods``, from one set of draws; ``spec.method`` is not
+    read.  See ``_decider``."""
+    return _decider(sample, spec, engine, methods)(sens)

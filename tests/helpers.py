@@ -7,7 +7,7 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from pairsens import inference
+from pairsens import inference, testing
 from pairsens.core import (
     PairedSample,
     SensitivityParam,
@@ -314,6 +314,36 @@ PROCEDURES = {
     "studentized": procedure_studentized,
     "combined": procedure_combined,
 }
+
+
+# Simulation replications' decisions as they were made before they shared
+# the searches' masked sum: one sorted, merged build of the kinds that the
+# non-degenerate drawing methods compare, and each quantile compared with
+# its observed statistic.
+
+
+def rejections_sorted(sample, spec, sens, engine, methods):
+    """``run_test(sample, replace(spec, method=m), sens, engine).reject`` for
+    each ``m`` in ``methods``, from one build of sorted distributions."""
+    norm_sample, norm_spec = _normalized(sample, spec)
+    tau, alpha = norm_spec.tau, norm_spec.alpha
+    drawing = [m for m in methods if testing._KINDS[m]]
+    drawn = {m for m in drawing if not testing._degenerate(m, norm_sample, tau, sens)}
+    kinds = tuple(k for k in ("mean", "studentized")
+                  if any(k in testing._KINDS[m] for m in drawn))
+    observed = dict(zip(("mean", "studentized"), observed_statistics(norm_sample, tau, sens)))
+    if len(kinds) == 2:
+        dists = dict(zip(kinds, build_pair(norm_sample, tau, sens, engine)))
+    elif kinds:
+        build = build_f_hat if kinds == ("mean",) else build_g_hat
+        dists = {kinds[0]: build(norm_sample, tau, sens, engine)}
+    passed = {k: observed[k] >= dists[k].quantile(1.0 - alpha) for k in kinds}
+    return [
+        m in drawn and all(passed[kind] for kind in testing._KINDS[m])
+        if testing._KINDS[m]
+        else testing._neyman(norm_sample, tau, alpha, sens)[2]
+        for m in methods
+    ]
 
 
 # The two searches as they were written out before they shared ``_bisect``,

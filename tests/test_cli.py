@@ -178,6 +178,13 @@ class TestCmdInterval:
         proc = run_cli("interval", "--input", path)
         assert proc.returncode == 2
 
+    def test_gamma_and_gammas_exit_two(self, diff_csv):
+        proc = run_cli("interval", "--input", diff_csv, "--gamma", 2, "--gammas", 1,
+                       "--method", "neyman")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--gamma or --gammas, not both" in proc.stderr
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_two(self, diff_csv, tol):
         proc = run_cli("interval", "--input", diff_csv, "--gamma", 1, "--tol", tol)
@@ -257,6 +264,13 @@ class TestCmdSimulate:
                        "--tau", 2.5, "--gamma", 4, "--reps", 5, flag, value)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_gamma_and_gammas_exit_two(self):
+        proc = run_cli("simulate", "--scenario", "counterexample", "--pairs", 4,
+                       "--tau", 2.5, "--gamma", 3, "--gammas", 1, "--reps", 5)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--gamma or --gammas, not both" in proc.stderr
 
     def test_scenario_and_allocation_conflict(self, tmp_path):
         path = tmp_path / "alloc.csv"
