@@ -50,6 +50,24 @@ _EXACT_BYTES_PER_DRAW = 64
 # the second is made (tracemalloc measured 112 at 18 pairs).
 _EXACT_BUILD_BYTES_PER_DRAW = 120
 
+# A decision gathers the draws whose studentized statistic it must compute
+# when they are at most this share of all draws, else computes it for every
+# draw.  Three gathered arrays then fit in one per-draw buffer.  On one core
+# of a 2-vCPU Xeon, at 17 and 20 pairs, gathering still took 0.84-0.93 of
+# the full computation's time at shares of 0.29-0.33; below 15 pairs a
+# decision takes under 0.2 ms either way.
+_GATHER_SHARE = 1 / 3
+
+# Draws gathered per block by ``_positions``: its only temporary, the
+# block's indices, stays under 16 KiB whatever the number of draws.
+_POSITIONS_BLOCK = 1 << 11
+
+# The sign of a draw's mean settles its studentized comparison only while
+# no studentized statistic can be NaN.  Within this range of sum(m**2) none
+# can: nothing overflows to inf - inf, and a zero mean never meets a
+# denominator that underflows to 0.
+_SETTLED_SUMSQ = (2.0**-900, 2.0**900)
+
 # Share of physical memory that one allocation may plan to use.  Work above
 # it is refused, not attempted: near all of memory the machine swaps or the
 # process is killed.  A constant, so the refusal (exit 2) depends only on the
@@ -234,12 +252,13 @@ def _check_exact_fits(n_pairs: int, bytes_per_draw: int) -> None:
 
 def _enumerate_exact(
     m: np.ndarray,
-    s1: np.ndarray,
-    s2: np.ndarray,
+    s1: Union[np.ndarray, None],
+    s2: Union[np.ndarray, None] = None,
     k: Union[np.ndarray, None] = None,
 ) -> None:
-    """Fill s1 and s2 with the signed subset sums of m and m**2 over all
-    ``2**n`` sign vectors, and k, when given, with their counts of + signs.
+    """Fill s1 and s2, each when given, with the signed subset sums of m and
+    m**2 over all ``2**n`` sign vectors, and k, when given, with their counts
+    of + signs.
 
     Doubling construction: bit ``i`` of the assignment index gives the sign
     of pair ``i``, so each of the ``2**n`` vectors costs O(1) amortized.
@@ -247,17 +266,16 @@ def _enumerate_exact(
     prefix itself into the - half, all within the caller's arrays.  The
     counts depend on ``n`` alone, so a caller that keeps k passes it once.
     """
-    s1[0] = 0.0
-    s2[0] = 0.0
+    filled = [(sums, v) for sums, v in ((s1, m), (s2, m * m)) if sums is not None]
+    for sums, _ in filled:
+        sums[0] = 0.0
     if k is not None:
         k[0] = 0
     size = 1
-    for mi in m:
-        mi2 = mi * mi
-        np.add(s1[:size], mi, out=s1[size : 2 * size])
-        np.subtract(s1[:size], mi, out=s1[:size])
-        np.add(s2[:size], mi2, out=s2[size : 2 * size])
-        np.subtract(s2[:size], mi2, out=s2[:size])
+    for i in range(m.size):
+        for sums, v in filled:
+            np.add(sums[:size], v[i], out=sums[size : 2 * size])
+            np.subtract(sums[:size], v[i], out=sums[:size])
         if k is not None:
             np.add(k[:size], 1, out=k[size : 2 * size])
         size *= 2
@@ -274,17 +292,12 @@ def _sign_cut(theta: float) -> int:
     return math.ceil(float(np.float32(theta)) * 2**24) << 8
 
 
-def _draw_monte_carlo(
-    m: np.ndarray, theta: float, draws: int, seed: SeedLike
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors.
+def _monte_carlo_signs(n: int, theta: float, draws: int, seed: SeedLike) -> np.ndarray:
+    """The ``draws x n`` matrix of iid theta-biased signs.
 
-    The ``draws x n`` sign matrix is filled a block of rows at a time by
-    thresholding the raw Philox stream (see ``_sign_cut``), then reduced by
-    one matrix product.  The product stays whole: BLAS row sums of a slice
-    of rows can differ in the last bits from those of the full matrix.
+    It is filled a block of rows at a time by thresholding the raw Philox
+    stream (see ``_sign_cut``).
     """
-    n = m.size
     _check_fits(
         _MC_BYTES_PER_SIGN * draws * n,
         f"Monte Carlo sign matrix of {draws} draws x {n} pairs",
@@ -307,8 +320,24 @@ def _draw_monte_carlo(
             np.less(x[: block.size].reshape(block.shape), cut, out=block)
             block *= 2.0
             block -= 1.0
+    return signs
+
+
+def _signed_sums(signs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed sums of m and m**2 for each row of ``signs``.
+
+    One matrix product over the whole matrix: BLAS row sums of a slice of
+    rows can differ in the last bits from those of the full matrix.
+    """
     sums = signs @ np.column_stack([m, m * m])
     return sums[:, 0], sums[:, 1]
+
+
+def _draw_monte_carlo(
+    m: np.ndarray, theta: float, draws: int, seed: SeedLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors."""
+    return _signed_sums(_monte_carlo_signs(m.size, theta, draws, seed), m)
 
 
 class _StatBuffers(NamedTuple):
@@ -332,35 +361,55 @@ def _statistics(
     studentized: bool,
     out: _StatBuffers,
 ) -> tuple[np.ndarray, Union[np.ndarray, None]]:
-    """Per-draw mean statistic and studentized statistic from signed sums.
+    """Per-draw mean statistic and, for every draw, the studentized statistic.
 
     Both are written into ``out`` and returned as ``out.abar`` and
     ``out.tstat``, which stay valid until ``out`` is written again; the
-    studentized statistic is None unless ``studentized`` is set.  It
-    uses ``sum(A^2) = (1 + c^2) sum(m^2) - 2c sum(v m^2)`` with
-    ``c = 2*theta - 1``, so each draw needs only the two signed sums.
-    Degenerate draws (zero within-draw variance) map to 0 when the mean is
-    0 and to +/-inf matching the sign of the mean otherwise.
+    studentized statistic is None unless ``studentized`` is set.  Reference
+    builds need it for every draw; a decision computes it only for the draws
+    the sign of the mean leaves open (``SignDraws.weight_at_most``).
     """
-    n = m.size
     c = sens.sign_bias
     abar = np.subtract(s1, c * np.sum(m), out=out.abar)
-    np.divide(abar, n, out=abar)
+    np.divide(abar, m.size, out=abar)
     if not studentized:
         return abar, None
+    return abar, _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)
+
+
+def _studentized(
+    abar: np.ndarray,
+    s2: np.ndarray,
+    m: np.ndarray,
+    c: float,
+    tstat: np.ndarray,
+    ssd: np.ndarray,
+    degenerate: np.ndarray,
+) -> np.ndarray:
+    """Studentized statistic of any selection of draws, from their means and
+    signed sums of m**2; returns ``tstat``.
+
+    ``ssd`` and ``degenerate`` are scratch of the selection's length, and
+    ``tstat`` may be ``s2`` itself.  It uses
+    ``sum(A^2) = (1 + c^2) sum(m^2) - 2c sum(v m^2)`` with ``c = 2*theta - 1``,
+    so each draw needs only the two signed sums.  Degenerate draws (zero
+    within-draw variance) map to 0 when the mean is 0 and to +/-inf matching
+    the sign of the mean otherwise.  Every step is elementwise, so a draw's
+    result does not depend on the other draws selected.
+    """
+    n = m.size
     # the sum of squares and its tolerance pass through tstat, written last
-    sumsq = np.multiply(2.0 * c, s2, out=out.tstat)
+    sumsq = np.multiply(2.0 * c, s2, out=tstat)
     np.subtract((1.0 + c * c) * np.sum(m * m), sumsq, out=sumsq)
     np.maximum(sumsq, 0.0, out=sumsq)
-    ssd = np.multiply(n, abar, out=out.scratch)
+    ssd = np.multiply(n, abar, out=ssd)
     np.multiply(ssd, abar, out=ssd)
     np.subtract(sumsq, ssd, out=ssd)
     np.maximum(ssd, 0.0, out=ssd)
     tol = np.multiply(_DEGENERATE_RTOL, sumsq, out=sumsq)
-    degenerate = np.less_equal(ssd, tol, out=out.mask)
+    degenerate = np.less_equal(ssd, tol, out=degenerate)
     if n < 2:
         degenerate.fill(True)
-    tstat = out.tstat
     da = abar[degenerate]
     tstat[degenerate] = np.where(da > 0, np.inf, np.where(da < 0, -np.inf, 0.0))
     if n >= 2:
@@ -368,7 +417,21 @@ def _statistics(
         den = np.divide(ssd, n * (n - 1), out=ssd)
         np.sqrt(den, out=den)
         np.divide(abar, den, out=tstat, where=ok)
-    return abar, tstat
+    return tstat
+
+
+def _positions(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Indices of ``mask``'s True entries, in order, written into ``out``.
+
+    numpy's nonzero allocates its result, so it is asked one block at a
+    time: a block's indices are the only temporary.
+    """
+    end = 0
+    for lo in range(0, mask.size, _POSITIONS_BLOCK):
+        (found,) = mask[lo : lo + _POSITIONS_BLOCK].nonzero()
+        np.add(found, lo, out=out[end : end + found.size])
+        end += found.size
+    return out[:end]
 
 
 def observed_statistics(
@@ -414,18 +477,24 @@ class SignDraws:
 
     The only code that makes draws: reference-distribution builds and the
     reject-only decisions of searches and simulation replications all read
-    them from here.  Every
-    per-draw array is allocated once, when the object is made, and each
-    call writes into it, so an object kept for a whole search costs no
-    allocation per evaluation.  Arrays returned by ``statistics`` are
-    views into these buffers and stay valid until the next call.
+    them from here.  Every per-draw buffer is allocated once, when the object
+    is made, and each call writes into it, so an exact object kept for a
+    whole search allocates nothing per evaluation that grows with the
+    draws.  Arrays returned by ``statistics`` are views into these buffers
+    and stay valid until the next call.
 
     The exact enumeration does not depend on the bias bound, so it is made
     on first use after each move and kept for every bound asked at that
-    value; the + counts depend only on the number of pairs and are made
-    once, and the weights are kept while theta is unchanged.  Monte Carlo
-    signs threshold raw random bits against theta, so they are redrawn for
-    each bound from the engine's seed (common random numbers).
+    value; the sums of ``m**2`` are enumerated only once a studentized
+    statistic is asked at that value.  The + counts depend only on the
+    number of pairs and are made once, and the weights are kept while theta
+    is unchanged.  Monte Carlo signs threshold raw random bits against
+    theta; the sign matrix is kept while theta is unchanged, so a move
+    redoes only its product with the new ``|y - tau|``, and a new theta
+    redraws it from the engine's seed (common random numbers).
+
+    A decision (``weights_at_most``) computes the studentized statistic only
+    for the draws whose mean's sign leaves the comparison open.
     """
 
     def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec):
@@ -442,7 +511,8 @@ class SignDraws:
             self._w = np.empty(self.n_draws)
         else:
             self.n_draws = engine.draws
-            self._w = None
+            self._s1 = self._s2 = self._w = None
+        self._signs = None
         self._out = _StatBuffers.empty(self.n_draws)
         self._theta = None
         self.move_to(tau)
@@ -451,7 +521,50 @@ class SignDraws:
         """Make later calls use the hypothesized value ``tau``."""
         self.tau = tau
         self.m = np.abs(self.y - tau)
-        self._enumerated = False
+        # the signed sums of m and of m**2 are redone before their next use
+        self._s1_stale = self._s2_stale = True
+
+    def drop_signs(self) -> None:
+        """Free the Monte Carlo sign matrix, and the sums made from it after
+        it, so the heap can return their memory; the next call redraws it."""
+        if self._signs is not None:
+            self._signs = self._s1 = self._s2 = None
+            self._theta = None
+
+    def _sums(self, sens: SensitivityParam, studentized: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The signed sums of m and, when ``studentized``, of m**2 at the
+        current tau, and the weights at ``sens``; only stale ones are redone."""
+        theta = sens.theta
+        if self.mode == "monte_carlo":
+            if theta != self._theta:
+                # the old matrix is freed before the new one is drawn
+                self._signs = None
+                self._signs = _monte_carlo_signs(
+                    self.m.size, theta, self.engine.draws, self.engine.seed
+                )
+                self._theta = theta
+                self._s1_stale = True
+            if self._s1_stale:
+                self._s1, self._s2 = _signed_sums(self._signs, self.m)
+                self._s1_stale = self._s2_stale = False
+            return self._s1, self._s2
+        s1 = self._s1 if self._s1_stale else None
+        s2 = self._s2 if studentized and self._s2_stale else None
+        if s1 is not None or s2 is not None:
+            k = None
+            if self._k is None:
+                k = self._k = np.empty(self.n_draws, dtype=np.int64)
+            _enumerate_exact(self.m, s1, s2, k)
+            self._s1_stale = False
+            self._s2_stale = self._s2_stale and s2 is None
+        if theta != self._theta:
+            n = self.m.size
+            ks = np.arange(n + 1)
+            table = theta**ks * (1.0 - theta) ** (n - ks)
+            # "clip" writes straight into out; "raise" would buffer a copy
+            np.take(table, self._k, out=self._w, mode="clip")
+            self._theta = theta
+        return self._s1, self._s2
 
     def statistics(
         self, sens: SensitivityParam, studentized: bool
@@ -463,38 +576,70 @@ class SignDraws:
         number of + signs; Monte Carlo draws all weigh ``1 / n_draws`` and
         the weights are returned as None.
         """
-        theta = sens.theta
-        if self.mode == "exact":
-            if not self._enumerated:
-                k = None
-                if self._k is None:
-                    k = self._k = np.empty(self.n_draws, dtype=np.int64)
-                _enumerate_exact(self.m, self._s1, self._s2, k)
-                self._enumerated = True
-            if theta != self._theta:
-                n = self.m.size
-                ks = np.arange(n + 1)
-                table = theta**ks * (1.0 - theta) ** (n - ks)
-                # "clip" writes straight into out; "raise" would buffer a copy
-                np.take(table, self._k, out=self._w, mode="clip")
-                self._theta = theta
-            s1, s2 = self._s1, self._s2
-        else:
-            s1, s2 = _draw_monte_carlo(self.m, theta, self.engine.draws, self.engine.seed)
+        s1, s2 = self._sums(sens, studentized)
         abar, tstat = _statistics(s1, s2, self.m, sens, studentized, self._out)
         return abar, tstat, self._w
 
-    def weight_at_most(self, vals: np.ndarray, t: float) -> float:
-        """Total weight of the draws whose statistic is <= t.
+    def weights_at_most(
+        self, sens: SensitivityParam, observed: dict[str, float]
+    ) -> dict[str, float]:
+        """For each kind, "mean" or "studentized", that ``observed`` names, the
+        total weight of the draws whose statistic is <= its observed value.
 
-        ``vals`` comes from the last ``statistics`` call.  Adds the same
-        per-draw weights as the sorted distribution's CDF, in another
-        order, so the two differ by at most ``n_draws`` roundings.
+        Adds the same per-draw weights as the sorted distribution's CDF, in
+        another order, so the two differ by at most ``n_draws`` roundings.
         """
-        below = np.less_equal(vals, t, out=self._out.scratch)
+        s1, s2 = self._sums(sens, "studentized" in observed)
+        _statistics(s1, s2, self.m, sens, False, self._out)
+        self._sign_bias = sens.sign_bias
+        return {kind: self.weight_at_most(kind, t) for kind, t in observed.items()}
+
+    def weight_at_most(self, kind: str, t: float) -> float:
+        """Total weight of the draws whose statistic of ``kind`` is <= t, at
+        the bias bound of the last ``weights_at_most`` call."""
+        if kind == "mean":
+            below = np.less_equal(self._out.abar, t, out=self._out.scratch)
+        else:
+            below = self._studentized_at_most(t)
         if self._w is None:
             return np.count_nonzero(below) / self.n_draws
         return float(self._w @ below)
+
+    def _studentized_at_most(self, t: float) -> np.ndarray:
+        """1.0 where a draw's studentized statistic is <= t, else 0.0.
+
+        A draw's studentized statistic has its mean's sign: a
+        non-degenerate draw divides the mean by a positive denominator, and
+        a degenerate one maps to 0 or +/-inf by that sign.  So for t >= 0
+        (-0.0 too) every draw whose mean is <= 0 is in, and otherwise every
+        draw whose mean is >= 0 is out.  The rest, the complement, so that a
+        NaN mean is never settled, go through ``_studentized``, gathered
+        into prefixes of the statistic buffer and written back in place.
+        When they are more than ``_GATHER_SHARE`` of the draws, or
+        ``sum(m**2)`` lies outside ``_SETTLED_SUMSQ``, every draw goes
+        through it instead.
+        """
+        out, abar = self._out, self._out.abar
+        settled_in = t >= 0
+        open_ = (np.less_equal if settled_in else np.greater_equal)(abar, 0.0, out=out.mask)
+        np.logical_not(open_, out=open_)
+        size = np.count_nonzero(open_)
+        sumsq = float(np.sum(self.m * self.m))
+        c = self._sign_bias
+        if size > _GATHER_SHARE * self.n_draws or not (
+            _SETTLED_SUMSQ[0] < sumsq < _SETTLED_SUMSQ[1]
+        ):
+            tstat = _studentized(abar, self._s2, self.m, c, out.tstat, out.scratch, out.mask)
+            return np.less_equal(tstat, t, out=out.scratch)
+        # the positions, the means and the sums of m**2 share the tstat buffer
+        at = _positions(open_, out.tstat[:size].view(np.int64))
+        a = np.take(abar, at, out=out.tstat[size : 2 * size], mode="clip")
+        s2 = np.take(self._s2, at, out=out.tstat[2 * size : 3 * size], mode="clip")
+        tstat = _studentized(a, s2, self.m, c, s2, out.scratch[:size], out.mask[:size])
+        below = out.scratch
+        below.fill(1.0 if settled_in else 0.0)
+        np.put(below, at, np.less_equal(tstat, t, out=tstat), mode="clip")
+        return below
 
 
 def _build(

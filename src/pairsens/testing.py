@@ -242,8 +242,10 @@ def _decider(
     below ``stat`` reaches ``p`` less the quantile's slack, so a decision is
     a masked sum, with no sort or merge, over one ``SignDraws`` that the
     methods share.  Its buffers are rewritten at each call: the enumeration
-    only when tau moves, the weights only when the bias bound does.  A sum
-    within roundoff of the threshold is re-decided by ``run_test``.
+    only when tau moves, the weights only when the bias bound does, and the
+    studentized statistic only for the draws whose mean's sign leaves the
+    comparison open.  A sum within roundoff of the threshold is re-decided
+    by ``run_test``.
     """
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)
@@ -262,9 +264,8 @@ def _decider(
         if kinds:
             if t != draws.tau:
                 draws.move_to(t)
-            stats = dict(zip(_STATISTICS, draws.statistics(sens, "studentized" in kinds)))
             observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, t, sens)))
-            below = {k: draws.weight_at_most(stats[k], observed[k]) for k in kinds}
+            below = draws.weights_at_most(sens, {k: observed[k] for k in kinds})
             guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
 
         def one(m: str) -> bool:
@@ -273,6 +274,8 @@ def _decider(
             if m not in drawn:
                 return False
             if any(abs(below[k] - threshold) < guard for k in _KINDS[m]):
+                # the build draws its own signs; only one matrix at a time
+                draws.drop_signs()
                 return run_test(sample, replace(spec, method=m, tau=tau), sens, engine).reject
             return all(below[k] >= threshold for k in _KINDS[m])
 

@@ -110,6 +110,40 @@ def statistics_alloc(s1, s2, m, sens, studentized):
     return abar, tstat
 
 
+def studentized_full_chain(s1, s2, m, sens):
+    """Reference studentized statistic of every draw, computed in place over
+    all of them, as decisions did before the sign of a draw's mean settled
+    its comparison.
+
+    A decision's mask must equal ``tstat <= t`` of this chain's result.
+    """
+    n = m.size
+    c = sens.sign_bias
+    abar = np.subtract(s1, c * np.sum(m))
+    np.divide(abar, n, out=abar)
+    tstat = np.empty_like(abar)
+    ssd = np.empty_like(abar)
+    sumsq = np.multiply(2.0 * c, s2, out=tstat)
+    np.subtract((1.0 + c * c) * np.sum(m * m), sumsq, out=sumsq)
+    np.maximum(sumsq, 0.0, out=sumsq)
+    np.multiply(n, abar, out=ssd)
+    np.multiply(ssd, abar, out=ssd)
+    np.subtract(sumsq, ssd, out=ssd)
+    np.maximum(ssd, 0.0, out=ssd)
+    tol = np.multiply(_DEGENERATE_RTOL, sumsq, out=sumsq)
+    degenerate = np.less_equal(ssd, tol)
+    if n < 2:
+        degenerate.fill(True)
+    da = abar[degenerate]
+    tstat[degenerate] = np.where(da > 0, np.inf, np.where(da < 0, -np.inf, 0.0))
+    if n >= 2:
+        ok = np.logical_not(degenerate, out=degenerate)
+        den = np.divide(ssd, n * (n - 1), out=ssd)
+        np.sqrt(den, out=den)
+        np.divide(abar, den, out=tstat, where=ok)
+    return tstat
+
+
 # The four test procedures as they were written out one by one, each with
 # its own degenerate branch.  ``run_test`` and its public wrappers must give
 # every ``TestResult`` field equal to these, None matched to None.

@@ -103,9 +103,9 @@ def test_guard_catches_roundoff_in_each_kind(monkeypatch, kind, mode):
     engine = ENGINES[mode]
     original = randdist.SignDraws.weight_at_most
 
-    def wrong_side(draws, vals, t):
-        below = original(draws, vals, t)
-        if vals is not getattr(draws._out, "abar" if kind == "mean" else "tstat"):
+    def wrong_side(draws, summed, t):
+        below = original(draws, summed, t)
+        if summed != kind:
             return below
         shift = draws.n_draws * np.finfo(float).eps
         return threshold - shift if below >= threshold else threshold + shift
