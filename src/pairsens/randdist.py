@@ -377,6 +377,7 @@ def _statistics(
     return abar, _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _studentized(
     abar: np.ndarray,
     s2: np.ndarray,
@@ -395,7 +396,8 @@ def _studentized(
     so each draw needs only the two signed sums.  Degenerate draws (zero
     within-draw variance) map to 0 when the mean is 0 and to +/-inf matching
     the sign of the mean otherwise.  Every step is elementwise, so a draw's
-    result does not depend on the other draws selected.
+    result does not depend on the other draws selected.  A standard error that
+    underflows to 0 (data near 1e-162) divides without a warning.
     """
     n = m.size
     # the sum of squares and its tolerance pass through tstat, written last

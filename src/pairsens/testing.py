@@ -14,8 +14,8 @@ from dataclasses import replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .core import (
     PairedSample,
     SensitivityParam,
@@ -94,7 +94,7 @@ def _neyman(
     """The studentized mean (None when degenerate), the normal critical value,
     and whether the first reaches the second."""
     dbar, sd = sample_mean_and_se(d_values(sample, tau, sens))
-    critical = float(ndtri(1.0 - alpha))
+    critical = ndtri(1.0 - alpha)
     if sd == 0.0:
         return None, critical, False
     stat = dbar / sd
@@ -141,7 +141,7 @@ def run_test(
             **reported,
             statistic=stat,
             critical_value=critical,
-            p_value_upper=1.0 if stat is None else float(ndtr(-stat)),
+            p_value_upper=1.0 if stat is None else ndtr(-stat),
             reject=reject,
             degenerate=stat is None,
             mode="normal",

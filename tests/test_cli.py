@@ -2,11 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+
+from pairsens.cli import main
 
 
 def run_cli(*args):
@@ -139,6 +142,27 @@ class TestCmdChangepoint:
         proc = run_cli("changepoint", "--input", path, "--tau", 0, "--gamma-max", gamma_max)
         assert proc.returncode == 2
         assert "gamma_max" in proc.stderr
+
+    def test_tiny_scale_sample_prints_no_warning(self, tmp_path, capsys):
+        # the squares of 2e-162 underflow, so a draw's standard error can be
+        # 0 while its mean is not
+        path = tmp_path / "y.csv"
+        path.write_text("".join(f"{2e-162 * k!r}\n" for k in (1, -1, 1, -1, 2)))
+        args = ["changepoint", "--input", str(path), "--tau", "0", "--method", "perm-t"]
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == (
+            '{"method": "perm_t", "tau": 0.0, "alpha": 0.05, "alternative": "greater", '
+            '"gamma_changepoint": 1.0, "bracket": [1.0, 1.0], "tolerance": 0.001, '
+            '"rejects_at_gamma_one": false, "exceeded_gamma_max": false, "monotone": true, '
+            '"inversions": [], "n_evaluations": 1, '
+            '"engine": {"mode": "auto", "draws": 10000, "seed": 0}}\n'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 0
+        assert capsys.readouterr() == (proc.stdout, "")
 
 
 class TestCmdInterval:
