@@ -206,11 +206,19 @@ def sample_mean_and_se(x) -> tuple[float, float]:
 
     The squared standard error is ``sum((x - mean)^2) / (n * (n - 1))``.
     Sums go through numpy's pairwise summation, which keeps the estimators
-    stable for the million-pair samples used in simulations.
+    stable for the million-pair samples used in simulations.  Finite input
+    whose standard error overflows (differences of about 1e154 or more) raises
+    ValueError rather than return a wrong zero statistic.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need at least two observations for a standard error")
-    mean = float(arr.mean())
-    se = float(np.sqrt(arr.var(ddof=1) / arr.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(arr.mean())
+        se = float(np.sqrt(arr.var(ddof=1) / arr.size))
+    if not np.isfinite(se) and np.all(np.isfinite(arr)):
+        raise ValueError(
+            "the standard error of the differences overflows double precision; "
+            "rescale the differences (the test statistics are scale-free)"
+        )
     return mean, se

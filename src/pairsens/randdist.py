@@ -82,6 +82,17 @@ _MC_BYTES_PER_SIGN = 8
 # passes that threshold and rescale them read from cache, not memory.
 _MC_BLOCK_SIGNS = 1 << 16
 
+# Signs per Monte Carlo product block, at least (16 MiB of float64).  A
+# single-use draw set (a ``test`` build, a simulation replication) multiplies
+# its signs into the sums a product block of rows at a time, so it never holds
+# the whole sign matrix.  OpenBLAS sends a product with M*N*K <= 10**6 to a
+# small-matrix kernel whose sums differ in the last bits; above that cutoff a
+# block of rows gives the same rows of the whole product bit for bit
+# (OpenBLAS 0.3.31, one and two threads, 100 to 5000 pairs).  A block has
+# M*2*n >= 2**22, over four times the cutoff.  Guarded by
+# tests/test_randdist.py::TestBlockedProduct.
+_MC_PRODUCT_SIGNS = 1 << 21
+
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -97,12 +108,17 @@ class EnumSpec:
     work that would need more than half the machine's physical memory
     raises ValueError before allocating anything.  The seed may be an
     int or a numpy SeedSequence; results are bit-reproducible given
-    ``(seed, draws)`` regardless of how work is scheduled, because draws
-    consume a counter-based Philox stream in fixed order: sign ``j`` of draw
-    ``b`` is made from the ``(b * n + j)``-th 32-bit half of the raw stream,
-    low half of each 64-bit word first, so a parallel worker could
-    regenerate any block of draws from the seed alone.  A Monte Carlo build
-    holds 8 bytes per draw x pair, under the same memory budget.
+    ``(seed, draws)`` and the BLAS thread count, regardless of how work is
+    scheduled, because draws consume a counter-based Philox stream in fixed
+    order: sign ``j`` of draw ``b`` is made from the ``(b * n + j)``-th
+    32-bit half of the raw stream, low half of each 64-bit word first, so a
+    parallel worker could regenerate any block of draws from the seed
+    alone.  The signed sums are BLAS products, whose last bits can change
+    with the thread count.  A Monte Carlo search holds its whole sign
+    matrix, 8 bytes per draw x pair; a build (``test``) or a simulation
+    replication makes and multiplies its signs a block of rows at a time
+    and holds at most about 33 MiB of them.  Both are refused when the whole
+    matrix would exceed the memory budget.
     """
 
     mode: str = "auto"
@@ -292,43 +308,67 @@ def _sign_cut(theta: float) -> int:
     return math.ceil(float(np.float32(theta)) * 2**24) << 8
 
 
-def _monte_carlo_signs(n: int, theta: float, draws: int, seed: SeedLike) -> np.ndarray:
-    """The ``draws x n`` matrix of iid theta-biased signs.
-
-    It is filled a block of rows at a time by thresholding the raw Philox
-    stream (see ``_sign_cut``).
-    """
+def _check_signs_fit(n: int, draws: int) -> None:
+    """Refuse a Monte Carlo draw whose whole sign matrix exceeds the budget;
+    a blocked draw is held to it too, so the refusal depends on the input
+    alone."""
     _check_fits(
         _MC_BYTES_PER_SIGN * draws * n,
         f"Monte Carlo sign matrix of {draws} draws x {n} pairs",
         "use fewer Monte Carlo draws",
     )
-    signs = np.empty((draws, n))
+
+
+def _sign_stream(theta: float, seed: SeedLike) -> tuple[Union[np.random.Philox, None], int]:
+    """The raw bit generator and the cut of ``_sign_cut``; no generator when
+    every sign is +1."""
     cut = _sign_cut(theta)
     if cut > np.iinfo(np.uint32).max:
+        return None, cut
+    return np.random.Philox(as_seed_sequence(seed)), np.uint32(cut)
+
+
+def _generation_rows(n: int) -> int:
+    # an even row count keeps every block's 32-bit halves in whole 64-bit
+    # words, so the stream does not depend on the block size
+    return max(2, _MC_BLOCK_SIGNS // n // 2 * 2)
+
+
+def _product_rows(n: int) -> int:
+    """Rows per Monte Carlo product block: the fewest whole generation
+    blocks that hold ``_MC_PRODUCT_SIGNS`` signs."""
+    gen = _generation_rows(n)
+    return -(-_MC_PRODUCT_SIGNS // (n * gen)) * gen
+
+
+def _fill_signs(signs: np.ndarray, raw: Union[np.random.Philox, None], cut: int) -> None:
+    """Fill the rows of ``signs`` with the next signs of the stream, a
+    generation block of rows at a time, by thresholding the raw Philox bits
+    (see ``_sign_cut``)."""
+    if raw is None:
         signs.fill(1.0)
-    else:
-        cut = np.uint32(cut)
-        raw = np.random.Philox(as_seed_sequence(seed))
-        # an even row count keeps every block's 32-bit halves in whole
-        # 64-bit words, so the stream does not depend on the block size
-        rows = max(2, _MC_BLOCK_SIGNS // n // 2 * 2)
-        for start in range(0, draws, rows):
-            block = signs[start : start + rows]
-            # little-endian: each word's low half comes first, as numpy uses it
-            x = raw.random_raw((block.size + 1) // 2).view(np.uint32)
-            np.less(x[: block.size].reshape(block.shape), cut, out=block)
-            block *= 2.0
-            block -= 1.0
+        return
+    rows = _generation_rows(signs.shape[1])
+    for start in range(0, signs.shape[0], rows):
+        block = signs[start : start + rows]
+        # little-endian: each word's low half comes first, as numpy uses it
+        x = raw.random_raw((block.size + 1) // 2).view(np.uint32)
+        np.less(x[: block.size].reshape(block.shape), cut, out=block)
+        block *= 2.0
+        block -= 1.0
+
+
+def _monte_carlo_signs(n: int, theta: float, draws: int, seed: SeedLike) -> np.ndarray:
+    """The ``draws x n`` matrix of iid theta-biased signs."""
+    _check_signs_fit(n, draws)
+    signs = np.empty((draws, n))
+    _fill_signs(signs, *_sign_stream(theta, seed))
     return signs
 
 
 def _signed_sums(signs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sums of m and m**2 for each row of ``signs``.
-
-    One matrix product over the whole matrix: BLAS row sums of a slice of
-    rows can differ in the last bits from those of the full matrix.
-    """
+    """Signed sums of m and m**2 for each row of ``signs``, in one matrix
+    product."""
     sums = signs @ np.column_stack([m, m * m])
     return sums[:, 0], sums[:, 1]
 
@@ -336,8 +376,30 @@ def _signed_sums(signs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _draw_monte_carlo(
     m: np.ndarray, theta: float, draws: int, seed: SeedLike
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors."""
-    return _signed_sums(_monte_carlo_signs(m.size, theta, draws, seed), m)
+    """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors.
+
+    The same sums, bit for bit, as ``_signed_sums`` of the whole sign matrix,
+    without holding it: rows are made and multiplied a product block at a
+    time in one reused buffer.  A block is a whole number of generation
+    blocks holding at least ``_MC_PRODUCT_SIGNS`` signs, and the last block
+    also takes the remainder, so no block falls under the BLAS small-matrix
+    cutoff.  Below two blocks' worth of draws the product is one call.
+    """
+    n = m.size
+    rows = _product_rows(n)
+    if draws < 2 * rows:
+        return _signed_sums(_monte_carlo_signs(n, theta, draws, seed), m)
+    _check_signs_fit(n, draws)
+    coef = np.column_stack([m, m * m])
+    sums = np.empty((draws, 2))
+    buf = np.empty((rows + draws % rows, n))
+    raw, cut = _sign_stream(theta, seed)
+    for start in range(0, draws - draws % rows, rows):
+        stop = start + rows if start + 2 * rows <= draws else draws
+        block = buf[: stop - start]
+        _fill_signs(block, raw, cut)
+        np.matmul(block, coef, out=sums[start:stop])
+    return sums[:, 0], sums[:, 1]
 
 
 class _StatBuffers(NamedTuple):
@@ -493,14 +555,20 @@ class SignDraws:
     is unchanged.  Monte Carlo signs threshold raw random bits against
     theta; the sign matrix is kept while theta is unchanged, so a move
     redoes only its product with the new ``|y - tau|``, and a new theta
-    redraws it from the engine's seed (common random numbers).
+    redraws it from the engine's seed (common random numbers).  A
+    ``single_use`` draw set, read at one tau and theta (a build, a
+    simulation replication), keeps only the sums and makes them a product
+    block at a time (``_draw_monte_carlo``); a move redraws its signs.
 
     A decision (``weights_at_most``) computes the studentized statistic only
     for the draws whose mean's sign leaves the comparison open.
     """
 
-    def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec):
+    def __init__(
+        self, sample: PairedSample, tau: float, engine: EnumSpec, single_use: bool = False
+    ):
         n = sample.n_pairs
+        self._single_use = single_use
         self.y = sample.y
         self.mode = engine.resolve(n)
         self.engine = engine
@@ -538,16 +606,19 @@ class SignDraws:
         current tau, and the weights at ``sens``; only stale ones are redone."""
         theta = sens.theta
         if self.mode == "monte_carlo":
+            draws, seed = self.engine.draws, self.engine.seed
             if theta != self._theta:
                 # the old matrix is freed before the new one is drawn
                 self._signs = None
-                self._signs = _monte_carlo_signs(
-                    self.m.size, theta, self.engine.draws, self.engine.seed
-                )
+                if not self._single_use:
+                    self._signs = _monte_carlo_signs(self.m.size, theta, draws, seed)
                 self._theta = theta
                 self._s1_stale = True
             if self._s1_stale:
-                self._s1, self._s2 = _signed_sums(self._signs, self.m)
+                if self._single_use:
+                    self._s1, self._s2 = _draw_monte_carlo(self.m, theta, draws, seed)
+                else:
+                    self._s1, self._s2 = _signed_sums(self._signs, self.m)
                 self._s1_stale = self._s2_stale = False
             return self._s1, self._s2
         s1 = self._s1 if self._s1_stale else None
@@ -653,7 +724,7 @@ def _build(
 ) -> tuple[ReferenceDistribution, ...]:
     if engine.resolve(sample.n_pairs) == "exact":
         _check_exact_fits(sample.n_pairs, _EXACT_BUILD_BYTES_PER_DRAW)
-    draws = SignDraws(sample, tau, engine)
+    draws = SignDraws(sample, tau, engine, single_use=True)
     abar, tstat, draw_weights = draws.statistics(sens, "studentized" in kinds)
     mode, n_draws = draws.mode, int(draws.n_draws)
     # frees the sums, counts and scratch before the sorts allocate

@@ -234,6 +234,7 @@ def _decider(
     spec: TestSpec,
     engine: Union[EnumSpec, None],
     methods: Sequence[str],
+    single_use: bool = False,
 ) -> Callable[..., list[bool]]:
     """Each of ``methods`` decided as ``run_test(...).reject`` would, as a
     function of ``sens`` and ``tau`` (default ``spec.tau``).
@@ -245,7 +246,8 @@ def _decider(
     only when tau moves, the weights only when the bias bound does, and the
     studentized statistic only for the draws whose mean's sign leaves the
     comparison open.  A sum within roundoff of the threshold is re-decided
-    by ``run_test``.
+    by ``run_test``.  A ``single_use`` decider, called once, does not keep
+    its Monte Carlo sign matrix (see ``SignDraws``).
     """
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)
@@ -254,7 +256,7 @@ def _decider(
     unique = list(dict.fromkeys(methods))
     # neyman reads no draws
     drawing = any(_KINDS[m] for m in unique)
-    draws = SignDraws(norm_sample, norm_spec.tau, engine) if drawing else None
+    draws = SignDraws(norm_sample, norm_spec.tau, engine, single_use) if drawing else None
     threshold = 1.0 - alpha - _CUM_SLACK
 
     def decide(sens: SensitivityParam, tau: float = spec.tau) -> list[bool]:
@@ -307,4 +309,4 @@ def rejections(
     """``run_test(sample, replace(spec, method=m), sens, engine).reject`` for
     each ``m`` in ``methods``, from one set of draws; ``spec.method`` is not
     read.  See ``_decider``."""
-    return _decider(sample, spec, engine, methods)(sens)
+    return _decider(sample, spec, engine, methods, single_use=True)(sens)

@@ -114,6 +114,27 @@ class TestCmdTest:
                        "--method", "wilcoxon")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("method", ["neyman", "studentized", "combined"])
+    def test_overflowing_standard_error_exits_two(self, tmp_path, capsys, method):
+        # the squared deviations of 1e200-scale differences overflow, and an
+        # infinite standard error used to give neyman a statistic of 0
+        path = tmp_path / "y.csv"
+        args = ["test", "--input", str(path), "--tau", "0", "--gamma", "1",
+                "--method", method]
+        for scale, code in ((1e200, 2), (1.0, 0)):
+            path.write_text("".join(f"{scale * k!r}\n" for k in (1, -1, 1, -1, 2)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(args) == code
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert out == ""
+                assert err.startswith("error: ") and "rescale the differences" in err
+            else:
+                assert err == ""
+                # the scale-free t statistic 0.4 / 0.6
+                assert_allclose(json.loads(out)["statistic"], 2 / 3, rtol=1e-12)
+
 
 class TestCmdChangepoint:
     def test_smoke_and_schema(self, wide_csv):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -159,6 +161,14 @@ class TestSampleMeanAndSe:
     def test_requires_two(self):
         with pytest.raises(ValueError):
             ps.sample_mean_and_se([1.0])
+
+    def test_overflowing_se_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rescale the differences"):
+                ps.sample_mean_and_se(1e200 * np.array([1.0, -1.0, 1.0, -1.0, 2.0]))
+        mean, se = ps.sample_mean_and_se(1e150 * np.array([1.0, -1.0, 1.0, -1.0, 2.0]))
+        assert_allclose((mean, se), (0.4e150, 0.6e150), rtol=1e-12)
 
     def test_matches_numpy_on_random_data(self):
         rng = np.random.default_rng(99)

@@ -381,6 +381,66 @@ class TestDrawMonteCarloRawBits:
             assert_array_equal(s1 > 0, u < theta)
 
 
+class TestBlockedProduct:
+    """The blocked Monte Carlo sums against the whole matrix's one product,
+    bit for bit.  Guards ``_MC_PRODUCT_SIGNS``: a product block under the
+    BLAS small-matrix cutoff would change the last bits."""
+
+    @pytest.mark.parametrize("n", [600, 1001, 2500, 5000])
+    def test_equals_whole_product(self, n, monkeypatch):
+        rows = randdist._product_rows(n)
+        gen = randdist._generation_rows(n)
+        m = np.abs(np.random.default_rng(n).normal(size=n))
+        whole = []
+        original = randdist._monte_carlo_signs
+
+        def tracking(*args):
+            whole.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(randdist, "_monte_carlo_signs", tracking)
+        # two blocks, one row short of two, three and a row, and a remainder
+        # of one generation block
+        for draws in (2 * rows, 2 * rows - 1, 3 * rows + 1, 2 * rows + gen):
+            for theta in (0.7, 1e9 / (1 + 1e9)):
+                got = randdist._draw_monte_carlo(m, theta, draws, 5)
+                # only the draw one row short of two blocks is one product
+                assert len(whole) == (draws < 2 * rows)
+                whole.clear()
+                want = randdist._signed_sums(original(n, theta, draws, 5), m)
+                for g, w in zip(got, want):
+                    assert_array_equal(g, w)
+
+    def test_equals_float32_where_oracle(self):
+        n = 1001
+        draws = 3 * randdist._product_rows(n) + 1
+        m = np.abs(np.random.default_rng(n).normal(size=n))
+        got = randdist._draw_monte_carlo(m, 0.7, draws, 8)
+        want = draw_monte_carlo_where(m, 0.7, draws, 8)
+        for g, w in zip(got, want):
+            assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("single_use", ["build", "replication"])
+    def test_holds_blocks_not_the_matrix(self, single_use):
+        # the whole sign matrix of 6000 draws x 2000 pairs is 96 MB
+        n, draws = 2000, 6000
+        s = ps.PairedSample(np.random.default_rng(54).normal(loc=0.3, size=n))
+        sens, engine = ps.SensitivityParam(2.0), mc_engine(draws)
+        spec = ps.TestSpec(tau=0.0, method="combined")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if single_use == "build":
+                ps.build_pair(s, 0.0, sens, engine)
+            else:
+                ps.testing.rejections(s, spec, sens, engine, ["combined", "perm_t"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block = randdist._MC_BYTES_PER_SIGN * randdist._MC_PRODUCT_SIGNS
+        assert peak < 3 * block + 200 * draws
+
+
 def _garbage_buffers(size):
     out = randdist._StatBuffers.empty(size)
     for arr in out:
