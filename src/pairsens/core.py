@@ -213,10 +213,13 @@ def sample_mean_and_se(x) -> tuple[float, float]:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need at least two observations for a standard error")
-    with np.errstate(over="ignore", invalid="ignore"):
+    finite = bool(np.isfinite(arr).all())
+    # finite input that overflows is refused below without numpy's warnings;
+    # non-finite input warns as numpy does
+    with np.errstate(over="ignore", invalid="ignore") if finite else np.errstate():
         mean = float(arr.mean())
         se = float(np.sqrt(arr.var(ddof=1) / arr.size))
-    if not np.isfinite(se) and np.all(np.isfinite(arr)):
+    if finite and not np.isfinite(se):
         raise ValueError(
             "the standard error of the differences overflows double precision; "
             "rescale the differences (the test statistics are scale-free)"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -82,14 +82,16 @@ _MC_BYTES_PER_SIGN = 8
 # passes that threshold and rescale them read from cache, not memory.
 _MC_BLOCK_SIGNS = 1 << 16
 
-# Signs per Monte Carlo product block, at least (16 MiB of float64).  A
-# single-use draw set (a ``test`` build, a simulation replication) multiplies
-# its signs into the sums a product block of rows at a time, so it never holds
-# the whole sign matrix.  OpenBLAS sends a product with M*N*K <= 10**6 to a
-# small-matrix kernel whose sums differ in the last bits; above that cutoff a
-# block of rows gives the same rows of the whole product bit for bit
-# (OpenBLAS 0.3.31, one and two threads, 100 to 5000 pairs).  A block has
-# M*2*n >= 2**22, over four times the cutoff.  Guarded by
+# Signs per Monte Carlo product block, at least (16 MiB of float64).  Every
+# Monte Carlo product is made in these blocks of rows, whether the signs are
+# kept (a search) or made a block at a time in one reused buffer (a ``test``
+# build, a simulation replication, which so never hold the whole sign matrix);
+# both make the same BLAS calls and give the same sums.  OpenBLAS sends a
+# product with M*N*K <= 10**6 to a small-matrix kernel whose sums differ in
+# the last bits; above that cutoff a block of rows gives the same rows of the
+# whole matrix's one product bit for bit (OpenBLAS 0.3.31, one and two
+# threads, 100 to 5000 pairs), so blocking left every result unchanged.  A
+# block has M*2*n >= 2**22, over four times the cutoff.  Guarded by
 # tests/test_randdist.py::TestBlockedProduct.
 _MC_PRODUCT_SIGNS = 1 << 21
 
@@ -116,9 +118,10 @@ class EnumSpec:
     alone.  The signed sums are BLAS products, whose last bits can change
     with the thread count.  A Monte Carlo search holds its whole sign
     matrix, 8 bytes per draw x pair; a build (``test``) or a simulation
-    replication makes and multiplies its signs a block of rows at a time
-    and holds at most about 33 MiB of them.  Both are refused when the whole
-    matrix would exceed the memory budget.
+    replication makes its signs a block of rows at a time and holds at most
+    about 33 MiB of them.  Both multiply in the same blocks, so they give
+    the same sums, and both are refused when the whole matrix would exceed
+    the memory budget.
     """
 
     mode: str = "auto"
@@ -366,10 +369,27 @@ def _monte_carlo_signs(n: int, theta: float, draws: int, seed: SeedLike) -> np.n
     return signs
 
 
-def _signed_sums(signs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sums of m and m**2 for each row of ``signs``, in one matrix
-    product."""
-    sums = signs @ np.column_stack([m, m * m])
+def _product_blocks(draws: int, n: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` rows of each Monte Carlo product block: blocks of
+    ``_product_rows(n)`` rows, the last also taking the remainder, so no block
+    is under the BLAS small-matrix cutoff unless it is the only one."""
+    rows = _product_rows(n)
+    last = max(0, draws // rows - 1) * rows
+    for start in range(0, last, rows):
+        yield start, start + rows
+    yield last, draws
+
+
+def _signed_sums(
+    m: np.ndarray, draws: int, signs_of: Callable[[int, int], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed sums of m and m**2 over ``draws`` sign vectors, multiplied a
+    product block at a time; ``signs_of(start, stop)`` gives those rows of
+    the sign matrix, in order."""
+    coef = np.column_stack([m, m * m])
+    sums = np.empty((draws, 2))
+    for start, stop in _product_blocks(draws, m.size):
+        np.matmul(signs_of(start, stop), coef, out=sums[start:stop])
     return sums[:, 0], sums[:, 1]
 
 
@@ -378,28 +398,23 @@ def _draw_monte_carlo(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors.
 
-    The same sums, bit for bit, as ``_signed_sums`` of the whole sign matrix,
-    without holding it: rows are made and multiplied a product block at a
-    time in one reused buffer.  A block is a whole number of generation
-    blocks holding at least ``_MC_PRODUCT_SIGNS`` signs, and the last block
-    also takes the remainder, so no block falls under the BLAS small-matrix
-    cutoff.  Below two blocks' worth of draws the product is one call.
+    The same sums, bit for bit, as ``_signed_sums`` of the kept matrix of
+    ``_monte_carlo_signs``, without holding it: each product block's rows are
+    made in one reused buffer.
     """
     n = m.size
-    rows = _product_rows(n)
-    if draws < 2 * rows:
-        return _signed_sums(_monte_carlo_signs(n, theta, draws, seed), m)
     _check_signs_fit(n, draws)
-    coef = np.column_stack([m, m * m])
-    sums = np.empty((draws, 2))
-    buf = np.empty((rows + draws % rows, n))
+    # the last block, which takes the remainder, is the largest
+    start, stop = list(_product_blocks(draws, n))[-1]
+    buf = np.empty((stop - start, n))
     raw, cut = _sign_stream(theta, seed)
-    for start in range(0, draws - draws % rows, rows):
-        stop = start + rows if start + 2 * rows <= draws else draws
+
+    def signs_of(start: int, stop: int) -> np.ndarray:
         block = buf[: stop - start]
         _fill_signs(block, raw, cut)
-        np.matmul(block, coef, out=sums[start:stop])
-    return sums[:, 0], sums[:, 1]
+        return block
+
+    return _signed_sums(m, draws, signs_of)
 
 
 class _StatBuffers(NamedTuple):
@@ -557,8 +572,10 @@ class SignDraws:
     redoes only its product with the new ``|y - tau|``, and a new theta
     redraws it from the engine's seed (common random numbers).  A
     ``single_use`` draw set, read at one tau and theta (a build, a
-    simulation replication), keeps only the sums and makes them a product
-    block at a time (``_draw_monte_carlo``); a move redraws its signs.
+    simulation replication), keeps only the sums and makes its signs a
+    product block at a time (``_draw_monte_carlo``); a move redraws them.
+    Both kinds multiply in the same product blocks, so they give the same
+    sums bit for bit.
 
     A decision (``weights_at_most``) computes the studentized statistic only
     for the draws whose mean's sign leaves the comparison open.
@@ -618,7 +635,10 @@ class SignDraws:
                 if self._single_use:
                     self._s1, self._s2 = _draw_monte_carlo(self.m, theta, draws, seed)
                 else:
-                    self._s1, self._s2 = _signed_sums(self._signs, self.m)
+                    signs = self._signs
+                    self._s1, self._s2 = _signed_sums(
+                        self.m, draws, lambda start, stop: signs[start:stop]
+                    )
                 self._s1_stale = self._s2_stale = False
             return self._s1, self._s2
         s1 = self._s1 if self._s1_stale else None

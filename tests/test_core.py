@@ -170,6 +170,11 @@ class TestSampleMeanAndSe:
         mean, se = ps.sample_mean_and_se(1e150 * np.array([1.0, -1.0, 1.0, -1.0, 2.0]))
         assert_allclose((mean, se), (0.4e150, 0.6e150), rtol=1e-12)
 
+    def test_non_finite_input_warns_as_numpy_does(self):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            mean, se = ps.sample_mean_and_se([1.0, np.inf, 2.0])
+        assert mean == np.inf and np.isnan(se)
+
     def test_matches_numpy_on_random_data(self):
         rng = np.random.default_rng(99)
         x = rng.normal(size=1000)

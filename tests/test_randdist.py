@@ -391,25 +391,60 @@ class TestBlockedProduct:
         rows = randdist._product_rows(n)
         gen = randdist._generation_rows(n)
         m = np.abs(np.random.default_rng(n).normal(size=n))
-        whole = []
-        original = randdist._monte_carlo_signs
+        coef = np.column_stack([m, m * m])
+        products = []
+        matmul = np.matmul
 
-        def tracking(*args):
-            whole.append(args)
-            return original(*args)
+        def counting(a, b, **kwargs):
+            products.append(a.shape[0])
+            return matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(randdist, "_monte_carlo_signs", tracking)
         # two blocks, one row short of two, three and a row, and a remainder
         # of one generation block
         for draws in (2 * rows, 2 * rows - 1, 3 * rows + 1, 2 * rows + gen):
+            # one product under two blocks; else one a block, the last block
+            # also taking the remainder
+            q = max(1, draws // rows)
+            blocks = [rows] * (q - 1) + [draws - (q - 1) * rows]
             for theta in (0.7, 1e9 / (1 + 1e9)):
-                got = randdist._draw_monte_carlo(m, theta, draws, 5)
-                # only the draw one row short of two blocks is one product
-                assert len(whole) == (draws < 2 * rows)
-                whole.clear()
-                want = randdist._signed_sums(original(n, theta, draws, 5), m)
-                for g, w in zip(got, want):
+                signs = randdist._monte_carlo_signs(n, theta, draws, 5)
+                want = signs @ coef
+                with monkeypatch.context() as patch:
+                    patch.setattr(np, "matmul", counting)
+                    got = randdist._draw_monte_carlo(m, theta, draws, 5)
+                    assert products == blocks
+                    products.clear()
+                    # a search's kept matrix: the same products
+                    kept = randdist._signed_sums(m, draws, lambda a, b: signs[a:b])
+                    assert products == blocks
+                    products.clear()
+                for g, k, w in zip(got, kept, want.T):
                     assert_array_equal(g, w)
+                    assert_array_equal(k, w)
+
+    def test_search_and_build_make_the_same_products(self, monkeypatch):
+        # a search's kept matrix and a build's streamed rows go through the
+        # same BLAS calls, so a search decides on the sums run_test sees
+        n = 1001
+        draws = 3 * randdist._product_rows(n) + 1
+        sample = ps.PairedSample(np.random.default_rng(3).normal(size=n))
+        sens = ps.SensitivityParam(1.7)
+        products, sums = [], []
+        matmul = np.matmul
+
+        def counting(a, b, **kwargs):
+            products.append(a.shape[0])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        for single_use in (False, True):
+            drawn = randdist.SignDraws(sample, 0.1, mc_engine(draws, seed=4), single_use)
+            sums.append(drawn._sums(sens, True))
+            products.append(None)
+        rows = randdist._product_rows(n)
+        assert products == 2 * [rows, rows, rows + 1, None]
+        for kept, streamed in zip(*sums):
+            assert_array_equal(kept, streamed)
 
     def test_equals_float32_where_oracle(self):
         n = 1001
