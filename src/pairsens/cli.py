@@ -2,8 +2,12 @@
 
 Results go to stdout as JSON (or CSV rows where a table is natural);
 diagnostics go to stderr.  Exit codes: 0 ok, 2 usage or input error,
-3 internal invariant failure.  The seed always appears in the output so any
-run can be reproduced exactly.
+3 internal invariant failure.  The library checks its own arguments and
+raises ``ValueError`` for input it refuses, so a ``ValueError`` from it is an
+input error and exits 2 with its message, as a ``CliError`` does; any other
+exception exits 3.  The seed always appears in the output so any run can be
+reproduced exactly.  Each JSON object is read from a result dataclass's
+fields, in the printed order.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .core import METHODS, PairedSample, SensitivityParam, TestSpec
 from .inference import changepoint_gamma, design_sensitivity, sensitivity_interval
@@ -28,7 +33,7 @@ _CLI_METHODS = {method.replace("_", "-"): method for method in METHODS}
 
 
 class CliError(Exception):
-    """Usage or input problem; maps to exit code 2."""
+    """Usage or input problem the CLI finds itself; maps to exit code 2."""
 
 
 def _read_differences(path: str) -> PairedSample:
@@ -81,13 +86,8 @@ def _read_differences(path: str) -> PairedSample:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _engine_from(args) -> EnumSpec:
-    try:
-        return EnumSpec(
-            mode="auto", exact_cap=args.exact_below, draws=args.reps, seed=args.seed
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def _engine_from(args, draws: int) -> EnumSpec:
+    return EnumSpec(mode="auto", exact_cap=args.exact_below, draws=draws, seed=args.seed)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -96,12 +96,20 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _engine_json(mode, draws, seed):
-    return {"mode": mode, "draws": draws, "seed": seed}
+def _fields(result, names, **renamed) -> dict:
+    """The fields ``names`` of a result in that order, each read from the
+    attribute ``renamed`` maps it to, or else from its own name."""
+    return {name: getattr(result, renamed.get(name, name)) for name in names}
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
+
+
+def _emit_csv(names, results, **renamed) -> None:
+    writer = csv.writer(sys.stdout)
+    writer.writerow(names)
+    writer.writerows(_fields(res, names, **renamed).values() for res in results)
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -137,112 +145,75 @@ def _add_engine_flags(sub, reps_help="Monte Carlo draws for the reference distri
     )
 
 
+# The printed order of each result's fields, where it is not the dataclass's.
+_TEST_FIELDS = ("method", "gamma", "tau", "alpha", "alternative", "statistic",
+                "critical_value", "p_value_upper", "p_value_upper_conservative",
+                "reject", "degenerate")
+_CHANGEPOINT_FIELDS = ("method", "tau", "alpha", "alternative", "gamma_changepoint",
+                       "bracket", "tolerance", "rejects_at_gamma_one",
+                       "exceeded_gamma_max", "monotone", "inversions", "n_evaluations")
+_ENGINE_FIELDS = ("mode", "draws", "seed")
+
+
 def cmd_test(args) -> int:
     sample = _read_differences(args.input)
     _check_gamma(args.gamma)
-    engine = _engine_from(args)
-    try:
-        spec = TestSpec(
-            tau=args.tau,
-            alpha=args.alpha,
-            alternative=args.alternative,
-            method=_CLI_METHODS[args.method],
-        )
-        result = run_test(sample, spec, SensitivityParam(args.gamma), engine)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _emit(
-        {
-            "method": result.method,
-            "gamma": result.gamma,
-            "tau": result.tau,
-            "alpha": result.alpha,
-            "alternative": result.alternative,
-            "statistic": result.statistic,
-            "critical_value": result.critical_value,
-            "p_value_upper": result.p_value_upper,
-            "p_value_upper_conservative": result.p_value_upper_conservative,
-            "reject": result.reject,
-            "degenerate": result.degenerate,
-            "engine": _engine_json(result.mode, result.n_draws, args.seed),
-        }
+    engine = _engine_from(args, args.reps)
+    spec = TestSpec(
+        tau=args.tau,
+        alpha=args.alpha,
+        alternative=args.alternative,
+        method=_CLI_METHODS[args.method],
     )
+    result = run_test(sample, spec, SensitivityParam(args.gamma), engine)
+    ran = _fields(result, ("mode", "draws"), draws="n_draws") | {"seed": engine.seed}
+    _emit(_fields(result, _TEST_FIELDS) | {"engine": ran})
     return EXIT_OK
 
 
 def cmd_changepoint(args) -> int:
     sample = _read_differences(args.input)
-    engine = _engine_from(args)
-    try:
-        result = changepoint_gamma(
-            sample,
-            tau=args.tau,
-            alpha=args.alpha,
-            method=_CLI_METHODS[args.method],
-            engine=engine,
-            gamma_max=args.gamma_max,
-            tol=args.tol,
-            alternative=args.alternative,
-            grid_points=args.grid_points,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _emit(
-        {
-            "method": result.method,
-            "tau": result.tau,
-            "alpha": result.alpha,
-            "alternative": result.alternative,
-            "gamma_changepoint": result.gamma_changepoint,
-            "bracket": list(result.bracket),
-            "tolerance": result.tolerance,
-            "rejects_at_gamma_one": result.rejects_at_gamma_one,
-            "exceeded_gamma_max": result.exceeded_gamma_max,
-            "monotone": result.monotone,
-            "inversions": [list(pair) for pair in result.inversions],
-            "n_evaluations": result.n_evaluations,
-            "engine": _engine_json("auto", args.reps, args.seed),
-        }
+    engine = _engine_from(args, args.reps)
+    result = changepoint_gamma(
+        sample,
+        tau=args.tau,
+        alpha=args.alpha,
+        method=_CLI_METHODS[args.method],
+        engine=engine,
+        gamma_max=args.gamma_max,
+        tol=args.tol,
+        alternative=args.alternative,
+        grid_points=args.grid_points,
     )
+    _emit(_fields(result, _CHANGEPOINT_FIELDS) | {"engine": _fields(engine, _ENGINE_FIELDS)})
     return EXIT_OK
 
 
 def cmd_interval(args) -> int:
     sample = _read_differences(args.input)
-    engine = _engine_from(args)
-    rows = []
-    for g in _gammas(args):
-        try:
-            res = sensitivity_interval(
-                sample,
-                gamma=g,
-                confidence=args.confidence,
-                method=_CLI_METHODS[args.method],
-                engine=engine,
-                tol=args.tol,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        rows.append(res)
+    engine = _engine_from(args, args.reps)
+    method = _CLI_METHODS[args.method]
+    rows = [
+        sensitivity_interval(
+            sample,
+            gamma=g,
+            confidence=args.confidence,
+            method=method,
+            engine=engine,
+            tol=args.tol,
+        )
+        for g in _gammas(args)
+    ]
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["gamma", "lower", "upper"])
-        for res in rows:
-            writer.writerow([repr(res.gamma), repr(res.lower), repr(res.upper)])
+        _emit_csv(("gamma", "lower", "upper"), rows)
     else:
         _emit(
             {
-                "method": _CLI_METHODS[args.method],
+                "method": method,
                 "confidence": args.confidence,
                 "seed": args.seed,
                 "intervals": [
-                    {
-                        "gamma": res.gamma,
-                        "lower": res.lower,
-                        "upper": res.upper,
-                        "non_monotone": res.non_monotone,
-                    }
-                    for res in rows
+                    _fields(res, ("gamma", "lower", "upper", "non_monotone")) for res in rows
                 ],
             }
         )
@@ -250,30 +221,18 @@ def cmd_interval(args) -> int:
 
 
 def cmd_design_sensitivity(args) -> int:
-    try:
-        if args.input is not None:
-            if args.mean is not None or args.abs_moment is not None:
-                raise CliError("pass --input or (--mean, --abs-moment), not both")
-            sample = _read_differences(args.input)
-            result = design_sensitivity(tau=args.tau, sample=sample)
-        else:
-            if args.mean is None or args.abs_moment is None:
-                raise CliError("need --input or both --mean and --abs-moment")
-            result = design_sensitivity(
-                tau=args.tau, mean=args.mean, abs_moment=args.abs_moment
-            )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _emit(
-        {
-            "gamma_tilde": result.gamma_tilde,
-            "tau": result.tau,
-            "mean": result.mean,
-            "abs_moment": result.abs_moment,
-            "source": result.source,
-            "note": result.note,
-        }
-    )
+    if args.input is not None:
+        if args.mean is not None or args.abs_moment is not None:
+            raise CliError("pass --input or (--mean, --abs-moment), not both")
+        sample = _read_differences(args.input)
+        result = design_sensitivity(tau=args.tau, sample=sample)
+    else:
+        if args.mean is None or args.abs_moment is None:
+            raise CliError("need --input or both --mean and --abs-moment")
+        result = design_sensitivity(
+            tau=args.tau, mean=args.mean, abs_moment=args.abs_moment
+        )
+    _emit(asdict(result))
     return EXIT_OK
 
 
@@ -283,7 +242,7 @@ def cmd_simulate(args) -> int:
     if args.allocation is not None:
         try:
             scenario = load_allocation(args.allocation)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
             raise CliError(str(exc)) from None
         if args.pairs is not None and args.pairs != scenario.n_pairs:
             raise CliError("--pairs disagrees with the allocation file")
@@ -305,39 +264,25 @@ def cmd_simulate(args) -> int:
         if part not in _CLI_METHODS:
             raise CliError(f"unknown method {part!r}")
         methods.append(_CLI_METHODS[part])
+    # each replication reseeds the engine from --seed, so its own seed is not read
+    engine = _engine_from(args, args.mc_draws)
     rows = []
-    try:
-        engine = EnumSpec(
-            mode="auto", exact_cap=args.exact_below, draws=args.mc_draws, seed=0
+    for g in gammas:
+        results = estimate_size_power_multi(
+            scenario,
+            methods,
+            tau=args.tau,
+            alpha=args.alpha,
+            gamma=g,
+            n_pairs=pairs if isinstance(scenario, str) else None,
+            replications=args.reps,
+            seed=args.seed,
+            engine=engine,
         )
-        for g in gammas:
-            results = estimate_size_power_multi(
-                scenario,
-                methods,
-                tau=args.tau,
-                alpha=args.alpha,
-                gamma=g,
-                n_pairs=pairs if isinstance(scenario, str) else None,
-                replications=args.reps,
-                seed=args.seed,
-                engine=engine,
-            )
-            rows.extend(results)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        rows.extend(results)
+    columns = ("gamma", "method", "rejection_rate", "mc_se")
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["gamma", "method", "rejection_rate", "mc_se", "replications"])
-        for res in rows:
-            writer.writerow(
-                [
-                    repr(res.gamma_tested),
-                    res.method,
-                    repr(res.rejection_rate),
-                    repr(res.mc_se),
-                    res.replications,
-                ]
-            )
+        _emit_csv(columns + ("replications",), rows, gamma="gamma_tested")
     else:
         _emit(
             {
@@ -347,16 +292,8 @@ def cmd_simulate(args) -> int:
                 "alpha": args.alpha,
                 "replications": args.reps,
                 "seed": args.seed,
-                "engine": _engine_json("auto", args.mc_draws, args.seed),
-                "results": [
-                    {
-                        "gamma": res.gamma_tested,
-                        "method": res.method,
-                        "rejection_rate": res.rejection_rate,
-                        "mc_se": res.mc_se,
-                    }
-                    for res in rows
-                ],
+                "engine": _fields(engine, _ENGINE_FIELDS),
+                "results": [_fields(res, columns, gamma="gamma_tested") for res in rows],
             }
         )
     return EXIT_OK
@@ -449,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure

@@ -285,7 +285,10 @@ def _enumerate_exact(
     prefix itself into the - half, all within the caller's arrays.  The
     counts depend on ``n`` alone, so a caller that keeps k passes it once.
     """
-    filled = [(sums, v) for sums, v in ((s1, m), (s2, m * m)) if sums is not None]
+    # m**2 only when its sums are asked for: it overflows long before m does
+    filled = [] if s1 is None else [(s1, m)]
+    if s2 is not None:
+        filled.append((s2, m * m))
     for sums, _ in filled:
         sums[0] = 0.0
     if k is not None:
@@ -385,11 +388,15 @@ def _signed_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed sums of m and m**2 over ``draws`` sign vectors, multiplied a
     product block at a time; ``signs_of(start, stop)`` gives those rows of
-    the sign matrix, in order."""
-    coef = np.column_stack([m, m * m])
+    the sign matrix, in order.  Callers that read only the sums of m get the
+    m**2 column too, as a one-column product could round differently; its
+    overflow passes silently, as only the studentized statistic reads it, and
+    that warns of its own squares."""
     sums = np.empty((draws, 2))
-    for start, stop in _product_blocks(draws, m.size):
-        np.matmul(signs_of(start, stop), coef, out=sums[start:stop])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.column_stack([m, m * m])
+        for start, stop in _product_blocks(draws, m.size):
+            np.matmul(signs_of(start, stop), coef, out=sums[start:stop])
     return sums[:, 0], sums[:, 1]
 
 
@@ -514,9 +521,10 @@ def _positions(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def observed_statistics(
-    sample: PairedSample, tau: float, sens: SensitivityParam
-) -> tuple[float, float]:
-    """Observed mean and studentized statistics on the atoms' arithmetic path.
+    sample: PairedSample, tau: float, sens: SensitivityParam, studentized: bool = True
+) -> tuple[float, Union[float, None]]:
+    """Observed mean and studentized statistics on the atoms' arithmetic path;
+    the studentized statistic is None unless ``studentized`` is set.
 
     The observed assignment (signs of ``y - tau``, ties +1) is one of the
     enumerated sign vectors, and its statistics must tie its own atom
@@ -530,16 +538,17 @@ def observed_statistics(
     s1 = 0.0
     s2 = 0.0
     for ri, mi in zip(resid, m):
+        sq = mi * mi if studentized else 0.0
         if ri < 0.0:
             s1 -= mi
-            s2 -= mi * mi
+            s2 -= sq
         else:
             s1 += mi
-            s2 += mi * mi
+            s2 += sq
     abar, tstat = _statistics(
-        np.array([s1]), np.array([s2]), m, sens, True, _StatBuffers.empty(1)
+        np.array([s1]), np.array([s2]), m, sens, studentized, _StatBuffers.empty(1)
     )
-    return float(abar[0]), float(tstat[0])
+    return float(abar[0]), None if tstat is None else float(tstat[0])
 
 
 def _merge_atoms(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -149,7 +149,7 @@ def run_test(
     engine = engine or EnumSpec()
     if _degenerate(method, norm_sample, tau, sens):
         perm_t = method == "perm_t"
-        dbar = observed_statistics(norm_sample, tau, sens)[0] if perm_t else None
+        dbar = observed_statistics(norm_sample, tau, sens, studentized=False)[0] if perm_t else None
         mode = engine.resolve(norm_sample.n_pairs)
         return TestResult(
             **reported,
@@ -168,7 +168,8 @@ def run_test(
     else:
         build = build_f_hat if kinds == ("mean",) else build_g_hat
         dists = {kinds[0]: build(norm_sample, tau, sens, engine)}
-    observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, tau, sens)))
+    stats = observed_statistics(norm_sample, tau, sens, "studentized" in kinds)
+    observed = dict(zip(_STATISTICS, stats))
     critical = {kind: dists[kind].quantile(1.0 - norm_spec.alpha) for kind in kinds}
     counts = [dists[kind].tail_count(observed[kind]) for kind in kinds]
     reported_critical = critical[kinds[-1]]
@@ -266,7 +267,8 @@ def _decider(
         if kinds:
             if t != draws.tau:
                 draws.move_to(t)
-            observed = dict(zip(_STATISTICS, observed_statistics(norm_sample, t, sens)))
+            stats = observed_statistics(norm_sample, t, sens, "studentized" in kinds)
+            observed = dict(zip(_STATISTICS, stats))
             below = draws.weights_at_most(sens, {k: observed[k] for k in kinds})
             guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
 

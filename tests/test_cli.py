@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from pairsens import cli
 from pairsens.cli import main
 
 
@@ -136,6 +137,16 @@ class TestCmdTest:
                 assert_allclose(json.loads(out)["statistic"], 2 / 3, rtol=1e-12)
 
 
+# perm-t's changepoint on 1, -1, 1, -1, 2 times any scale, at tau 0
+_CHANGEPOINT_AT_ONE = (
+    '{{"method": "perm_t", "tau": 0.0, "alpha": 0.05, "alternative": "greater", '
+    '"gamma_changepoint": 1.0, "bracket": [1.0, 1.0], "tolerance": 0.001, '
+    '"rejects_at_gamma_one": false, "exceeded_gamma_max": false, "monotone": true, '
+    '"inversions": [], "n_evaluations": 1, '
+    '"engine": {{"mode": "auto", "draws": {draws}, "seed": {seed}}}}}\n'
+)
+
+
 class TestCmdChangepoint:
     def test_smoke_and_schema(self, wide_csv):
         path, y = wide_csv
@@ -164,26 +175,39 @@ class TestCmdChangepoint:
         assert proc.returncode == 2
         assert "gamma_max" in proc.stderr
 
-    def test_tiny_scale_sample_prints_no_warning(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scale, argv, expected", [
+        (2e-162, ["changepoint"], _CHANGEPOINT_AT_ONE.format(draws=10000, seed=0)),
+        (1e200, ["changepoint"], _CHANGEPOINT_AT_ONE.format(draws=10000, seed=0)),
+        (1e200, ["changepoint", "--exact-below", "3", "--reps", "300", "--seed", "4"],
+         _CHANGEPOINT_AT_ONE.format(draws=300, seed=4)),
+        (1e200, ["test", "--gamma", "1"],
+         '{"method": "perm_t", "gamma": 1.0, "tau": 0.0, "alpha": 0.05, '
+         '"alternative": "greater", "statistic": 3.9999999999999995e+199, '
+         '"critical_value": 7.999999999999999e+199, "p_value_upper": 0.375, '
+         '"p_value_upper_conservative": null, "reject": false, "degenerate": false, '
+         '"engine": {"mode": "exact", "draws": "exact", "seed": 0}}\n'),
+        (1e200, ["test", "--gamma", "1", "--exact-below", "3", "--reps", "300", "--seed", "4"],
+         '{"method": "perm_t", "gamma": 1.0, "tau": 0.0, "alpha": 0.05, '
+         '"alternative": "greater", "statistic": 3.9999999999999995e+199, '
+         '"critical_value": 7.999999999999999e+199, "p_value_upper": 0.35, '
+         '"p_value_upper_conservative": 0.3521594684385382, "reject": false, '
+         '"degenerate": false, "engine": {"mode": "monte_carlo", "draws": 300, "seed": 4}}\n'),
+    ], ids=["tiny-changepoint", "huge-changepoint", "huge-changepoint-monte-carlo",
+            "huge-test", "huge-test-monte-carlo"])
+    def test_extreme_scale_sample_prints_no_warning(self, tmp_path, capsys, scale, argv,
+                                                    expected):
         # the squares of 2e-162 underflow, so a draw's standard error can be
-        # 0 while its mean is not
+        # 0 while its mean is not; those of 1e200 overflow, but perm-t reads
+        # only the signed sums of |y - tau|
         path = tmp_path / "y.csv"
-        path.write_text("".join(f"{2e-162 * k!r}\n" for k in (1, -1, 1, -1, 2)))
-        args = ["changepoint", "--input", str(path), "--tau", "0", "--method", "perm-t"]
+        path.write_text("".join(f"{scale * k!r}\n" for k in (1, -1, 1, -1, 2)))
+        args = [*argv, "--input", str(path), "--tau", "0", "--method", "perm-t"]
         proc = run_cli(*args)
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        assert proc.stdout == (
-            '{"method": "perm_t", "tau": 0.0, "alpha": 0.05, "alternative": "greater", '
-            '"gamma_changepoint": 1.0, "bracket": [1.0, 1.0], "tolerance": 0.001, '
-            '"rejects_at_gamma_one": false, "exceeded_gamma_max": false, "monotone": true, '
-            '"inversions": [], "n_evaluations": 1, '
-            '"engine": {"mode": "auto", "draws": 10000, "seed": 0}}\n'
-        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(args) == 0
-        assert capsys.readouterr() == (proc.stdout, "")
+        assert capsys.readouterr() == (expected, "")
 
 
 class TestCmdInterval:
@@ -332,3 +356,114 @@ class TestConsoleScript:
         for sub in ("test", "changepoint", "interval", "design-sensitivity",
                     "simulate"):
             assert sub in proc.stdout
+
+
+# Exact stdout of each subcommand on fixed inputs: the output schema, the
+# field order and every digit.  "{y}" stands for the path of GOLDEN_SAMPLE.
+GOLDEN_SAMPLE = (0.8, 1.3, -0.4, 2.1, 0.5, 1.7, -0.2, 0.9)
+GOLDEN = {
+    "test-exact": (
+        ["test", "--input", "{y}", "--tau", "0", "--gamma", "1.5"],
+        '{"method": "studentized", "gamma": 1.5, "tau": 0.0, "alpha": 0.05, '
+        '"alternative": "greater", "statistic": 2.4399771253216747, '
+        '"critical_value": 2.611287541116661, "p_value_upper": 0.057853439999999985, '
+        '"p_value_upper_conservative": null, "reject": false, "degenerate": false, '
+        '"engine": {"mode": "exact", "draws": "exact", "seed": 0}}\n',
+    ),
+    "test-monte-carlo": (
+        ["test", "--input", "{y}", "--tau", "0.1", "--gamma", "1.5", "--method", "combined",
+         "--exact-below", "3", "--reps", "500", "--seed", "7"],
+        '{"method": "combined", "gamma": 1.5, "tau": 0.1, "alpha": 0.05, '
+        '"alternative": "greater", "statistic": 2.0540126391764955, '
+        '"critical_value": 2.5990952564658554, "p_value_upper": 0.096, '
+        '"p_value_upper_conservative": 0.09780439121756487, "reject": false, '
+        '"degenerate": false, "engine": {"mode": "monte_carlo", "draws": 500, "seed": 7}}\n',
+    ),
+    "changepoint": (
+        ["changepoint", "--input", "{y}", "--tau", "0", "--method", "perm-t",
+         "--grid-points", "5"],
+        '{"method": "perm_t", "tau": 0.0, "alpha": 0.05, "alternative": "greater", '
+        '"gamma_changepoint": 1.4958910942077637, '
+        '"bracket": [1.4954147338867188, 1.4963674545288086], "tolerance": 0.001, '
+        '"rejects_at_gamma_one": true, "exceeded_gamma_max": false, "monotone": true, '
+        '"inversions": [], "n_evaluations": 27, '
+        '"engine": {"mode": "auto", "draws": 10000, "seed": 0}}\n',
+    ),
+    "interval-json": (
+        ["interval", "--input", "{y}", "--gammas", "1,2", "--method", "perm-t"],
+        '{"method": "perm_t", "confidence": 0.9, "seed": 0, "intervals": ['
+        '{"gamma": 1.0, "lower": 0.2500008583068849, "upper": 1.4333318710327152, '
+        '"non_monotone": false}, '
+        '{"gamma": 2.0, "lower": -0.2999998092651366, "upper": 1.8999980926513675, '
+        '"non_monotone": false}]}\n',
+    ),
+    "interval-csv": (
+        ["interval", "--input", "{y}", "--gammas", "1,2", "--method", "perm-t",
+         "--format", "csv"],
+        "gamma,lower,upper\r\n"
+        "1.0,0.2500008583068849,1.4333318710327152\r\n"
+        "2.0,-0.2999998092651366,1.8999980926513675\r\n",
+    ),
+    "design-sensitivity": (
+        ["design-sensitivity", "--mean", "0.5", "--abs-moment", "0.7", "--tau", "0"],
+        '{"gamma_tilde": 6.000000000000001, "tau": 0.0, "mean": 0.5, "abs_moment": 0.7, '
+        '"source": "analytic", "note": null}\n',
+    ),
+    "design-sensitivity-note": (
+        ["design-sensitivity", "--mean", "0.5", "--abs-moment", "0.3", "--tau", "0"],
+        '{"gamma_tilde": Infinity, "tau": 0.0, "mean": 0.5, "abs_moment": 0.3, '
+        '"source": "analytic", "note": "E|Y - tau| does not exceed |mean - tau|; the '
+        'worst-case expectation never crosses zero, so power persists at every bound"}\n',
+    ),
+    "simulate-json": (
+        ["simulate", "--scenario", "counterexample", "--pairs", "10", "--tau", "2.5",
+         "--gamma", "4", "--reps", "40", "--mc-draws", "200", "--seed", "1"],
+        '{"scenario": "counterexample", "pairs": 10, "tau": 2.5, "alpha": 0.05, '
+        '"replications": 40, "seed": 1, "engine": {"mode": "auto", "draws": 200, "seed": 1}, '
+        '"results": ['
+        '{"gamma": 4.0, "method": "perm_t", "rejection_rate": 0.125, '
+        '"mc_se": 0.05229125165837972}, '
+        '{"gamma": 4.0, "method": "neyman", "rejection_rate": 0.275, '
+        '"mc_se": 0.07060010623221469}, '
+        '{"gamma": 4.0, "method": "studentized", "rejection_rate": 0.125, '
+        '"mc_se": 0.05229125165837972}]}\n',
+    ),
+    "simulate-csv": (
+        ["simulate", "--scenario", "favorable-normal", "--pairs", "6", "--tau", "0",
+         "--gammas", "1,2", "--reps", "30", "--methods", "perm-t,neyman", "--seed", "3",
+         "--format", "csv"],
+        "gamma,method,rejection_rate,mc_se,replications\r\n"
+        "1.0,perm_t,0.6333333333333333,0.08798147953257401,30\r\n"
+        "1.0,neyman,0.7,0.08366600265340757,30\r\n"
+        "2.0,perm_t,0.1,0.05477225575051661,30\r\n"
+        "2.0,neyman,0.43333333333333335,0.09047201327032126,30\r\n",
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_stdout_is_pinned(self, tmp_path, capsys, name):
+        path = tmp_path / "y.csv"
+        path.write_text("".join(f"{v}\n" for v in GOLDEN_SAMPLE))
+        argv, expected = GOLDEN[name]
+        assert main([arg.replace("{y}", str(path)) for arg in argv]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
+class TestExitCodes:
+    def test_library_value_error_exits_two(self, diff_csv, capsys):
+        # TestSpec refuses the alpha; the CLI does not check it itself
+        assert main(["test", "--input", str(diff_csv), "--tau", "0", "--gamma", "1",
+                     "--alpha", "1.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "alpha" in err
+
+    def test_other_exception_exits_three(self, diff_csv, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(cli, "run_test", broken)
+        assert main(["test", "--input", str(diff_csv), "--tau", "0", "--gamma", "1"]) == 3
+        assert capsys.readouterr() == ("", "internal error: invariant broken\n")

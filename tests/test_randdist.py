@@ -494,6 +494,14 @@ class TestStatisticsKinds:
         full = randdist._statistics(s1, s2, m, sens, True, _garbage_buffers(2000))
         assert_array_equal(abar, full[0])
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    def test_observed_mean_alone_is_bit_identical(self, tau):
+        sample = ps.PairedSample(np.array([1.0, 1.0, -0.4, 2.3, 0.3, -1.7, 0.8]))
+        sens = ps.SensitivityParam(1.8)
+        dbar, tstat = randdist.observed_statistics(sample, tau, sens, studentized=False)
+        assert tstat is None
+        assert dbar == randdist.observed_statistics(sample, tau, sens)[0]
+
 
 # samples whose exact draws include every kind: ordinary, degenerate with a
 # zero mean, degenerate with a nonzero mean (a single pair, equal |y - tau|)
