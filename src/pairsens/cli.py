@@ -134,9 +134,15 @@ def _gammas(args) -> list[float]:
     return [_check_gamma(g) for g in gammas]
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():  # numpy seeds are integers >= 0
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_engine_flags(sub, reps_help="Monte Carlo draws for the reference distribution"):
     sub.add_argument("--reps", type=int, default=10_000, help=reps_help)
-    sub.add_argument("--seed", type=int, default=0, help="random seed (echoed in output)")
+    sub.add_argument("--seed", type=_seed, default=0, help="random seed (echoed in output)")
     sub.add_argument(
         "--exact-below",
         type=int,
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of simulated replications")
     p_sim.add_argument("--mc-draws", type=int, default=10_000,
                        help="Monte Carlo draws per reference distribution")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--exact-below", type=int, default=20)
     p_sim.add_argument("--format", choices=["json", "csv"], default="json")
     p_sim.set_defaults(func=cmd_simulate)

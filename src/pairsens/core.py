@@ -29,6 +29,7 @@ __all__ = [
 
 METHODS = ("perm_t", "neyman", "studentized", "combined")
 ALTERNATIVES = ("greater", "less")
+RESCALE = "rescale the differences (the test statistics are scale-free)"
 
 
 def _readonly_1d(x, name: str) -> np.ndarray:
@@ -221,7 +222,6 @@ def sample_mean_and_se(x) -> tuple[float, float]:
         se = float(np.sqrt(arr.var(ddof=1) / arr.size))
     if finite and not np.isfinite(se):
         raise ValueError(
-            "the standard error of the differences overflows double precision; "
-            "rescale the differences (the test statistics are scale-free)"
+            f"the standard error of the differences overflows double precision; {RESCALE}"
         )
     return mean, se

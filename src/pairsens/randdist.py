@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .core import PairedSample, SensitivityParam
+from .core import RESCALE, PairedSample, SensitivityParam
 from .rng import SeedLike, as_seed_sequence
 
 __all__ = [
@@ -62,8 +62,8 @@ _GATHER_SHARE = 1 / 3
 # block's indices, stays under 16 KiB whatever the number of draws.
 _POSITIONS_BLOCK = 1 << 11
 
-# The sign of a draw's mean settles its studentized comparison only while
-# no studentized statistic can be NaN.  Within this range of sum(m**2) none
+# A draw's mean settles its studentized comparison only while no
+# studentized statistic can be NaN.  Within this range of sum(m**2) none
 # can: nothing overflows to inf - inf, and a zero mean never meets a
 # denominator that underflows to 0.
 _SETTLED_SUMSQ = (2.0**-900, 2.0**900)
@@ -261,14 +261,6 @@ def _check_fits(need: int, what: str, remedy: str) -> None:
         )
 
 
-def _check_exact_fits(n_pairs: int, bytes_per_draw: int) -> None:
-    _check_fits(
-        bytes_per_draw * 2**n_pairs,
-        f"exact enumeration of {n_pairs} pairs",
-        "lower the exact cap to use Monte Carlo draws",
-    )
-
-
 def _enumerate_exact(
     m: np.ndarray,
     s1: Union[np.ndarray, None],
@@ -451,7 +443,7 @@ def _statistics(
     ``out.tstat``, which stay valid until ``out`` is written again; the
     studentized statistic is None unless ``studentized`` is set.  Reference
     builds need it for every draw; a decision computes it only for the draws
-    the sign of the mean leaves open (``SignDraws.weight_at_most``).
+    that the cuts of ``_cuts`` leave open (``SignDraws._studentized_at_most``).
     """
     c = sens.sign_bias
     abar = np.subtract(s1, c * np.sum(m), out=out.abar)
@@ -506,14 +498,47 @@ def _studentized(
     return tstat
 
 
+def _cuts(t: float, n: int, sumsq: float, c: float) -> tuple[float, float]:
+    """Cut points ``(lo, hi)`` on a draw's mean ``a`` for ``tstat <= t``: a
+    draw with ``a <= lo`` is in, ``a >= hi`` out, the rest open; NaN is no cut.
+
+    No cut outside ``_SETTLED_SUMSQ``; else the sign rule, ``(0, NaN)`` for
+    ``t >= 0`` and ``(NaN, -0)`` below, or the band: ``|tstat| <= |t|`` iff
+    ``a**2 (n(n-1) + n t**2) <= t**2 S``, and ``S`` lies in ``[(1-|c|)**2,
+    (1+|c|)**2] * sum(m**2)`` give or take ``g(2n+3) (1+|c|)**2 sum(m**2)`` as
+    the chain rounds it, ``g(k) = k u/(1 - k u)`` bounding k roundings (n in
+    each of s2 and sum(m**2), four more); ``e`` adds 5 for forming the range.
+    On ``a**2`` the cancellation in ``S - n a**2`` costs no margin: the rest
+    of the chain, with t a float away, settles a draw ``g(9)`` inside the cut
+    on the least S or ``g(11)`` outside it on the largest; a cut adds 11
+    roundings: ``g(24)``.  The band needs ``n >= 2`` and a normal ``t**2 <
+    (n-1) / (2 _DEGENERATE_RTOL)``, so no draw it puts in is degenerate; a
+    cut whose square is not normal is the sign rule's.  ``t < 0`` mirrors.
+    """
+    if not _SETTLED_SUMSQ[0] < sumsq < _SETTLED_SUMSQ[1]:
+        return math.nan, math.nan
+    near, far, t2 = 0.0, math.nan, t * t
+    u, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
+    if n >= 2 and tiny <= t2 < (n - 1) * (0.5 / _DEGENERATE_RTOL - 1.0):
+        e, g = (k * u / (1.0 - k * u) for k in (2 * n + 8, 24))
+        per = sumsq / (n * (n - 1) + n * t2)
+        q_near = ((1.0 - abs(c)) ** 2 - e * (1.0 + abs(c)) ** 2) * per * (1.0 - g)
+        q_far = (1.0 + abs(c)) ** 2 * (1.0 + e) * per * (1.0 + g)
+        near = abs(t) * math.sqrt(q_near) if q_near >= tiny else 0.0
+        far = abs(t) * math.sqrt(q_far) if q_far >= tiny else math.nan
+    return (near, far) if t >= 0 else (-far, -near)
+
+
 def _positions(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Indices of ``mask``'s True entries, in order, written into ``out``.
 
     numpy's nonzero allocates its result, so it is asked one block at a
-    time: a block's indices are the only temporary.
+    time, and only of the blocks that hold a True entry: a block's indices
+    and one flag per block are the only temporaries.
     """
     end = 0
-    for lo in range(0, mask.size, _POSITIONS_BLOCK):
+    starts = np.arange(0, mask.size, _POSITIONS_BLOCK)
+    for lo in starts[np.logical_or.reduceat(mask, starts)]:
         (found,) = mask[lo : lo + _POSITIONS_BLOCK].nonzero()
         np.add(found, lo, out=out[end : end + found.size])
         end += found.size
@@ -532,9 +557,13 @@ def observed_statistics(
     The signed sums are therefore accumulated left to right exactly as the
     doubling enumeration does, then pushed through the same transform.
     Mathematically the results equal ``mean(d)`` and ``mean(d)/se(d)``.
+    Where ``sum(m**2)`` overflows, every draw's would be NaN: ValueError.
     """
     resid = sample.y - tau
     m = np.abs(resid)
+    with np.errstate(over="ignore"):
+        if studentized and not np.isfinite(np.sum(m * m)):
+            raise ValueError(f"the squares of |y - tau| overflow double precision; {RESCALE}")
     s1 = 0.0
     s2 = 0.0
     for ri, mi in zip(resid, m):
@@ -571,23 +600,21 @@ class SignDraws:
     draws.  Arrays returned by ``statistics`` are views into these buffers
     and stay valid until the next call.
 
-    The exact enumeration does not depend on the bias bound, so it is made
-    on first use after each move and kept for every bound asked at that
-    value; the sums of ``m**2`` are enumerated only once a studentized
-    statistic is asked at that value.  The + counts depend only on the
-    number of pairs and are made once, and the weights are kept while theta
-    is unchanged.  Monte Carlo signs threshold raw random bits against
-    theta; the sign matrix is kept while theta is unchanged, so a move
-    redoes only its product with the new ``|y - tau|``, and a new theta
-    redraws it from the engine's seed (common random numbers).  A
-    ``single_use`` draw set, read at one tau and theta (a build, a
-    simulation replication), keeps only the sums and makes its signs a
-    product block at a time (``_draw_monte_carlo``); a move redraws them.
-    Both kinds multiply in the same product blocks, so they give the same
-    sums bit for bit.
-
-    A decision (``weights_at_most``) computes the studentized statistic only
-    for the draws whose mean's sign leaves the comparison open.
+    The exact enumeration does not depend on the bias bound, so it is made on
+    first use after each move and kept for every bound asked at that value;
+    the sums of ``m**2`` only once a build, or a decision at a bias bound
+    above 1 with open draws, asks for them there.  The + counts depend only on
+    the number of pairs and are made once, and the weights are kept while
+    theta is unchanged.  Monte Carlo signs threshold raw random bits against
+    theta; the sign matrix is kept while theta is unchanged, so a move redoes
+    only its product with the new ``|y - tau|``, and a new theta redraws it
+    from the engine's seed (common random numbers).  A ``single_use`` draw
+    set, read at one tau and theta (a build, a simulation replication), keeps
+    only the sums and makes its signs a product block at a time
+    (``_draw_monte_carlo``); a move redraws them.  Both kinds multiply in the
+    same product blocks, so they give the same sums bit for bit.  A decision
+    computes the studentized statistic only for the draws the cuts of
+    ``_cuts`` leave open.
     """
 
     def __init__(
@@ -599,7 +626,8 @@ class SignDraws:
         self.mode = engine.resolve(n)
         self.engine = engine
         if self.mode == "exact":
-            _check_exact_fits(n, _EXACT_BYTES_PER_DRAW)
+            _check_fits(_EXACT_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
+                        "lower the exact cap to use Monte Carlo draws")
             self.n_draws = 2**n
             self._s1 = np.empty(self.n_draws)
             self._s2 = np.empty(self.n_draws)
@@ -691,9 +719,9 @@ class SignDraws:
         Adds the same per-draw weights as the sorted distribution's CDF, in
         another order, so the two differ by at most ``n_draws`` roundings.
         """
-        s1, s2 = self._sums(sens, "studentized" in observed)
+        s1, s2 = self._sums(sens, False)
         _statistics(s1, s2, self.m, sens, False, self._out)
-        self._sign_bias = sens.sign_bias
+        self._sens = sens
         return {kind: self.weight_at_most(kind, t) for kind, t in observed.items()}
 
     def weight_at_most(self, kind: str, t: float) -> float:
@@ -710,36 +738,31 @@ class SignDraws:
     def _studentized_at_most(self, t: float) -> np.ndarray:
         """1.0 where a draw's studentized statistic is <= t, else 0.0.
 
-        A draw's studentized statistic has its mean's sign: a
-        non-degenerate draw divides the mean by a positive denominator, and
-        a degenerate one maps to 0 or +/-inf by that sign.  So for t >= 0
-        (-0.0 too) every draw whose mean is <= 0 is in, and otherwise every
-        draw whose mean is >= 0 is out.  The rest, the complement, so that a
-        NaN mean is never settled, go through ``_studentized``, gathered
-        into prefixes of the statistic buffer and written back in place.
-        When they are more than ``_GATHER_SHARE`` of the draws, or
-        ``sum(m**2)`` lies outside ``_SETTLED_SUMSQ``, every draw goes
-        through it instead.
+        Draws at or past the cuts of ``_cuts`` are settled.  The open ones go
+        through ``_studentized``, gathered, or all draws do when the open
+        ones are more than ``_GATHER_SHARE`` of them.  Only then are the sums
+        of m**2 read, and not at c = 0 inside ``_SETTLED_SUMSQ``: ``2c * s2``
+        is then +/-0 for any finite ``s2``, so the means stand in.
         """
-        out, abar = self._out, self._out.abar
-        settled_in = t >= 0
-        open_ = (np.less_equal if settled_in else np.greater_equal)(abar, 0.0, out=out.mask)
-        np.logical_not(open_, out=open_)
-        size = np.count_nonzero(open_)
-        sumsq = float(np.sum(self.m * self.m))
-        c = self._sign_bias
-        if size > _GATHER_SHARE * self.n_draws or not (
-            _SETTLED_SUMSQ[0] < sumsq < _SETTLED_SUMSQ[1]
-        ):
-            tstat = _studentized(abar, self._s2, self.m, c, out.tstat, out.scratch, out.mask)
+        out, abar, m = self._out, self._out.abar, self.m
+        c, sumsq = self._sens.sign_bias, float(np.sum(m * m))
+        lo, hi = _cuts(t, m.size, sumsq, c)
+        # boolean passes are the cheap ones; the out test borrows tstat's bytes
+        settled = np.less_equal(abar, lo, out=out.mask)
+        beyond = np.greater_equal(abar, hi, out=out.tstat.view(np.bool_)[: abar.size])
+        size = abar.size - np.count_nonzero(np.logical_or(settled, beyond, out=settled))
+        read = size > 0 and (c != 0.0 or not _SETTLED_SUMSQ[0] < sumsq < _SETTLED_SUMSQ[1])
+        s2 = self._sums(self._sens, True)[1] if read else abar
+        if size > _GATHER_SHARE * self.n_draws:
+            tstat = _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)
             return np.less_equal(tstat, t, out=out.scratch)
         # the positions, the means and the sums of m**2 share the tstat buffer
-        at = _positions(open_, out.tstat[:size].view(np.int64))
+        at = _positions(np.logical_not(settled, out=settled), out.tstat[:size].view(np.int64))
         a = np.take(abar, at, out=out.tstat[size : 2 * size], mode="clip")
-        s2 = np.take(self._s2, at, out=out.tstat[2 * size : 3 * size], mode="clip")
-        tstat = _studentized(a, s2, self.m, c, s2, out.scratch[:size], out.mask[:size])
+        s2 = np.take(s2, at, out=out.tstat[2 * size : 3 * size], mode="clip")
+        tstat = _studentized(a, s2, m, c, s2, out.scratch[:size], out.mask[:size])
         below = out.scratch
-        below.fill(1.0 if settled_in else 0.0)
+        np.copyto(below, np.less_equal(abar, lo, out=out.mask))
         np.put(below, at, np.less_equal(tstat, t, out=tstat), mode="clip")
         return below
 
@@ -751,8 +774,9 @@ def _build(
     engine: EnumSpec,
     kinds: tuple[str, ...],
 ) -> tuple[ReferenceDistribution, ...]:
-    if engine.resolve(sample.n_pairs) == "exact":
-        _check_exact_fits(sample.n_pairs, _EXACT_BUILD_BYTES_PER_DRAW)
+    if engine.resolve(n := sample.n_pairs) == "exact":
+        _check_fits(_EXACT_BUILD_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
+                    "lower the exact cap to use Monte Carlo draws")
     draws = SignDraws(sample, tau, engine, single_use=True)
     abar, tstat, draw_weights = draws.statistics(sens, "studentized" in kinds)
     mode, n_draws = draws.mode, int(draws.n_draws)

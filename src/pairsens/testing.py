@@ -161,14 +161,14 @@ def run_test(
             mode=mode,
             n_draws="exact" if mode == "exact" else engine.draws,
         )
-    # the builds are looked up at call time, so wrappers see each one
     kinds = _KINDS[method]
+    stats = observed_statistics(norm_sample, tau, sens, "studentized" in kinds)
+    # the builds are looked up at call time, so wrappers see each one
     if len(kinds) == 2:
         dists = dict(zip(kinds, build_pair(norm_sample, tau, sens, engine)))
     else:
         build = build_f_hat if kinds == ("mean",) else build_g_hat
         dists = {kinds[0]: build(norm_sample, tau, sens, engine)}
-    stats = observed_statistics(norm_sample, tau, sens, "studentized" in kinds)
     observed = dict(zip(_STATISTICS, stats))
     critical = {kind: dists[kind].quantile(1.0 - norm_spec.alpha) for kind in kinds}
     counts = [dists[kind].tail_count(observed[kind]) for kind in kinds]
@@ -245,10 +245,10 @@ def _decider(
     a masked sum, with no sort or merge, over one ``SignDraws`` that the
     methods share.  Its buffers are rewritten at each call: the enumeration
     only when tau moves, the weights only when the bias bound does, and the
-    studentized statistic only for the draws whose mean's sign leaves the
-    comparison open.  A sum within roundoff of the threshold is re-decided
-    by ``run_test``.  A ``single_use`` decider, called once, does not keep
-    its Monte Carlo sign matrix (see ``SignDraws``).
+    studentized statistic only for the draws whose mean leaves the
+    comparison open (``SignDraws``).  A sum within roundoff of the threshold
+    is re-decided by ``run_test``.  A ``single_use`` decider, called once,
+    does not keep its Monte Carlo sign matrix (see ``SignDraws``).
     """
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)

@@ -112,10 +112,13 @@ def statistics_alloc(s1, s2, m, sens, studentized):
 
 def studentized_full_chain(s1, s2, m, sens):
     """Reference studentized statistic of every draw, computed in place over
-    all of them, as decisions did before the sign of a draw's mean settled
-    its comparison.
+    all of them from the enumerated sums of m**2, as decisions did before a
+    draw's mean settled its comparison.
 
-    A decision's mask must equal ``tstat <= t`` of this chain's result.
+    A decision settles a draw whose mean lies at or beyond the cut points of
+    ``randdist._cuts``, a magnitude band on the mean, and reads the sums of
+    m**2 only for the draws between them, and none at a bias bound of 1.
+    Its mask must equal ``tstat <= t`` of this chain's result.
     """
     n = m.size
     c = sens.sign_bias

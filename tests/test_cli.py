@@ -467,3 +467,44 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_test", broken)
         assert main(["test", "--input", str(diff_csv), "--tau", "0", "--gamma", "1"]) == 3
         assert capsys.readouterr() == ("", "internal error: invariant broken\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["changepoint", "--method", "studentized"], 2),
+        (["test", "--gamma", "1", "--method", "studentized"], 2),
+        (["test", "--gamma", "1", "--method", "studentized", "--exact-below", "3"], 2),
+        (["test", "--gamma", "1", "--method", "perm-t"], 0),
+    ], ids=["changepoint", "test", "test-monte-carlo", "test-perm-t"])
+    def test_overflowing_squares_exit_two(self, tmp_path, capsys, argv, code):
+        # |y - tau|**2 overflows at tau 0, though the standard error, from
+        # deviations of about 1e150, does not; perm-t reads no squares
+        path = tmp_path / "y.csv"
+        path.write_text("".join(f"{1e160 + 1e150 * k!r}\n" for k in (1, -1, 1, -1, 2, 3, -2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--input", str(path), "--tau", "0"]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and "rescale the differences" in err
+        else:
+            assert err == ""
+            assert json.loads(out)["p_value_upper"] == 1 / 128
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--input", "{y}", "--tau", "0", "--gamma", "1"],
+        ["changepoint", "--input", "{y}", "--tau", "0"],
+        ["interval", "--input", "{y}", "--gamma", "1"],
+        ["simulate", "--scenario", "counterexample", "--pairs", "4", "--tau", "2.5",
+         "--gamma", "4", "--reps", "5"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_exits_two(self, tmp_path, capsys, argv, seed):
+        # an exact engine never reads the seed, yet the flag is refused alike
+        path = tmp_path / "y.csv"
+        path.write_text("1\n2\n3\n-1\n4\n5\n2\n1\n")
+        with pytest.raises(SystemExit) as exit_:
+            main([arg.replace("{y}", str(path)) for arg in argv] + ["--seed", seed])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err

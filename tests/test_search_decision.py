@@ -178,14 +178,17 @@ def test_changepoint_enumerates_once(monkeypatch, method):
     enumerated = []
     original = randdist._enumerate_exact
 
-    def counting_enumerate(m, *buffers):
-        enumerated.append(m.size)
-        return original(m, *buffers)
+    def counting_enumerate(m, s1, s2=None, k=None):
+        enumerated.append((m.size, s1 is not None, s2 is not None))
+        return original(m, s1, s2, k)
 
     monkeypatch.setattr(randdist, "_enumerate_exact", counting_enumerate)
     res = ps.changepoint_gamma(_c11_sample(), tau=0.0, alpha=0.05, method=method,
                                grid_points=12)
-    assert enumerated == [20]
+    # the sums of m once; those of m**2 once, when a decision first leaves
+    # draws open, and only for a studentized search
+    squares = [(20, False, True)] if method == "studentized" else []
+    assert enumerated == [(20, True, False)] + squares
     assert (res.gamma_changepoint, res.bracket, res.inversions,
             res.n_evaluations) == C11_SEARCH[method]
 
