@@ -40,9 +40,12 @@ _CUM_SLACK = 1e-12
 # roundoff); mathematically that happens only when all entries coincide.
 _DEGENERATE_RTOL = 1e-12
 
-# Bytes an exact SignDraws holds per sign vector, all a search holds: the
-# signed sums, + counts, weights, both statistics, the scratch array and the
-# mask (tracemalloc measured 57 at 18 pairs).
+# Bytes per sign vector budgeted for an exact search or replication: the
+# per-draw buffers it held before it counted draws from two halves of the
+# pairs.  It now holds tables of 2**(n/2) entries and one block of open draws
+# (``_Halves``), well under this figure whenever the figure is large, even
+# with every draw open; the figure is kept so that the same inputs are
+# refused (exit 2).
 _EXACT_BYTES_PER_DRAW = 64
 
 # Peak bytes an exact build holds per sign vector: the statistics and
@@ -74,8 +77,15 @@ _SETTLED_SUMSQ = (2.0**-900, 2.0**900)
 # input and the machine.
 _MEMORY_BUDGET_FRACTION = 0.5
 
-# Bytes a Monte Carlo build holds per draw x pair: its float64 sign matrix.
+# Bytes a Monte Carlo search holds per draw x pair: its float64 sign matrix.
 _MC_BYTES_PER_SIGN = 8
+
+# Bytes a single-use Monte Carlo draw (a build, a replication) holds per
+# draw beside its largest product block and one generation block's raw bits
+# and cast buffers (``_check_signs_fit``): the signed sums, both statistics,
+# the scratch array and the mask, 41 bytes.  tracemalloc put the whole at
+# 94 to 98 % of the figure, 100 to 5000 pairs.
+_MC_BYTES_PER_DRAW = 48
 
 # Signs made per Monte Carlo generation block.  A block's raw bits and
 # float64 signs (12 bytes a sign, 768 KiB) fit one core's L2 cache, so the
@@ -95,6 +105,13 @@ _MC_BLOCK_SIGNS = 1 << 16
 # tests/test_randdist.py::TestBlockedProduct.
 _MC_PRODUCT_SIGNS = 1 << 21
 
+# Open draws an exact decision finishes per block: those its cuts leave
+# open, whose signed sums it takes from the doubling chain.  A block's
+# buffers, 73 bytes a draw plus 8 a draw x pair of the high half (at most
+# 0.8 MiB), are made once per ``SignDraws``, so no decision allocates
+# anything that grows with its open draws.
+_OPEN_BLOCK = 1 << 12
+
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -105,10 +122,12 @@ class EnumSpec:
     one core of a 2-vCPU Xeon about 0.2 s to build one reference
     distribution, 0.4 s to build both) and otherwise runs ``draws`` seeded
     Monte Carlo draws.  Mode "exact" refuses samples above the cap.  An
-    exact build (``test``) holds about 120 bytes per assignment, and a
-    reject-only decision (a search or a simulation replication) about 64;
-    work that would need more than half the machine's physical memory
-    raises ValueError before allocating anything.  The seed may be an
+    exact build (``test``) holds about 120 bytes per assignment.  A
+    reject-only decision (a search or a simulation replication) holds the
+    sums of two halves of the pairs, ``2**(n/2)`` each, and a fixed block of
+    the draws near its cuts (see ``SignDraws``), but is budgeted at 64 bytes
+    per assignment; work whose figure exceeds half the machine's physical
+    memory raises ValueError before allocating anything.  The seed may be an
     int or a numpy SeedSequence; results are bit-reproducible given
     ``(seed, draws)`` and the BLAS thread count, regardless of how work is
     scheduled, because draws consume a counter-based Philox stream in fixed
@@ -119,9 +138,9 @@ class EnumSpec:
     with the thread count.  A Monte Carlo search holds its whole sign
     matrix, 8 bytes per draw x pair; a build (``test``) or a simulation
     replication makes its signs a block of rows at a time and holds at most
-    about 33 MiB of them.  Both multiply in the same blocks, so they give
-    the same sums, and both are refused when the whole matrix would exceed
-    the memory budget.
+    about 33 MiB of them, plus about 48 bytes per draw.  Both multiply in the
+    same blocks, so they give the same sums, and each is refused when what
+    it holds would exceed the memory budget.
     """
 
     mode: str = "auto"
@@ -274,8 +293,9 @@ def _enumerate_exact(
     Doubling construction: bit ``i`` of the assignment index gives the sign
     of pair ``i``, so each of the ``2**n`` vectors costs O(1) amortized.
     Each step writes the + half from the current prefix, then turns the
-    prefix itself into the - half, all within the caller's arrays.  The
-    counts depend on ``n`` alone, so a caller that keeps k passes it once.
+    prefix itself into the - half, all within the caller's arrays.  A
+    build enumerates all the pairs; a decision only the low half of them
+    (``_Halves``), whose sums are the chain's state at its midpoint.
     """
     # m**2 only when its sums are asked for: it overflows long before m does
     filled = [] if s1 is None else [(s1, m)]
@@ -306,15 +326,25 @@ def _sign_cut(theta: float) -> int:
     return math.ceil(float(np.float32(theta)) * 2**24) << 8
 
 
-def _check_signs_fit(n: int, draws: int) -> None:
-    """Refuse a Monte Carlo draw whose whole sign matrix exceeds the budget;
-    a blocked draw is held to it too, so the refusal depends on the input
-    alone."""
-    _check_fits(
-        _MC_BYTES_PER_SIGN * draws * n,
-        f"Monte Carlo sign matrix of {draws} draws x {n} pairs",
-        "use fewer Monte Carlo draws",
-    )
+def _single_use_bytes(n: int, draws: int) -> int:
+    """Bytes a single-use Monte Carlo draw holds: its largest product block,
+    one generation block and its per-draw sums and statistics."""
+    start, stop = list(_product_blocks(draws, n))[-1]
+    return (_MC_BYTES_PER_SIGN * (stop - start) * n + 12 * _MC_BLOCK_SIGNS
+            + _MC_BYTES_PER_DRAW * draws)
+
+
+def _check_signs_fit(n: int, draws: int, single_use: bool = False) -> None:
+    """Refuse a Monte Carlo draw that would hold more than the budget: a
+    search its whole sign matrix, a ``single_use`` draw what
+    ``_single_use_bytes`` counts."""
+    if single_use:
+        need = _single_use_bytes(n, draws)
+        what = f"Monte Carlo draw set of {draws} draws x {n} pairs"
+    else:
+        need = _MC_BYTES_PER_SIGN * draws * n
+        what = f"Monte Carlo sign matrix of {draws} draws x {n} pairs"
+    _check_fits(need, what, "use fewer Monte Carlo draws")
 
 
 def _sign_stream(theta: float, seed: SeedLike) -> tuple[Union[np.random.Philox, None], int]:
@@ -402,7 +432,7 @@ def _draw_monte_carlo(
     made in one reused buffer.
     """
     n = m.size
-    _check_signs_fit(n, draws)
+    _check_signs_fit(n, draws, single_use=True)
     # the last block, which takes the remainder, is the largest
     start, stop = list(_product_blocks(draws, n))[-1]
     buf = np.empty((stop - start, n))
@@ -443,7 +473,7 @@ def _statistics(
     ``out.tstat``, which stay valid until ``out`` is written again; the
     studentized statistic is None unless ``studentized`` is set.  Reference
     builds need it for every draw; a decision computes it only for the draws
-    that the cuts of ``_cuts`` leave open (``SignDraws._studentized_at_most``).
+    that its cuts leave open (``_Halves``, ``SignDraws._studentized_at_most``).
     """
     c = sens.sign_bias
     abar = np.subtract(s1, c * np.sum(m), out=out.abar)
@@ -557,12 +587,15 @@ def observed_statistics(
     The signed sums are therefore accumulated left to right exactly as the
     doubling enumeration does, then pushed through the same transform.
     Mathematically the results equal ``mean(d)`` and ``mean(d)/se(d)``.
-    Where ``sum(m**2)`` overflows, every draw's would be NaN: ValueError.
+    Where ``(1 + |c|)**2 sum(m**2)``, the bound on every draw's sum of
+    squares, overflows, draws' studentized statistics could be NaN or wrong:
+    ValueError.
     """
     resid = sample.y - tau
     m = np.abs(resid)
     with np.errstate(over="ignore"):
-        if studentized and not np.isfinite(np.sum(m * m)):
+        bound = (1.0 + abs(sens.sign_bias)) ** 2
+        if studentized and not np.isfinite(bound * np.sum(m * m)):
             raise ValueError(f"the squares of |y - tau| overflow double precision; {RESCALE}")
     s1 = 0.0
     s2 = 0.0
@@ -588,33 +621,220 @@ def _merge_atoms(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
+def _weight_table(theta: float, n: int) -> np.ndarray:
+    """The weight ``theta**k * (1 - theta)**(n - k)`` of one sign vector with
+    ``k`` + signs, for ``k = 0 .. n``."""
+    ks = np.arange(n + 1)
+    return theta**ks * (1.0 - theta) ** (n - ks)
+
+
+def _bit_table(width: int) -> np.ndarray:
+    """Bit ``i`` of ``j`` at ``[i, j]``, for the ``2**width`` indices j."""
+    return ((np.arange(2**width) >> np.arange(width)[:, None]) & 1).astype(bool)
+
+
+def _sum_cut(a: float, side: float, n: int, total: float, shift: float) -> float:
+    """A cut on a draw's split sum ``pa + sb`` (``_Halves``) from the cut
+    ``a`` on its mean: ``side`` -1 gives a lower cut, below which the chain
+    gives every draw a mean ``<= a``, +1 an upper one, above which it gives
+    ``> a``.  NaN is no cut.
+
+    ``total`` is ``sum(m)`` and ``shift`` the ``c * sum(m)`` of
+    ``_statistics``, whose mean is ``(s1 - shift) / n``.  The chain's sum
+    ``s1`` and the split sum each round n times, so they differ by at most
+    ``2 g(n) sum(m)``, ``g(k) = k u/(1 - k u)``; comparing ``sb`` with
+    ``cut - pa`` rounds once, and forming the mean and ``n a + shift`` twice
+    each, on values under ``2 sum(m) + |cut|``.  ``g(2n + 16) (4 sum(m) + 2
+    |cut|)`` bounds it all with room enough that an upper cut keeps even a
+    mean that rounds to ``a`` out.  An infinite ``a`` is its own cut; where
+    ``4 sum(m)`` overflows, a sum could too, and no cut is made.
+    """
+    if math.isnan(a) or not 4.0 * total < math.inf:
+        return math.nan
+    if math.isinf(a):
+        return a
+    ku = (2 * n + 16) * 2.0**-53
+    cut = n * a + shift
+    return cut + side * ku / (1.0 - ku) * (4.0 * total + 2.0 * abs(cut))
+
+
+class _Halves:
+    """An exact decision's draws as two halves of the pairs, counted at or
+    below a cut without being stored one by one.
+
+    The pairs split at ``h = n // 2``: sign vector ``a + 2**h * b`` joins the
+    low half's vector ``a`` and the high half's ``b``.  ``pa[a]`` is the
+    doubling chain's own state after ``h`` pairs (``_enumerate_exact`` fills
+    those indices first) and ``sb`` holds the high half's signed sums,
+    sorted, so ``pa[a] + sb[p]`` is a draw's signed sum of m but for
+    rounding; ``cum[j, p]`` counts the sorted positions below ``p`` whose
+    ``b`` has ``j`` + signs.  This is the subset-sum meet in the middle of
+    Horowitz and Sahni (1974).  For a cut on the mean, one binary search per
+    ``a`` finds the positions surely below the lower cut of ``_sum_cut`` and
+    those surely above the upper one, and ``cum`` turns the first into
+    counts per total + count, in ``O(2**(n/2) log)``.  The draws between are
+    open: their sums are finished on the chain from ``pa[a]`` over the high
+    half's pairs, a block at a time, so each is decided by ``_statistics``
+    on the very floats the full enumeration gives it.
+    """
+
+    def __init__(self, n: int):
+        h = n // 2
+        self.n, self.h = n, h
+        self.ka = _bit_table(h).sum(axis=0)
+        bits = _bit_table(n - h)
+        self.kb = bits.sum(axis=0)
+        # row i, column b: where ``_steps`` reads b's step i, -v[i] or +v[i]
+        self.sel = np.arange(n - h)[:, None] + (n - h) * bits
+        self.pm = np.empty(2 * (n - h))
+        self.pa, self.pa2 = np.empty(2**h), np.empty(2**h)
+        self.step, self.step2 = np.empty(bits.shape), np.empty(bits.shape)
+        # row j, column a: the total + count of a with a b of j + signs
+        self.k_table = np.arange(n - h + 1)[:, None] + self.ka
+        self.cum = np.zeros((n - h + 1, 2 ** (n - h) + 1))
+        self.one_hot, self.hot = np.eye(n - h + 1), np.empty((n - h + 1, 2 ** (n - h)))
+        self.below = np.empty(self.k_table.shape)
+        size = min(2**n, _OPEN_BLOCK)
+        self.ramp = np.arange(size)
+        self.a, self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(4))
+        self.steps = np.empty((n - h) * size)
+        self.s1, self.s2 = np.empty(size), np.empty(size)
+        self.out = _StatBuffers.empty(size)
+
+    def move_to(self, m: np.ndarray) -> None:
+        """Redo the halves' sums, their order and ``cum`` for a new ``m``."""
+        h = self.h
+        self.m = m
+        _enumerate_exact(m[:h], self.pa)
+        self._steps(m[h:], self.step)
+        self.total = m.sum()
+        # any order of summing the steps rounds within the bound of _sum_cut
+        sb = self.step.sum(axis=0)
+        self.order = sb.argsort()
+        self.sb = sb[self.order]
+        # one-hot columns of the sorted + counts, taken from an identity (a
+        # comparison would cast bool to float through a buffer), then summed
+        self.one_hot.take(self.kb[self.order], axis=1, out=self.hot, mode="clip")
+        self.hot.cumsum(axis=1, out=self.cum[:, 1:])
+        # the low half's sums of m**2 and their steps, once a studentized
+        # draw is open
+        self.squares = False
+
+    def _steps(self, v: np.ndarray, out: np.ndarray) -> None:
+        """``out[i, b]``: ``v[i]`` where bit i of b is set, else ``-v[i]``, so
+        adding it is the chain's step.  Taken, not multiplied: a broadcast
+        product buffers its operands."""
+        np.negative(v, out=self.pm[: v.size])
+        self.pm[v.size :] = v
+        self.pm.take(self.sel, out=out, mode="clip")
+
+    def counts_at_most(self, kind: str, t: float, sens: SensitivityParam) -> np.ndarray:
+        """Per total + count k, how many draws have a statistic of ``kind``
+        at most t: exact integers, in float64."""
+        n, m, c = self.n, self.m, sens.sign_bias
+        lo = hi = t
+        if kind == "studentized":
+            lo, hi = _cuts(t, n, float((m * m).sum()), c)
+        total, shift = float(self.total), c * self.total
+        lo, hi = (_sum_cut(x, side, n, total, shift) for x, side in ((lo, -1.0), (hi, 1.0)))
+        # per a, the sorted positions below first[a] are in, from last[a] out
+        if math.isnan(lo):
+            first = np.zeros(self.pa.size, np.intp)
+        else:
+            first = self.sb.searchsorted(lo - self.pa)
+        if math.isnan(hi):
+            last = np.full(self.pa.size, self.sb.size)
+        else:
+            last = self.sb.searchsorted(hi - self.pa, side="right")
+        self.cum.take(first, axis=1, out=self.below, mode="clip")
+        counts = np.bincount(self.k_table.ravel(), weights=self.below.ravel(), minlength=n + 1)
+        for k, below in self._open(first, last, kind, t, sens):
+            counts += np.bincount(k, weights=below, minlength=n + 1)
+        return counts
+
+    def _open(
+        self, first: np.ndarray, last: np.ndarray, kind: str, t: float, sens: SensitivityParam
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per block of the open draws, each a's sorted positions from
+        ``first[a]`` up to ``last[a]``: their + counts and 1.0 where their
+        statistic is at most t, views of the block buffers valid until the
+        next block."""
+        h, m = self.h, self.m
+        ends = (last - first).cumsum()
+        # flat position p of a's run is sorted position p + offset[a]
+        offset = last - ends
+        for start in range(0, int(ends[-1]), self.ramp.size):
+            size = min(self.ramp.size, int(ends[-1]) - start)
+            a, pos, b, k = (x[:size] for x in (self.a, self.pos, self.b, self.k_block))
+            # a run starts a block position after each end inside the block
+            lo, hi = ends.searchsorted((start, start + size - 1), side="right")
+            a.fill(0)
+            a[0] = lo
+            if hi > lo:
+                np.add.at(a, ends[lo:hi] - start, 1)
+            a.cumsum(out=a)
+            offset.take(a, out=pos, mode="clip")
+            pos += self.ramp[:size]
+            pos += start
+            self.order.take(pos, out=b, mode="clip")
+            self.ka.take(a, out=k, mode="clip")
+            k += self.kb.take(b, out=pos, mode="clip")
+            steps = self.steps[: (m.size - h) * size].reshape(-1, size)
+            s1 = _chain(self.pa, self.step, a, b, steps, self.s1[:size])
+            out = _StatBuffers(*(x[:size] for x in self.out))
+            if kind == "mean":
+                stat = _statistics(s1, s1, m, sens, False, out)[0]
+            else:
+                if not self.squares:
+                    _enumerate_exact(m[:h], None, self.pa2)
+                    self._steps(m[h:] * m[h:], self.step2)
+                    self.squares = True
+                s2 = _chain(self.pa2, self.step2, a, b, steps, self.s2[:size])
+                stat = _statistics(s1, s2, m, sens, True, out)[1]
+            yield k, np.less_equal(stat, t, out=out.scratch)
+
+
+def _chain(
+    low: np.ndarray,
+    step: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    steps: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The doubling chain's sums of the draws ``(a, b)``, written into
+    ``out``: from ``low[a]``, add the high half's steps of ``b`` in turn,
+    gathered from the columns of ``step`` into the rows of ``steps``.  The
+    chain subtracts where a bit is clear, and ``x - v`` is ``x + (-v)`` in
+    IEEE arithmetic."""
+    low.take(a, out=out, mode="clip")
+    step.take(b, axis=1, out=steps, mode="clip")
+    for row in steps:
+        np.add(out, row, out=out)
+    return out
+
+
 class SignDraws:
-    """Signed sums of one sample over the engine's sign draws, at a
-    hypothesized value that can move.
+    """One sample's sign draws at a hypothesized value that can move, for the
+    reject-only decisions of searches and simulation replications.
 
-    The only code that makes draws: reference-distribution builds and the
-    reject-only decisions of searches and simulation replications all read
-    them from here.  Every per-draw buffer is allocated once, when the object
-    is made, and each call writes into it, so an exact object kept for a
-    whole search allocates nothing per evaluation that grows with the
-    draws.  Arrays returned by ``statistics`` are views into these buffers
-    and stay valid until the next call.
+    A decision needs one number per statistic, the weight of the draws at or
+    below the observed value (``weights_at_most``).  Exact draws are counted,
+    not stored: ``_Halves`` is redone when tau moves and allocates nothing
+    per decision that grows with the draws.  The weights of the + counts are
+    kept while theta is unchanged.
 
-    The exact enumeration does not depend on the bias bound, so it is made on
-    first use after each move and kept for every bound asked at that value;
-    the sums of ``m**2`` only once a build, or a decision at a bias bound
-    above 1 with open draws, asks for them there.  The + counts depend only on
-    the number of pairs and are made once, and the weights are kept while
-    theta is unchanged.  Monte Carlo signs threshold raw random bits against
-    theta; the sign matrix is kept while theta is unchanged, so a move redoes
-    only its product with the new ``|y - tau|``, and a new theta redraws it
-    from the engine's seed (common random numbers).  A ``single_use`` draw
-    set, read at one tau and theta (a build, a simulation replication), keeps
-    only the sums and makes its signs a product block at a time
-    (``_draw_monte_carlo``); a move redraws them.  Both kinds multiply in the
-    same product blocks, so they give the same sums bit for bit.  A decision
-    computes the studentized statistic only for the draws the cuts of
-    ``_cuts`` leave open.
+    Monte Carlo draws keep their per-draw sums and statistics in buffers
+    made once.  Their signs threshold raw random bits against theta; the
+    sign matrix is kept while theta is unchanged, so a move redoes only its
+    product with the new ``|y - tau|``, and a new theta redraws it from the
+    engine's seed (common random numbers).  A ``single_use`` draw set, read
+    at one tau and theta (a simulation replication), keeps only the sums and
+    makes its signs a product block at a time (``_draw_monte_carlo``), as a
+    build does; a move redraws them.  Both kinds multiply in the same product
+    blocks, so they give the same sums bit for bit.  A studentized decision
+    computes the statistic only for the draws the cuts of ``_cuts`` leave
+    open.
     """
 
     def __init__(
@@ -625,28 +845,24 @@ class SignDraws:
         self.y = sample.y
         self.mode = engine.resolve(n)
         self.engine = engine
+        self._signs = self._theta = None
         if self.mode == "exact":
             _check_fits(_EXACT_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
                         "lower the exact cap to use Monte Carlo draws")
             self.n_draws = 2**n
-            self._s1 = np.empty(self.n_draws)
-            self._s2 = np.empty(self.n_draws)
-            self._k = None
-            self._w = np.empty(self.n_draws)
+            self._halves = _Halves(n)
         else:
             self.n_draws = engine.draws
-            self._s1 = self._s2 = self._w = None
-        self._signs = None
-        self._out = _StatBuffers.empty(self.n_draws)
-        self._theta = None
+            self._s1 = self._s2 = None
+            self._out = _StatBuffers.empty(self.n_draws)
         self.move_to(tau)
 
     def move_to(self, tau: float) -> None:
         """Make later calls use the hypothesized value ``tau``."""
         self.tau = tau
         self.m = np.abs(self.y - tau)
-        # the signed sums of m and of m**2 are redone before their next use
-        self._s1_stale = self._s2_stale = True
+        # the halves, or the Monte Carlo sums, are redone before their next use
+        self._stale = True
 
     def drop_signs(self) -> None:
         """Free the Monte Carlo sign matrix, and the sums made from it after
@@ -655,60 +871,27 @@ class SignDraws:
             self._signs = self._s1 = self._s2 = None
             self._theta = None
 
-    def _sums(self, sens: SensitivityParam, studentized: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The signed sums of m and, when ``studentized``, of m**2 at the
-        current tau, and the weights at ``sens``; only stale ones are redone."""
-        theta = sens.theta
-        if self.mode == "monte_carlo":
-            draws, seed = self.engine.draws, self.engine.seed
-            if theta != self._theta:
-                # the old matrix is freed before the new one is drawn
-                self._signs = None
-                if not self._single_use:
-                    self._signs = _monte_carlo_signs(self.m.size, theta, draws, seed)
-                self._theta = theta
-                self._s1_stale = True
-            if self._s1_stale:
-                if self._single_use:
-                    self._s1, self._s2 = _draw_monte_carlo(self.m, theta, draws, seed)
-                else:
-                    signs = self._signs
-                    self._s1, self._s2 = _signed_sums(
-                        self.m, draws, lambda start, stop: signs[start:stop]
-                    )
-                self._s1_stale = self._s2_stale = False
-            return self._s1, self._s2
-        s1 = self._s1 if self._s1_stale else None
-        s2 = self._s2 if studentized and self._s2_stale else None
-        if s1 is not None or s2 is not None:
-            k = None
-            if self._k is None:
-                k = self._k = np.empty(self.n_draws, dtype=np.int64)
-            _enumerate_exact(self.m, s1, s2, k)
-            self._s1_stale = False
-            self._s2_stale = self._s2_stale and s2 is None
+    def _sums(self, sens: SensitivityParam) -> tuple[np.ndarray, np.ndarray]:
+        """The Monte Carlo signed sums of m and m**2 at the current tau and
+        the theta of ``sens``; only stale ones are redone."""
+        theta, draws, seed = sens.theta, self.engine.draws, self.engine.seed
         if theta != self._theta:
-            n = self.m.size
-            ks = np.arange(n + 1)
-            table = theta**ks * (1.0 - theta) ** (n - ks)
-            # "clip" writes straight into out; "raise" would buffer a copy
-            np.take(table, self._k, out=self._w, mode="clip")
+            # the old matrix is freed before the new one is drawn
+            self._signs = None
+            if not self._single_use:
+                self._signs = _monte_carlo_signs(self.m.size, theta, draws, seed)
             self._theta = theta
+            self._stale = True
+        if self._stale:
+            if self._single_use:
+                self._s1, self._s2 = _draw_monte_carlo(self.m, theta, draws, seed)
+            else:
+                signs = self._signs
+                self._s1, self._s2 = _signed_sums(
+                    self.m, draws, lambda start, stop: signs[start:stop]
+                )
+            self._stale = False
         return self._s1, self._s2
-
-    def statistics(
-        self, sens: SensitivityParam, studentized: bool
-    ) -> tuple[np.ndarray, Union[np.ndarray, None], Union[np.ndarray, None]]:
-        """Per-draw mean and studentized statistics, and per-draw weights.
-
-        The studentized statistics are None unless ``studentized`` is set.
-        Exact draws weigh ``theta**k * (1 - theta)**(n - k)`` with ``k`` the
-        number of + signs; Monte Carlo draws all weigh ``1 / n_draws`` and
-        the weights are returned as None.
-        """
-        s1, s2 = self._sums(sens, studentized)
-        abar, tstat = _statistics(s1, s2, self.m, sens, studentized, self._out)
-        return abar, tstat, self._w
 
     def weights_at_most(
         self, sens: SensitivityParam, observed: dict[str, float]
@@ -716,43 +899,54 @@ class SignDraws:
         """For each kind, "mean" or "studentized", that ``observed`` names, the
         total weight of the draws whose statistic is <= its observed value.
 
-        Adds the same per-draw weights as the sorted distribution's CDF, in
-        another order, so the two differ by at most ``n_draws`` roundings.
+        An exact weight is ``table @ counts``: the number of such draws per
+        count k of + signs, an exact integer, times ``theta**k * (1 -
+        theta)**(n - k)``, the weight of each.  In exact arithmetic that is
+        the sum of the same per-draw weights that the sorted distribution's
+        CDF adds; it rounds in n + 1 products and n additions where the CDF
+        rounds once per draw, so the two differ by less than ``n_draws`` eps,
+        the premise of ``testing._GUARD_EPS_PER_DRAW``.  A Monte Carlo
+        weight is the share of such draws.
         """
-        s1, s2 = self._sums(sens, False)
-        _statistics(s1, s2, self.m, sens, False, self._out)
         self._sens = sens
+        if self.mode == "monte_carlo":
+            s1, s2 = self._sums(sens)
+            _statistics(s1, s2, self.m, sens, False, self._out)
+        else:
+            if self._stale:
+                self._halves.move_to(self.m)
+                self._stale = False
+            if sens.theta != self._theta:
+                self._table = _weight_table(sens.theta, self.m.size)
+                self._theta = sens.theta
         return {kind: self.weight_at_most(kind, t) for kind, t in observed.items()}
 
     def weight_at_most(self, kind: str, t: float) -> float:
         """Total weight of the draws whose statistic of ``kind`` is <= t, at
         the bias bound of the last ``weights_at_most`` call."""
+        if self.mode == "exact":
+            return float(self._table @ self._halves.counts_at_most(kind, t, self._sens))
         if kind == "mean":
             below = np.less_equal(self._out.abar, t, out=self._out.scratch)
         else:
             below = self._studentized_at_most(t)
-        if self._w is None:
-            return np.count_nonzero(below) / self.n_draws
-        return float(self._w @ below)
+        return np.count_nonzero(below) / self.n_draws
 
     def _studentized_at_most(self, t: float) -> np.ndarray:
-        """1.0 where a draw's studentized statistic is <= t, else 0.0.
+        """1.0 where a Monte Carlo draw's studentized statistic is <= t, else
+        0.0.
 
         Draws at or past the cuts of ``_cuts`` are settled.  The open ones go
         through ``_studentized``, gathered, or all draws do when the open
-        ones are more than ``_GATHER_SHARE`` of them.  Only then are the sums
-        of m**2 read, and not at c = 0 inside ``_SETTLED_SUMSQ``: ``2c * s2``
-        is then +/-0 for any finite ``s2``, so the means stand in.
+        ones are more than ``_GATHER_SHARE`` of them.
         """
-        out, abar, m = self._out, self._out.abar, self.m
+        out, abar, s2, m = self._out, self._out.abar, self._s2, self.m
         c, sumsq = self._sens.sign_bias, float(np.sum(m * m))
         lo, hi = _cuts(t, m.size, sumsq, c)
         # boolean passes are the cheap ones; the out test borrows tstat's bytes
         settled = np.less_equal(abar, lo, out=out.mask)
         beyond = np.greater_equal(abar, hi, out=out.tstat.view(np.bool_)[: abar.size])
         size = abar.size - np.count_nonzero(np.logical_or(settled, beyond, out=settled))
-        read = size > 0 and (c != 0.0 or not _SETTLED_SUMSQ[0] < sumsq < _SETTLED_SUMSQ[1])
-        s2 = self._sums(self._sens, True)[1] if read else abar
         if size > _GATHER_SHARE * self.n_draws:
             tstat = _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)
             return np.less_equal(tstat, t, out=out.scratch)
@@ -774,14 +968,25 @@ def _build(
     engine: EnumSpec,
     kinds: tuple[str, ...],
 ) -> tuple[ReferenceDistribution, ...]:
-    if engine.resolve(n := sample.n_pairs) == "exact":
+    n, m = sample.n_pairs, np.abs(sample.y - tau)
+    studentized = "studentized" in kinds
+    mode = engine.resolve(n)
+    if mode == "exact":
         _check_fits(_EXACT_BUILD_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
                     "lower the exact cap to use Monte Carlo draws")
-    draws = SignDraws(sample, tau, engine, single_use=True)
-    abar, tstat, draw_weights = draws.statistics(sens, "studentized" in kinds)
-    mode, n_draws = draws.mode, int(draws.n_draws)
-    # frees the sums, counts and scratch before the sorts allocate
-    del draws
+        n_draws = 2**n
+        s1, k = np.empty(n_draws), np.empty(n_draws, dtype=np.int64)
+        s2 = np.empty(n_draws) if studentized else None
+        _enumerate_exact(m, s1, s2, k)
+        draw_weights = _weight_table(sens.theta, n)[k]
+        del k
+    else:
+        n_draws = int(engine.draws)
+        s1, s2 = _draw_monte_carlo(m, sens.theta, n_draws, engine.seed)
+        draw_weights = None
+    abar, tstat = _statistics(s1, s2, m, sens, studentized, _StatBuffers.empty(n_draws))
+    # frees the sums and scratch before the sorts allocate
+    del s1, s2
     by_kind = {"mean": abar, "studentized": tstat}
 
     out = []

@@ -44,10 +44,14 @@ __all__ = [
     "test_studentized",
 ]
 
-# A masked weight sum this close to the reject threshold, in units of
-# n_draws * eps, is re-decided from the sorted distribution.  Two float sums
-# of the same n_draws weights in different orders differ by less than
-# n_draws * eps (each is within (n_draws - 1) * eps / 2 of the true sum).
+# A decision's weight this close to the reject threshold, in units of
+# n_draws * eps, is re-decided from the sorted distribution.  The sorted
+# distribution's CDF adds the n_draws per-draw weights one by one, within
+# (n_draws - 1) * eps / 2 of their true sum.  A Monte Carlo weight is a
+# count of draws over n_draws, rounded once; an exact one is ``table @
+# counts`` over the n + 1 counts of + signs (``SignDraws.weights_at_most``),
+# within (2n + 2) * eps / 2 of the same sum.  Either differs from the CDF by
+# less than 2 * n_draws * eps for every n >= 1.
 _GUARD_EPS_PER_DRAW = 2.0
 
 
@@ -242,13 +246,16 @@ def _decider(
 
     ``stat >= quantile(p)`` holds exactly when the weight of draws at or
     below ``stat`` reaches ``p`` less the quantile's slack, so a decision is
-    a masked sum, with no sort or merge, over one ``SignDraws`` that the
-    methods share.  Its buffers are rewritten at each call: the enumeration
-    only when tau moves, the weights only when the bias bound does, and the
-    studentized statistic only for the draws whose mean leaves the
-    comparison open (``SignDraws``).  A sum within roundoff of the threshold
-    is re-decided by ``run_test``.  A ``single_use`` decider, called once,
-    does not keep its Monte Carlo sign matrix (see ``SignDraws``).
+    that weight, with no sort or merge, over one ``SignDraws`` that the
+    methods share.  Exact draws are counted per number of + signs from two
+    half-enumerations, redone only when tau moves, and only the draws near a
+    cut are finished one by one; Monte Carlo draws are summed under a mask
+    over buffers rewritten at each call.  Either way the studentized
+    statistic is computed only for the draws whose mean leaves the
+    comparison open (``SignDraws``), and the weights of the + counts are
+    redone only when the bias bound moves.  A weight within roundoff of the
+    threshold is re-decided by ``run_test``.  A ``single_use`` decider,
+    called once, does not keep its Monte Carlo sign matrix.
     """
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)

@@ -7,7 +7,7 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from pairsens import inference, testing
+from pairsens import inference, randdist, testing
 from pairsens.core import (
     PairedSample,
     SensitivityParam,
@@ -66,6 +66,38 @@ def enumerate_exact_concat(m):
         s2 = np.concatenate([s2 - mi2, s2 + mi2])
         k = np.concatenate([k, k + 1])
     return s1, s2, k
+
+
+def record_enumerations(monkeypatch):
+    """Record each ``randdist._enumerate_exact`` call as its number of pairs
+    and whether ``testing.run_test``, a guard fallback, made it.
+
+    An exact decision enumerates only halves of the pairs; only the sorted
+    distribution of a fallback enumerates them all.
+    """
+    calls, inside = [], []
+    enumerate_exact, run_test = randdist._enumerate_exact, testing.run_test
+
+    def enumerating(m, *args):
+        calls.append((m.size, bool(inside)))
+        return enumerate_exact(m, *args)
+
+    def falling_back(*args, **kwargs):
+        inside.append(True)
+        try:
+            return run_test(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(randdist, "_enumerate_exact", enumerating)
+    monkeypatch.setattr(testing, "run_test", falling_back)
+    return calls
+
+
+def halves_only(calls, n):
+    """Whether every recorded enumeration outside a fallback covers at most
+    ``ceil(n / 2)`` pairs, and some enumeration was made."""
+    return bool(calls) and all(size <= -(-n // 2) or fallback for size, fallback in calls)
 
 
 def draw_monte_carlo_where(m, theta, draws, seed):

@@ -490,6 +490,28 @@ class TestExitCodes:
             assert err == ""
             assert json.loads(out)["p_value_upper"] == 1 / 128
 
+    @pytest.mark.parametrize("argv, code", [
+        (["changepoint", "--method", "studentized"], 2),
+        (["test", "--gamma", "2", "--method", "combined"], 2),
+        (["test", "--gamma", "1", "--method", "studentized"], 0),
+        (["test", "--gamma", "2", "--method", "perm-t"], 0),
+    ], ids=["changepoint", "test-gamma-2", "test-gamma-1", "test-perm-t"])
+    def test_squares_overflowing_above_gamma_one_exit_two(self, tmp_path, capsys, argv, code):
+        # sum(|y - tau|**2) is finite at tau 0, but not (1 + |c|)**2 times it,
+        # which bounds every draw's sum of squares, once gamma passes about 1.6
+        y = 4.1e153 * (1 + 1e-3 * np.array([1, -1, 2, 3, -2, 1.5, 2.5]))
+        path = tmp_path / "y.csv"
+        path.write_text("".join(f"{float(v)!r}\n" for v in y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--input", str(path), "--tau", "0"]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and "rescale the differences" in err
+        else:
+            assert err == "" and json.loads(out)["reject"] is not None
+
     @pytest.mark.parametrize("argv", [
         ["test", "--input", "{y}", "--tau", "0", "--gamma", "1"],
         ["changepoint", "--input", "{y}", "--tau", "0"],

@@ -439,7 +439,7 @@ class TestBlockedProduct:
         monkeypatch.setattr(np, "matmul", counting)
         for single_use in (False, True):
             drawn = randdist.SignDraws(sample, 0.1, mc_engine(draws, seed=4), single_use)
-            sums.append(drawn._sums(sens, True))
+            sums.append(drawn._sums(sens))
             products.append(None)
         rows = randdist._product_rows(n)
         assert products == 2 * [rows, rows, rows + 1, None]
@@ -474,6 +474,8 @@ class TestBlockedProduct:
             tracemalloc.stop()
         block = randdist._MC_BYTES_PER_SIGN * randdist._MC_PRODUCT_SIGNS
         assert peak < 3 * block + 200 * draws
+        # within the figure the budget checks
+        assert peak <= randdist._single_use_bytes(n, draws)
 
 
 def _garbage_buffers(size):
@@ -481,6 +483,28 @@ def _garbage_buffers(size):
     for arr in out:
         arr.fill(np.nan if arr.dtype == float else True)
     return out
+
+
+class TestObservedSquaresBound:
+    # sum(|y - tau|**2) is finite here, about 1.2e308, but not (1 + |c|)**2
+    # times it, the bound on every draw's sum of squares, once c > 0.23
+    Y = 4.1e153 * (1 + 1e-3 * np.array([1, -1, 2, 3, -2, 1.5, 2.5]))
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+    def test_studentized_refused_where_the_bound_overflows(self, gamma):
+        sample, sens = ps.PairedSample(self.Y), ps.SensitivityParam(gamma)
+        c = sens.sign_bias
+        assert np.isfinite(np.sum(self.Y**2))
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite((1 + abs(c)) ** 2 * np.sum(self.Y**2))
+        assert overflows == (gamma > 1.5)
+        if overflows:
+            with pytest.raises(ValueError, match="rescale the differences"):
+                randdist.observed_statistics(sample, 0.0, sens)
+        else:
+            randdist.observed_statistics(sample, 0.0, sens)
+        # the mean statistic reads no squares
+        randdist.observed_statistics(sample, 0.0, sens, studentized=False)
 
 
 class TestStatisticsKinds:
@@ -551,15 +575,23 @@ class TestStatisticsInPlace:
 
 
 class TestMemoryBudget:
-    def test_refused_between_budget_and_physical_memory(self, monkeypatch):
-        # 10000 draws x 600 pairs need 45.8 MiB of signs: less than the
-        # pretended 64 MiB, more than the budget's share of it
-        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
-        need = randdist._MC_BYTES_PER_SIGN * 10_000 * 600
-        assert randdist._MEMORY_BUDGET_FRACTION * 64 * 2**20 < need < 64 * 2**20
-        s = ps.PairedSample(np.arange(1.0, 601.0))
-        with pytest.raises(ValueError, match="sign matrix of 10000 draws x 600 pairs"):
-            ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), mc_engine(10_000))
+    def test_single_use_draws_budgeted_by_what_they_hold(self, monkeypatch, tmp_path, capsys):
+        # 10000 draws x 600 pairs: the whole sign matrix, 45.8 MiB, is over
+        # the budget's share of a pretended 80 MiB; a test build, which holds
+        # one product block and 48 bytes a draw, about 30.7 MiB, is under it
+        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 80 * 2**20)
+        n, draws = 600, 10_000
+        held = randdist._single_use_bytes(n, draws)
+        budget = randdist._MEMORY_BUDGET_FRACTION * 80 * 2**20
+        assert held < budget < randdist._MC_BYTES_PER_SIGN * draws * n
+        path = tmp_path / "pairs.csv"
+        path.write_text("".join(f"{v}\n" for v in range(1, n + 1)))
+        args = ["--input", str(path), "--tau", "0", "--method", "perm-t"]
+        assert cli.main(["test", *args, "--gamma", "2"]) == 0
+        capsys.readouterr()
+        assert cli.main(["changepoint", *args]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: Monte Carlo sign matrix of {draws} draws x {n} pairs")
 
     def test_figures_cover_what_exact_work_holds(self):
         # tracemalloc peaks at 18 pairs, per sign vector, against the figures
@@ -585,23 +617,26 @@ class TestMemoryBudget:
 
 
 class TestMonteCarloMemory:
-    # 10000 draws x 1000 pairs need 80 MB of signs, more than the pretended
-    # 64 MiB; the check must fire before anything of that size is allocated
+    # 500000 draws x 1000 pairs: a build holds a 29 MB product block and
+    # 24 MB of per-draw sums and statistics, more than the budget's share of
+    # a pretended 64 MiB; the check must fire before anything of that size
+    # is allocated
     def test_larger_than_memory_fails_fast(self, monkeypatch):
         monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
         s = ps.PairedSample(np.arange(1.0, 1001.0))
-        with pytest.raises(ValueError, match="sign matrix of 10000 draws x 1000 pairs"):
-            ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), mc_engine(10_000))
+        with pytest.raises(ValueError, match="draw set of 500000 draws x 1000 pairs"):
+            ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), mc_engine(500_000))
         ps.build_pair(s, 0.0, ps.SensitivityParam(2.0), mc_engine(1_000))
 
     def test_larger_than_memory_exits_two(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
         path = tmp_path / "pairs.csv"
         path.write_text("".join(f"{v}\n" for v in range(1, 1001)))
-        code = cli.main(["test", "--input", str(path), "--tau", "0", "--gamma", "2"])
+        code = cli.main(["test", "--input", str(path), "--tau", "0", "--gamma", "2",
+                         "--reps", "500000"])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "error: Monte Carlo sign matrix of 10000 draws x 1000 pairs"
+            "error: Monte Carlo draw set of 500000 draws x 1000 pairs"
         )
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import pairsens as ps
-from pairsens import randdist, testing
+from pairsens import testing
+from helpers import halves_only, record_enumerations
 
 GAMMAS = (1.0, 1.5, 2.0, 3.7, 10.0, 1000.0)
 ENGINES = {
@@ -174,21 +175,15 @@ C11_SEARCH = {
 
 
 @pytest.mark.parametrize("method", sorted(C11_SEARCH))
-def test_changepoint_enumerates_once(monkeypatch, method):
-    enumerated = []
-    original = randdist._enumerate_exact
-
-    def counting_enumerate(m, s1, s2=None, k=None):
-        enumerated.append((m.size, s1 is not None, s2 is not None))
-        return original(m, s1, s2, k)
-
-    monkeypatch.setattr(randdist, "_enumerate_exact", counting_enumerate)
-    res = ps.changepoint_gamma(_c11_sample(), tau=0.0, alpha=0.05, method=method,
-                               grid_points=12)
-    # the sums of m once; those of m**2 once, when a decision first leaves
-    # draws open, and only for a studentized search
-    squares = [(20, False, True)] if method == "studentized" else []
-    assert enumerated == [(20, True, False)] + squares
+def test_changepoint_enumerates_halves_only(monkeypatch, method):
+    calls = record_enumerations(monkeypatch)
+    sample = _c11_sample()
+    res = ps.changepoint_gamma(sample, tau=0.0, alpha=0.05, method=method, grid_points=12)
+    # the search's decisions enumerate two halves of the pairs, once each
+    assert halves_only(calls, sample.n_pairs)
+    # the low half's sums of m once, and of m**2 once for a studentized search
+    assert [size for size, fallback in calls if not fallback] == [10] * (
+        2 if method == "studentized" else 1)
     assert (res.gamma_changepoint, res.bracket, res.inversions,
             res.n_evaluations) == C11_SEARCH[method]
 

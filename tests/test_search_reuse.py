@@ -1,8 +1,7 @@
 """Work a search keeps instead of redoing.
 
-An exact search enumerates the signed sums of ``m**2`` only when a
-studentized decision leaves draws open at a bias bound above 1, so neither a
-perm-t search nor a studentized one at gamma 1 writes them.  A Monte Carlo
+An exact search enumerates only halves of the pairs, never all ``2**n``
+sign vectors, unless a guard fallback builds a sorted distribution.  A Monte Carlo
 search keeps its sign matrix while theta is unchanged, so an interval
 search at one bias bound draws its signs once per side, and redoes only the
 matrix product when tau moves.  No matrix is drawn while another is alive.
@@ -16,32 +15,18 @@ import pytest
 
 import pairsens as ps
 from pairsens import randdist, testing
+from helpers import halves_only, record_enumerations
 from test_search_decision import C11_INTERVAL, _c11_sample
 
 
 @pytest.mark.parametrize("method, gamma", sorted(C11_INTERVAL))
-def test_only_studentized_searches_above_gamma_one_enumerate_squares(
-    monkeypatch, method, gamma
-):
-    calls = []
-    original = randdist._enumerate_exact
-
-    def recording(m, s1, s2=None, k=None):
-        calls.append((s1 is not None, s2 is not None))
-        return original(m, s1, s2, k)
-
-    monkeypatch.setattr(randdist, "_enumerate_exact", recording)
-    res = ps.sensitivity_interval(_c11_sample(), gamma, method=method)
+def test_interval_enumerates_halves_only(monkeypatch, method, gamma):
+    calls = record_enumerations(monkeypatch)
+    sample = _c11_sample()
+    res = ps.sensitivity_interval(sample, gamma, method=method)
     assert (res.lower, res.upper, res.lower_bracket, res.upper_bracket,
             res.non_monotone) == C11_INTERVAL[(method, gamma)]
-    squares = [s2 for _, s2 in calls]
-    assert calls[0] == (True, False)
-    if method == "studentized" and gamma > 1:
-        # a tau's squares come once, right after its sums of m
-        assert any(squares) and (True, True) not in calls
-        assert all(before == (True, False) for before, (_, s2) in zip(calls, calls[1:]) if s2)
-    else:
-        assert not any(squares)
+    assert halves_only(calls, sample.n_pairs)
 
 
 MC_ENGINE = ps.EnumSpec(mode="monte_carlo", draws=1000, seed=7)

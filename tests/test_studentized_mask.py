@@ -1,15 +1,18 @@
-"""The studentized decision mask against the full chain, bit for bit.
+"""Decisions against the full chain, bit for bit.
 
-A decision settles every draw whose mean lies at or beyond the cut points of
-``randdist._cuts`` and computes the studentized statistic only for the
-others.  The mask it sums must equal ``tstat <= t`` of
-``helpers.studentized_full_chain`` over every draw: on random, constant,
-tied, one- and two-pair samples and on samples whose sums of squares sit
-near either end of the float range, at observed values of both signed
-zeros, both infinities and NaN, with shares of open draws on both sides of
-the gather cutoff, for both engines; with draws a few ulps either side of
-each cut, at gamma 1, where no sums of squares are enumerated, and at
-statistics so large that only the sign of the mean may settle a draw.
+An exact decision counts, per number of + signs, the draws whose statistic
+is at most the observed one, from two sorted half-enumerations
+(``randdist._Halves``); only the draws near a cut get their sums finished on
+the doubling chain.  Its counts must equal ``np.bincount(k[stat <= t])`` of
+the full chain (``helpers.enumerate_exact_concat`` and
+``helpers.studentized_full_chain``).  A Monte Carlo decision settles every
+draw whose mean lies at or beyond the cut points of ``randdist._cuts`` and
+computes the studentized statistic only for the others; its mask must equal
+``tstat <= t`` of the full chain.  Both are checked on random, constant,
+tied, one- and two-pair samples and on samples whose sums of squares sit near
+either end of the float range, at observed values of both signed zeros, both
+infinities and NaN, with draws a few ulps either side of each cut, at gamma 1,
+and at statistics so large that only the sign of the mean may settle a draw.
 """
 
 import math
@@ -42,24 +45,68 @@ ENGINES = {
 }
 
 
-def _oracle_sums(m, sens, engine):
+def _oracle(draws, sens, engine):
+    """Every draw's mean and studentized statistic on the full chain, and
+    its + count (None for Monte Carlo draws)."""
+    m = draws.m
     if engine.mode == "exact":
-        return enumerate_exact_concat(m)[:2]
-    return draw_monte_carlo_where(m, sens.theta, engine.draws, engine.seed)
+        s1, s2, k = enumerate_exact_concat(m)
+    else:
+        (s1, s2), k = draw_monte_carlo_where(m, sens.theta, engine.draws, engine.seed), None
+    with np.errstate(all="ignore"):
+        stats = {"mean": (s1 - sens.sign_bias * np.sum(m)) / m.size,
+                 "studentized": studentized_full_chain(s1, s2, m, sens)}
+    return stats, k
 
 
-@pytest.mark.parametrize("mode", sorted(ENGINES))
-def test_mask_equals_full_chain(monkeypatch, mode):
-    engine = ENGINES[mode]
-    gathered = []
-    original = randdist._positions
+def _check(draws, sens, kind, t, stats, k):
+    """The decision at t against the full chain: the exact counts per +
+    count, or the Monte Carlo mask; and the weight."""
+    below = draws.weights_at_most(sens, {kind: t})[kind]
+    want = stats[kind] <= t
+    msg = f"{kind} tau={draws.tau} gamma={sens.gamma} t={t!r}"
+    if draws.mode == "exact":
+        counts = draws._halves.counts_at_most(kind, t, sens)
+        assert_array_equal(counts, np.bincount(k[want], minlength=draws.m.size + 1), err_msg=msg)
+        # the masked sum of per-draw weights, in another order: within the guard
+        w = randdist._weight_table(sens.theta, draws.m.size)[k]
+        assert abs(below - float(w @ want)) < draws.n_draws * np.finfo(float).eps, msg
+    else:
+        assert kind == "studentized"
+        assert_array_equal(draws._studentized_at_most(t), want.astype(float), err_msg=msg)
+        assert below == np.count_nonzero(want) / draws.n_draws
 
-    def counting(mask, out):
-        gathered.append(name)
-        return original(mask, out)
 
-    monkeypatch.setattr(randdist, "_positions", counting)
-    decisions = 0
+def _record_open(monkeypatch):
+    """Record, per exact decision, its open draws and the number of draws."""
+    opened = []
+    original = randdist._Halves._open
+
+    def recording(halves, first, last, *args):
+        opened.append((int(np.sum(last - first)), 2**halves.n))
+        return original(halves, first, last, *args)
+
+    monkeypatch.setattr(randdist._Halves, "_open", recording)
+    return opened
+
+
+def _observed(sample, tau, sens):
+    """The observed statistics; the studentized one is None where the
+    squares overflow at this gamma, which the procedures refuse."""
+    try:
+        return randdist.observed_statistics(sample, tau, sens)
+    except ValueError:
+        return randdist.observed_statistics(sample, tau, sens, studentized=False)
+
+
+def _ulps(t, k=3):
+    return [float(np.int64(bits).view(float))
+            for bits in np.float64(t).view(np.int64) + np.arange(-k, k + 1)]
+
+
+def test_counts_equal_full_chain(monkeypatch):
+    engine = ENGINES["exact"]
+    opened = _record_open(monkeypatch)
     for name, (y, taus) in SAMPLES.items():
         sample = ps.PairedSample(y)
         # one set of draws moved over the taus, as a search uses it
@@ -67,35 +114,40 @@ def test_mask_equals_full_chain(monkeypatch, mode):
         with np.errstate(all="ignore"):
             for tau in taus:
                 draws.move_to(tau)
-                m = np.abs(y - tau)
                 for gamma in GAMMAS:
                     sens = ps.SensitivityParam(gamma)
-                    tstat = studentized_full_chain(*_oracle_sums(m, sens, engine), m, sens)
-                    observed = randdist.observed_statistics(sample, tau, sens)[1]
-                    for t in OBSERVED + (observed,):
-                        want = (tstat <= t).astype(float)
-                        below = draws.weights_at_most(sens, {"studentized": t})["studentized"]
-                        decisions += 1
-                        got = draws._studentized_at_most(t)
-                        assert_array_equal(got, want, err_msg=f"{name} {tau} {gamma} {t}")
-                        if mode == "exact":
-                            assert below == float(draws._w @ want)
-                        else:
-                            assert below == np.count_nonzero(want) / engine.draws
-    # each decision asked twice; some gathered, others computed over every draw
-    assert 0 < len(gathered) < decisions * 2
-    # the sign of the mean cannot settle draws near the ends of the float range
-    assert not {"underflow", "overflow"} & set(gathered)
+                    stats, k = _oracle(draws, sens, engine)
+                    observed = _observed(sample, tau, sens)
+                    for kind, own in zip(("mean", "studentized"), observed):
+                        # the observed draw's own value, and a few ulps off it
+                        near = [] if own is None else _ulps(own) if math.isfinite(own) else [own]
+                        for t in OBSERVED + tuple(near):
+                            _check(draws, sens, kind, t, stats, k)
+    # most decisions finish a few draws; some every draw (no cut: NaN, or the
+    # sums of squares near either end of the float range)
+    assert any(n_open == total for n_open, total in opened)
+    assert np.median([n_open / total for n_open, total in opened]) < 0.1
 
 
-def _decide(draws, sens, t):
-    draws.weights_at_most(sens, {"studentized": t})
-    return draws._studentized_at_most(t)
-
-
-def _oracle(draws, sens, engine):
-    m = draws.m
-    return studentized_full_chain(*_oracle_sums(m, sens, engine), m, sens)
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 1000.0])
+@pytest.mark.parametrize("name", ["random", "ties-at-tau", "two-pairs"])
+def test_counts_around_the_split_sum_cut(gamma, name):
+    # t a few ulps and a few widths of the rounding bound from draws' own means,
+    # so draws fall just inside and outside the widened cut of _sum_cut
+    y, taus = SAMPLES[name]
+    engine, sens = ENGINES["exact"], ps.SensitivityParam(gamma)
+    draws = randdist.SignDraws(ps.PairedSample(y), taus[0], engine)
+    stats, k = _oracle(draws, sens, engine)
+    n, total = y.size, float(np.sum(draws.m))
+    shift = sens.sign_bias * np.sum(draws.m)
+    means = np.unique(stats["mean"])
+    for a in means[np.linspace(0, means.size - 1, 5).astype(int)]:
+        width = randdist._sum_cut(a, 1.0, n, total, shift) - (n * a + shift)
+        assert width > 0
+        ts = _ulps(a) + [a + f * width / n for f in (-2, -1, -0.5, 0.5, 1, 2)]
+        for t in ts:
+            for kind in ("mean", "studentized"):
+                _check(draws, sens, kind, t, stats, k)
 
 
 def _limit(n):
@@ -125,9 +177,8 @@ def test_mask_a_few_ulps_from_each_cut(mode, gamma, name):
     y, taus = SAMPLES[name]
     engine, sens = ENGINES[mode], ps.SensitivityParam(gamma)
     draws = randdist.SignDraws(ps.PairedSample(y), taus[0], engine)
-    tstat = _oracle(draws, sens, engine)
-    draws.weights_at_most(sens, {"mean": 0.0})
-    means = np.unique(draws._out.abar[draws._out.abar != 0.0])
+    stats, k = _oracle(draws, sens, engine)
+    means = np.unique(stats["mean"][stats["mean"] != 0.0])
     n, sumsq, c = y.size, float(np.sum(draws.m**2)), sens.sign_bias
     edges = 0
     for a in means[np.linspace(0, means.size - 1, 6).astype(int)]:
@@ -144,18 +195,51 @@ def test_mask_a_few_ulps_from_each_cut(mode, gamma, name):
                 t = math.copysign(float(np.int64(bits + step).view(float)), a)
                 # the draw with mean a sits within a few ulps of the cut
                 assert abs(cut(abs(t)) - abs(a)) <= 8 * np.spacing(abs(a))
-                assert_array_equal(_decide(draws, sens, t), (tstat <= t).astype(float),
-                                   err_msg=f"a={a!r} side={side} t={t!r}")
+                _check(draws, sens, "studentized", t, stats, k)
     assert edges >= 4
 
 
 @pytest.mark.parametrize("mode", sorted(ENGINES))
-def test_gamma_one_enumerates_no_squares(monkeypatch, mode):
-    squares = []
+def test_mask_equals_full_chain(monkeypatch, mode):
+    engine = ENGINES[mode]
+    gathered = []
+    original = randdist._positions
+
+    def counting(mask, out):
+        gathered.append(name)
+        return original(mask, out)
+
+    monkeypatch.setattr(randdist, "_positions", counting)
+    decisions = 0
+    for name, (y, taus) in SAMPLES.items():
+        sample = ps.PairedSample(y)
+        draws = randdist.SignDraws(sample, taus[0], engine)
+        with np.errstate(all="ignore"):
+            for tau in taus:
+                draws.move_to(tau)
+                for gamma in GAMMAS:
+                    sens = ps.SensitivityParam(gamma)
+                    stats, k = _oracle(draws, sens, engine)
+                    observed = _observed(sample, tau, sens)[1]
+                    for t in OBSERVED + (() if observed is None else (observed,)):
+                        decisions += 1
+                        _check(draws, sens, "studentized", t, stats, k)
+    if mode == "monte_carlo":
+        # some decisions gathered, others computed over every draw
+        assert 0 < len(gathered) < decisions * 2
+        # the sign of the mean cannot settle draws near the ends of the float range
+        assert not {"underflow", "overflow"} & set(gathered)
+    else:
+        assert not gathered
+
+
+@pytest.mark.parametrize("mode", sorted(ENGINES))
+def test_gamma_one_equals_full_chain(monkeypatch, mode):
+    sizes = []
     original = randdist._enumerate_exact
 
     def recording(m, s1, s2=None, k=None):
-        squares.append(s2 is not None)
+        sizes.append(m.size)
         return original(m, s1, s2, k)
 
     monkeypatch.setattr(randdist, "_enumerate_exact", recording)
@@ -163,18 +247,19 @@ def test_gamma_one_enumerates_no_squares(monkeypatch, mode):
     for name in ("random", "constant", "ties-at-tau", "two-pairs"):
         y, taus = SAMPLES[name]
         draws = randdist.SignDraws(ps.PairedSample(y), taus[0], engine)
-        # at c = 0 the squares are read only outside _SETTLED_SUMSQ: all m = 0
         for tau in (tau for tau in taus if np.any(y - tau)):
             draws.move_to(tau)
-            tstat = _oracle(draws, sens, engine)
+            stats, k = _oracle(draws, sens, engine)
+            tstat = stats["studentized"]
             # every draw's own statistic and its neighbours are observed values
             finite = np.unique(tstat[np.isfinite(tstat)])[::7]
             near = np.concatenate([finite, np.nextafter(finite, np.inf),
                                    np.nextafter(finite, -np.inf)])
             for t in OBSERVED + tuple(near):
-                assert_array_equal(_decide(draws, sens, t), (tstat <= t).astype(float),
-                                   err_msg=f"{name} {tau} {t!r}")
-    assert mode != "exact" or squares and not any(squares)
+                _check(draws, sens, "studentized", t, stats, k)
+        # a decision enumerates at most half the pairs
+        assert all(size <= -(-y.size // 2) for size in sizes)
+        sizes.clear()
 
 
 @pytest.mark.parametrize("mode", sorted(ENGINES))
@@ -189,13 +274,13 @@ def test_huge_t_falls_back_to_the_sign_rule(mode, spread):
     sumsq = float(np.sum(draws.m**2))
     for gamma in (1.0, 2.0):
         sens = ps.SensitivityParam(gamma)
-        tstat = _oracle(draws, sens, engine)
+        stats, k = _oracle(draws, sens, engine)
+        tstat = stats["studentized"]
         big = np.unique(np.abs(tstat[np.isfinite(tstat)]))[-4:]
-        around = [limit * (1 + k * 1e-15) for k in range(-4, 5)]
+        around = [limit * (1 + j * 1e-15) for j in range(-4, 5)]
         ts = [*big, *np.nextafter(big, 0.0), *around, 1e300]
         for t in ts + [-t for t in ts]:
-            assert_array_equal(_decide(draws, sens, t), (tstat <= t).astype(float),
-                               err_msg=f"{spread} {gamma} {t!r}")
+            _check(draws, sens, "studentized", t, stats, k)
             cuts = randdist._cuts(t, n, sumsq, sens.sign_bias)
             if t * t < (n - 1) * (0.5 / randdist._DEGENERATE_RTOL - 1.0):
                 assert not any(map(math.isnan, cuts))
