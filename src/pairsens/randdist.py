@@ -48,10 +48,12 @@ _DEGENERATE_RTOL = 1e-12
 # refused (exit 2).
 _EXACT_BYTES_PER_DRAW = 64
 
-# Peak bytes an exact build holds per sign vector: the statistics and
-# weights, the sort and merge of two kinds, and the first distribution while
-# the second is made (tracemalloc measured 112 at 18 pairs).
-_EXACT_BUILD_BYTES_PER_DRAW = 120
+# Peak bytes a build holds per sign vector or draw, exact or Monte Carlo:
+# the statistics, the sort and merge of two kinds, and the first
+# distribution while the second is made.  tracemalloc measured 112 for an
+# exact build at 18 pairs (its weights included) and 108 for a Monte Carlo
+# build at 25 pairs x 10**6 draws, whose values are nearly all distinct.
+_BUILD_BYTES_PER_DRAW = 120
 
 # A decision gathers the draws whose studentized statistic it must compute
 # when they are at most this share of all draws, else computes it for every
@@ -80,11 +82,11 @@ _MEMORY_BUDGET_FRACTION = 0.5
 # Bytes a Monte Carlo search holds per draw x pair: its float64 sign matrix.
 _MC_BYTES_PER_SIGN = 8
 
-# Bytes a single-use Monte Carlo draw (a build, a replication) holds per
-# draw beside its largest product block and one generation block's raw bits
-# and cast buffers (``_check_signs_fit``): the signed sums, both statistics,
-# the scratch array and the mask, 41 bytes.  tracemalloc put the whole at
-# 94 to 98 % of the figure, 100 to 5000 pairs.
+# Bytes a single-use Monte Carlo replication holds per draw beside its
+# largest product block and one generation block (``_draw_set_bytes``): the
+# signed sums, both statistics, the scratch array and the mask, 41 bytes
+# (tracemalloc: 40.7 at 10 and 25 pairs x 10**6 draws).  A build holds
+# ``_BUILD_BYTES_PER_DRAW`` instead.
 _MC_BYTES_PER_DRAW = 48
 
 # Signs made per Monte Carlo generation block.  A block's raw bits and
@@ -326,25 +328,12 @@ def _sign_cut(theta: float) -> int:
     return math.ceil(float(np.float32(theta)) * 2**24) << 8
 
 
-def _single_use_bytes(n: int, draws: int) -> int:
-    """Bytes a single-use Monte Carlo draw holds: its largest product block,
-    one generation block and its per-draw sums and statistics."""
-    start, stop = list(_product_blocks(draws, n))[-1]
-    return (_MC_BYTES_PER_SIGN * (stop - start) * n + 12 * _MC_BLOCK_SIGNS
-            + _MC_BYTES_PER_DRAW * draws)
-
-
-def _check_signs_fit(n: int, draws: int, single_use: bool = False) -> None:
-    """Refuse a Monte Carlo draw that would hold more than the budget: a
-    search its whole sign matrix, a ``single_use`` draw what
-    ``_single_use_bytes`` counts."""
-    if single_use:
-        need = _single_use_bytes(n, draws)
-        what = f"Monte Carlo draw set of {draws} draws x {n} pairs"
-    else:
-        need = _MC_BYTES_PER_SIGN * draws * n
-        what = f"Monte Carlo sign matrix of {draws} draws x {n} pairs"
-    _check_fits(need, what, "use fewer Monte Carlo draws")
+def _draw_set_bytes(n: int, draws: int, per_draw: int) -> int:
+    """Bytes a single-use Monte Carlo draw set holds: its largest product
+    block, one generation block's raw bits and signs, and ``per_draw`` bytes
+    a draw."""
+    return (_MC_BYTES_PER_SIGN * (draws - _last_block_start(draws, n)) * n
+            + 12 * _MC_BLOCK_SIGNS + per_draw * draws)
 
 
 def _sign_stream(theta: float, seed: SeedLike) -> tuple[Union[np.random.Philox, None], int]:
@@ -388,7 +377,6 @@ def _fill_signs(signs: np.ndarray, raw: Union[np.random.Philox, None], cut: int)
 
 def _monte_carlo_signs(n: int, theta: float, draws: int, seed: SeedLike) -> np.ndarray:
     """The ``draws x n`` matrix of iid theta-biased signs."""
-    _check_signs_fit(n, draws)
     signs = np.empty((draws, n))
     _fill_signs(signs, *_sign_stream(theta, seed))
     return signs
@@ -399,10 +387,16 @@ def _product_blocks(draws: int, n: int) -> Iterator[tuple[int, int]]:
     ``_product_rows(n)`` rows, the last also taking the remainder, so no block
     is under the BLAS small-matrix cutoff unless it is the only one."""
     rows = _product_rows(n)
-    last = max(0, draws // rows - 1) * rows
+    last = _last_block_start(draws, n)
     for start in range(0, last, rows):
         yield start, start + rows
     yield last, draws
+
+
+def _last_block_start(draws: int, n: int) -> int:
+    """First row of the last Monte Carlo product block, the largest."""
+    rows = _product_rows(n)
+    return max(0, draws // rows - 1) * rows
 
 
 def _signed_sums(
@@ -432,10 +426,7 @@ def _draw_monte_carlo(
     made in one reused buffer.
     """
     n = m.size
-    _check_signs_fit(n, draws, single_use=True)
-    # the last block, which takes the remainder, is the largest
-    start, stop = list(_product_blocks(draws, n))[-1]
-    buf = np.empty((stop - start, n))
+    buf = np.empty((draws - _last_block_start(draws, n), n))
     raw, cut = _sign_stream(theta, seed)
 
     def signs_of(start: int, stop: int) -> np.ndarray:
@@ -852,7 +843,14 @@ class SignDraws:
             self.n_draws = 2**n
             self._halves = _Halves(n)
         else:
-            self.n_draws = engine.draws
+            self.n_draws = draws = engine.draws
+            # checked before any per-draw buffer is made
+            if single_use:
+                need, what = _draw_set_bytes(n, draws, _MC_BYTES_PER_DRAW), "draw set"
+            else:
+                need, what = _MC_BYTES_PER_SIGN * draws * n, "sign matrix"
+            _check_fits(need, f"Monte Carlo {what} of {draws} draws x {n} pairs",
+                        "use fewer Monte Carlo draws")
             self._s1 = self._s2 = None
             self._out = _StatBuffers.empty(self.n_draws)
         self.move_to(tau)
@@ -972,7 +970,7 @@ def _build(
     studentized = "studentized" in kinds
     mode = engine.resolve(n)
     if mode == "exact":
-        _check_fits(_EXACT_BUILD_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
+        _check_fits(_BUILD_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
                     "lower the exact cap to use Monte Carlo draws")
         n_draws = 2**n
         s1, k = np.empty(n_draws), np.empty(n_draws, dtype=np.int64)
@@ -982,6 +980,11 @@ def _build(
         del k
     else:
         n_draws = int(engine.draws)
+        # it holds its product block while it draws and up to
+        # _BUILD_BYTES_PER_DRAW while it sorts; their sum bounds both
+        _check_fits(_draw_set_bytes(n, n_draws, _BUILD_BYTES_PER_DRAW),
+                    f"Monte Carlo draw set of {n_draws} draws x {n} pairs",
+                    "use fewer Monte Carlo draws")
         s1, s2 = _draw_monte_carlo(m, sens.theta, n_draws, engine.seed)
         draw_weights = None
     abar, tstat = _statistics(s1, s2, m, sens, studentized, _StatBuffers.empty(n_draws))

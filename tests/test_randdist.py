@@ -456,9 +456,11 @@ class TestBlockedProduct:
             assert_array_equal(g, w)
 
     @pytest.mark.parametrize("single_use", ["build", "replication"])
-    def test_holds_blocks_not_the_matrix(self, single_use):
-        # the whole sign matrix of 6000 draws x 2000 pairs is 96 MB
-        n, draws = 2000, 6000
+    @pytest.mark.parametrize("n, draws", [(2000, 6000), (25, 10**6)])
+    def test_holds_blocks_not_the_matrix(self, single_use, n, draws):
+        # the whole sign matrix of 6000 draws x 2000 pairs is 96 MB, and the
+        # product block is most of the figure; at 25 pairs x 10**6 draws the
+        # per-draw bytes are, with nearly all values distinct
         s = ps.PairedSample(np.random.default_rng(54).normal(loc=0.3, size=n))
         sens, engine = ps.SensitivityParam(2.0), mc_engine(draws)
         spec = ps.TestSpec(tau=0.0, method="combined")
@@ -475,7 +477,9 @@ class TestBlockedProduct:
         block = randdist._MC_BYTES_PER_SIGN * randdist._MC_PRODUCT_SIGNS
         assert peak < 3 * block + 200 * draws
         # within the figure the budget checks
-        assert peak <= randdist._single_use_bytes(n, draws)
+        per_draw = (randdist._BUILD_BYTES_PER_DRAW if single_use == "build"
+                    else randdist._MC_BYTES_PER_DRAW)
+        assert peak <= randdist._draw_set_bytes(n, draws, per_draw)
 
 
 def _garbage_buffers(size):
@@ -577,11 +581,11 @@ class TestStatisticsInPlace:
 class TestMemoryBudget:
     def test_single_use_draws_budgeted_by_what_they_hold(self, monkeypatch, tmp_path, capsys):
         # 10000 draws x 600 pairs: the whole sign matrix, 45.8 MiB, is over
-        # the budget's share of a pretended 80 MiB; a test build, which holds
-        # one product block and 48 bytes a draw, about 30.7 MiB, is under it
+        # the budget's share of a pretended 80 MiB; a test build, budgeted
+        # at one product block and 120 bytes a draw, about 31.4 MiB, is under
         monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 80 * 2**20)
         n, draws = 600, 10_000
-        held = randdist._single_use_bytes(n, draws)
+        held = randdist._draw_set_bytes(n, draws, randdist._BUILD_BYTES_PER_DRAW)
         budget = randdist._MEMORY_BUDGET_FRACTION * 80 * 2**20
         assert held < budget < randdist._MC_BYTES_PER_SIGN * draws * n
         path = tmp_path / "pairs.csv"
@@ -613,14 +617,14 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert search <= randdist._EXACT_BYTES_PER_DRAW * 2**18
-        assert build <= randdist._EXACT_BUILD_BYTES_PER_DRAW * 2**18
+        assert build <= randdist._BUILD_BYTES_PER_DRAW * 2**18
 
 
 class TestMonteCarloMemory:
-    # 500000 draws x 1000 pairs: a build holds a 29 MB product block and
-    # 24 MB of per-draw sums and statistics, more than the budget's share of
-    # a pretended 64 MiB; the check must fire before anything of that size
-    # is allocated
+    # 500000 draws x 1000 pairs: a build is budgeted at a 29 MB product
+    # block and 120 bytes a draw, 60 MB, more than the budget's share of a
+    # pretended 64 MiB; the check must fire before anything of that size is
+    # allocated
     def test_larger_than_memory_fails_fast(self, monkeypatch):
         monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
         s = ps.PairedSample(np.arange(1.0, 1001.0))
@@ -638,6 +642,23 @@ class TestMonteCarloMemory:
         assert capsys.readouterr().err.startswith(
             "error: Monte Carlo draw set of 500000 draws x 1000 pairs"
         )
+
+    @pytest.mark.parametrize("command, what", [
+        ("test", "draw set"), ("changepoint", "sign matrix"), ("interval", "sign matrix"),
+    ])
+    def test_huge_draw_count_refused_before_any_work(self, command, what, monkeypatch,
+                                                     tmp_path, capsys):
+        # 10**13 draws: the refusal is arithmetic, made before any per-draw
+        # buffer or list of blocks exists
+        monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 64 * 2**20)
+        path = tmp_path / "pairs.csv"
+        path.write_text("".join(f"{v}\n" for v in range(1, 101)))
+        args = ["--input", str(path), "--reps", str(10**13)]
+        args += {"test": ["--tau", "0", "--gamma", "2"], "changepoint": ["--tau", "0"],
+                 "interval": ["--gamma", "2"]}[command]
+        assert cli.main([command, *args]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: Monte Carlo {what} of {10**13} draws x 100 pairs")
 
 
 class TestExactVsMonteCarlo:
