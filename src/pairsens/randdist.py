@@ -73,6 +73,9 @@ _POSITIONS_BLOCK = 1 << 11
 # denominator that underflows to 0.
 _SETTLED_SUMSQ = (2.0**-900, 2.0**900)
 
+# The unit roundoff and least normal double: np.finfo costs a lookup a call.
+_UNIT_ROUNDOFF, _TINY = 2.0**-53, 2.0**-1022
+
 # Share of physical memory that one allocation may plan to use.  Work above
 # it is refused, not attempted: near all of memory the machine swaps or the
 # process is killed.  A constant, so the refusal (exit 2) depends only on the
@@ -109,8 +112,8 @@ _MC_PRODUCT_SIGNS = 1 << 21
 
 # Open draws an exact decision finishes per block: those its cuts leave
 # open, whose signed sums it takes from the doubling chain.  A block's
-# buffers, 73 bytes a draw plus 8 a draw x pair of the high half (at most
-# 0.8 MiB), are made once per ``SignDraws``, so no decision allocates
+# buffers, 73 bytes a draw plus 16 a draw x pair of the high half (at most
+# 1.3 MiB), are made once per ``SignDraws``, so no decision allocates
 # anything that grows with its open draws.
 _OPEN_BLOCK = 1 << 12
 
@@ -282,25 +285,32 @@ def _check_fits(need: int, what: str, remedy: str) -> None:
         )
 
 
+def _rows(m: np.ndarray, squares: bool) -> np.ndarray:
+    """``m`` as one row, or with ``m**2`` as a second when ``squares`` is set:
+    the values whose signed sums a decision reads.  m**2 only when its sums
+    are read: it overflows long before m does."""
+    return np.array((m, m * m)) if squares else m[None]
+
+
 def _enumerate_exact(
     m: np.ndarray,
-    s1: Union[np.ndarray, None],
+    s1: np.ndarray,
     s2: Union[np.ndarray, None] = None,
     k: Union[np.ndarray, None] = None,
 ) -> None:
-    """Fill s1 and s2, each when given, with the signed subset sums of m and
+    """Fill s1, and s2 when given, with the signed subset sums of m and
     m**2 over all ``2**n`` sign vectors, and k, when given, with their counts
     of + signs.
 
     Doubling construction: bit ``i`` of the assignment index gives the sign
     of pair ``i``, so each of the ``2**n`` vectors costs O(1) amortized.
     Each step writes the + half from the current prefix, then turns the
-    prefix itself into the - half, all within the caller's arrays.  A
-    build enumerates all the pairs; a decision only the low half of them
-    (``_Halves``), whose sums are the chain's state at its midpoint.
+    prefix itself into the - half, all within the caller's arrays.  Only a
+    build enumerates all the pairs; a decision chains each half of them
+    from its steps (``_Halves``), adding in the same order.
     """
     # m**2 only when its sums are asked for: it overflows long before m does
-    filled = [] if s1 is None else [(s1, m)]
+    filled = [(s1, m)]
     if s2 is not None:
         filled.append((s2, m * m))
     for sums, _ in filled:
@@ -467,7 +477,7 @@ def _statistics(
     that its cuts leave open (``_Halves``, ``SignDraws._studentized_at_most``).
     """
     c = sens.sign_bias
-    abar = np.subtract(s1, c * np.sum(m), out=out.abar)
+    abar = np.subtract(s1, c * m.sum(), out=out.abar)
     np.divide(abar, m.size, out=abar)
     if not studentized:
         return abar, None
@@ -499,7 +509,7 @@ def _studentized(
     n = m.size
     # the sum of squares and its tolerance pass through tstat, written last
     sumsq = np.multiply(2.0 * c, s2, out=tstat)
-    np.subtract((1.0 + c * c) * np.sum(m * m), sumsq, out=sumsq)
+    np.subtract((1.0 + c * c) * (m * m).sum(), sumsq, out=sumsq)
     np.maximum(sumsq, 0.0, out=sumsq)
     ssd = np.multiply(n, abar, out=ssd)
     np.multiply(ssd, abar, out=ssd)
@@ -509,8 +519,9 @@ def _studentized(
     degenerate = np.less_equal(ssd, tol, out=degenerate)
     if n < 2:
         degenerate.fill(True)
-    da = abar[degenerate]
-    tstat[degenerate] = np.where(da > 0, np.inf, np.where(da < 0, -np.inf, 0.0))
+    if degenerate.any():
+        da = abar[degenerate]
+        tstat[degenerate] = np.where(da > 0, np.inf, np.where(da < 0, -np.inf, 0.0))
     if n >= 2:
         ok = np.logical_not(degenerate, out=degenerate)
         den = np.divide(ssd, n * (n - 1), out=ssd)
@@ -539,7 +550,7 @@ def _cuts(t: float, n: int, sumsq: float, c: float) -> tuple[float, float]:
     if not _SETTLED_SUMSQ[0] < sumsq < _SETTLED_SUMSQ[1]:
         return math.nan, math.nan
     near, far, t2 = 0.0, math.nan, t * t
-    u, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
+    u, tiny = _UNIT_ROUNDOFF, _TINY
     if n >= 2 and tiny <= t2 < (n - 1) * (0.5 / _DEGENERATE_RTOL - 1.0):
         e, g = (k * u / (1.0 - k * u) for k in (2 * n + 8, 24))
         per = sumsq / (n * (n - 1) + n * t2)
@@ -566,8 +577,21 @@ def _positions(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out[:end]
 
 
+def _observed_sums(negative: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The observed assignment's signed sum of each of ``rows`` (``_rows``),
+    - where ``negative`` (``y - tau < 0``), else +, added left to right as the
+    doubling enumeration adds them: the first value, then each next one
+    added or subtracted (``x - v`` is ``x + (-v)`` in IEEE arithmetic, and
+    ``0.0 + v`` is v, no value being -0.0)."""
+    return np.add.accumulate(np.where(negative, -rows, rows), axis=1)[:, -1]
+
+
 def observed_statistics(
-    sample: PairedSample, tau: float, sens: SensitivityParam, studentized: bool = True
+    sample: PairedSample,
+    tau: float,
+    sens: SensitivityParam,
+    studentized: bool = True,
+    sums: Union[np.ndarray, None] = None,
 ) -> tuple[float, Union[float, None]]:
     """Observed mean and studentized statistics on the atoms' arithmetic path;
     the studentized statistic is None unless ``studentized`` is set.
@@ -575,32 +599,24 @@ def observed_statistics(
     The observed assignment (signs of ``y - tau``, ties +1) is one of the
     enumerated sign vectors, and its statistics must tie its own atom
     bit-for-bit or worst-case p-values lose that atom's weight to roundoff.
-    The signed sums are therefore accumulated left to right exactly as the
-    doubling enumeration does, then pushed through the same transform.
-    Mathematically the results equal ``mean(d)`` and ``mean(d)/se(d)``.
-    Where ``(1 + |c|)**2 sum(m**2)``, the bound on every draw's sum of
-    squares, overflows, draws' studentized statistics could be NaN or wrong:
-    ValueError.
+    The signed sums (``_observed_sums``) are therefore accumulated left to
+    right exactly as the doubling enumeration does, then pushed through the
+    same transform; ``sums``, when given, are those of ``SignDraws``, kept
+    per tau.  Mathematically the results equal ``mean(d)`` and
+    ``mean(d)/se(d)``.  Where ``(1 + |c|)**2 sum(m**2)``, the bound on every
+    draw's sum of squares, overflows, draws' studentized statistics could be
+    NaN or wrong: ValueError.
     """
     resid = sample.y - tau
     m = np.abs(resid)
-    with np.errstate(over="ignore"):
+    # a signed sum that overflows is inf, and inf - inf NaN, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = (1.0 + abs(sens.sign_bias)) ** 2
-        if studentized and not np.isfinite(bound * np.sum(m * m)):
+        if studentized and not np.isfinite(bound * (m * m).sum()):
             raise ValueError(f"the squares of |y - tau| overflow double precision; {RESCALE}")
-    s1 = 0.0
-    s2 = 0.0
-    for ri, mi in zip(resid, m):
-        sq = mi * mi if studentized else 0.0
-        if ri < 0.0:
-            s1 -= mi
-            s2 -= sq
-        else:
-            s1 += mi
-            s2 += sq
-    abar, tstat = _statistics(
-        np.array([s1]), np.array([s2]), m, sens, studentized, _StatBuffers.empty(1)
-    )
+        if sums is None:
+            sums = _observed_sums(resid < 0.0, _rows(m, studentized))
+    abar, tstat = _statistics(sums[:1], sums[-1:], m, sens, studentized, _StatBuffers.empty(1))
     return float(abar[0]), None if tstat is None else float(tstat[0])
 
 
@@ -644,7 +660,7 @@ def _sum_cut(a: float, side: float, n: int, total: float, shift: float) -> float
         return math.nan
     if math.isinf(a):
         return a
-    ku = (2 * n + 16) * 2.0**-53
+    ku = (2 * n + 16) * _UNIT_ROUNDOFF
     cut = n * a + shift
     return cut + side * ku / (1.0 - ku) * (4.0 * total + 2.0 * abs(cut))
 
@@ -654,32 +670,37 @@ class _Halves:
     below a cut without being stored one by one.
 
     The pairs split at ``h = n // 2``: sign vector ``a + 2**h * b`` joins the
-    low half's vector ``a`` and the high half's ``b``.  ``pa[a]`` is the
-    doubling chain's own state after ``h`` pairs (``_enumerate_exact`` fills
-    those indices first) and ``sb`` holds the high half's signed sums,
-    sorted, so ``pa[a] + sb[p]`` is a draw's signed sum of m but for
+    low half's vector ``a`` and the high half's ``b``.  ``pa[0, a]`` is the
+    doubling chain's own state after ``h`` pairs, chained in pair order from
+    the low half's step table, and ``sb`` holds the high half's signed sums,
+    sorted, so ``pa[0, a] + sb[p]`` is a draw's signed sum of m but for
     rounding; ``cum[j, p]`` counts the sorted positions below ``p`` whose
     ``b`` has ``j`` + signs.  This is the subset-sum meet in the middle of
     Horowitz and Sahni (1974).  For a cut on the mean, one binary search per
     ``a`` finds the positions surely below the lower cut of ``_sum_cut`` and
     those surely above the upper one, and ``cum`` turns the first into
     counts per total + count, in ``O(2**(n/2) log)``.  The draws between are
-    open: their sums are finished on the chain from ``pa[a]`` over the high
-    half's pairs, a block at a time, so each is decided by ``_statistics``
-    on the very floats the full enumeration gives it.
+    open: their sums are finished on the chain from ``pa[:, a]`` over the
+    high half's pairs, a block at a time, so each is decided by
+    ``_statistics`` on the very floats the full enumeration gives it.  With
+    ``rows`` 2 (a studentized decider) the tables carry the sums of m**2 as
+    a second row, made with those of m, and the chain finishes both at once.
+    All of it depends on tau alone, and is redone only when tau moves.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, rows: int):
         h = n // 2
         self.n, self.h = n, h
         self.ka = _bit_table(h).sum(axis=0)
-        bits = _bit_table(n - h)
-        self.kb = bits.sum(axis=0)
-        # row i, column b: where ``_steps`` reads b's step i, -v[i] or +v[i]
-        self.sel = np.arange(n - h)[:, None] + (n - h) * bits
-        self.pm = np.empty(2 * (n - h))
-        self.pa, self.pa2 = np.empty(2**h), np.empty(2**h)
-        self.step, self.step2 = np.empty(bits.shape), np.empty(bits.shape)
+        self.kb = _bit_table(n - h).sum(axis=0)
+        # the place value of each pair's bit in a half's vector (h <= n - h)
+        self.place = 1 << np.arange(n - h)
+        # [i, j, b]: where move_to takes row j's step i of a half's vector b
+        # from [-v, v]: -v[j, i], or +v[j, i] where bit i of b is set
+        self.low_sel, self.sel = (np.arange(k)[:, None, None] + k * _bit_table(k)[:, None]
+                                  + 2 * k * np.arange(rows)[:, None] for k in (h, n - h))
+        self.low_step, self.step = np.empty(self.low_sel.shape), np.empty(self.sel.shape)
+        self.pa = np.empty((rows, 2**h))
         # row j, column a: the total + count of a with a b of j + signs
         self.k_table = np.arange(n - h + 1)[:, None] + self.ka
         self.cum = np.zeros((n - h + 1, 2 ** (n - h) + 1))
@@ -688,55 +709,66 @@ class _Halves:
         size = min(2**n, _OPEN_BLOCK)
         self.ramp = np.arange(size)
         self.a, self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(4))
-        self.steps = np.empty((n - h) * size)
-        self.s1, self.s2 = np.empty(size), np.empty(size)
+        self.steps = np.empty((n - h) * rows * size)
+        self.sums = np.empty(rows * size)
         self.out = _StatBuffers.empty(size)
 
-    def move_to(self, m: np.ndarray) -> None:
-        """Redo the halves' sums, their order and ``cum`` for a new ``m``."""
+    def move_to(self, rows: np.ndarray, plus: np.ndarray) -> None:
+        """Redo the halves' sums, their order and ``cum`` for new ``rows``,
+        ``m = |y - tau|`` and, with a second row, m**2 (``_rows``), and find
+        the observed assignment's draw, + where ``plus``."""
         h = self.h
-        self.m = m
-        _enumerate_exact(m[:h], self.pa)
-        self._steps(m[h:], self.step)
-        self.total = m.sum()
+        self.m = m = rows[0]
+        # adding a step is the chain's step for that pair; taken, not
+        # multiplied, as a broadcast product buffers its operands
+        for v, sel, out in ((rows[:, :h], self.low_sel, self.low_step),
+                            (rows[:, h:], self.sel, self.step)):
+            np.concatenate((-v, v), axis=1).take(sel, out=out, mode="clip")
+        # the low half's chain from 0, in pair order as the enumeration adds
+        self.pa.fill(0.0)
+        for step in self.low_step:
+            np.add(self.pa, step, out=self.pa)
+        self.total = float(m.sum())
+        self.sumsq = float(rows[-1].sum())
         # any order of summing the steps rounds within the bound of _sum_cut
-        sb = self.step.sum(axis=0)
+        sb = self.step[:, 0].sum(axis=0)
         self.order = sb.argsort()
         self.sb = sb[self.order]
+        # the observed draw: its low half's vector, and the sorted position
+        # of its high half's
+        b = plus[h:] @ self.place
+        self.observed_at = int(plus[:h] @ self.place[:h]), int((self.order == b).argmax())
         # one-hot columns of the sorted + counts, taken from an identity (a
         # comparison would cast bool to float through a buffer), then summed
         self.one_hot.take(self.kb[self.order], axis=1, out=self.hot, mode="clip")
         self.hot.cumsum(axis=1, out=self.cum[:, 1:])
-        # the low half's sums of m**2 and their steps, once a studentized
-        # draw is open
-        self.squares = False
 
-    def _steps(self, v: np.ndarray, out: np.ndarray) -> None:
-        """``out[i, b]``: ``v[i]`` where bit i of b is set, else ``-v[i]``, so
-        adding it is the chain's step.  Taken, not multiplied: a broadcast
-        product buffers its operands."""
-        np.negative(v, out=self.pm[: v.size])
-        self.pm[v.size :] = v
-        self.pm.take(self.sel, out=out, mode="clip")
-
-    def counts_at_most(self, kind: str, t: float, sens: SensitivityParam) -> np.ndarray:
+    def counts_at_most(
+        self, kind: str, t: float, sens: SensitivityParam, own: Union[float, None] = None
+    ) -> np.ndarray:
         """Per total + count k, how many draws have a statistic of ``kind``
-        at most t: exact integers, in float64."""
-        n, m, c = self.n, self.m, sens.sign_bias
+        at most t: exact integers, in float64.  ``own``, the observed
+        assignment's statistic (``observed_statistics``, bit for bit its
+        draw's), settles that draw when it is at most t and first in its open
+        run: at t = own, often the only open draw."""
+        n, c, low = self.n, sens.sign_bias, self.pa[0]
         lo = hi = t
         if kind == "studentized":
-            lo, hi = _cuts(t, n, float((m * m).sum()), c)
-        total, shift = float(self.total), c * self.total
+            lo, hi = _cuts(t, n, self.sumsq, c)
+        total, shift = self.total, c * self.total
         lo, hi = (_sum_cut(x, side, n, total, shift) for x, side in ((lo, -1.0), (hi, 1.0)))
         # per a, the sorted positions below first[a] are in, from last[a] out
         if math.isnan(lo):
-            first = np.zeros(self.pa.size, np.intp)
+            first = np.zeros(low.size, np.intp)
         else:
-            first = self.sb.searchsorted(lo - self.pa)
+            first = self.sb.searchsorted(lo - low)
         if math.isnan(hi):
-            last = np.full(self.pa.size, self.sb.size)
+            last = np.full(low.size, self.sb.size)
         else:
-            last = self.sb.searchsorted(hi - self.pa, side="right")
+            last = self.sb.searchsorted(hi - low, side="right")
+        a, q = self.observed_at
+        if own is not None and own <= t and first[a] == q < last[a]:
+            first[a] += 1
         self.cum.take(first, axis=1, out=self.below, mode="clip")
         counts = np.bincount(self.k_table.ravel(), weights=self.below.ravel(), minlength=n + 1)
         for k, below in self._open(first, last, kind, t, sens):
@@ -751,6 +783,9 @@ class _Halves:
         statistic is at most t, views of the block buffers valid until the
         next block."""
         h, m = self.h, self.m
+        # every row is finished, whichever the statistic reads: a take of
+        # some rows would copy them
+        studentized, rows = kind == "studentized", len(self.pa)
         ends = (last - first).cumsum()
         # flat position p of a's run is sorted position p + offset[a]
         offset = last - ends
@@ -770,39 +805,18 @@ class _Halves:
             self.order.take(pos, out=b, mode="clip")
             self.ka.take(a, out=k, mode="clip")
             k += self.kb.take(b, out=pos, mode="clip")
-            steps = self.steps[: (m.size - h) * size].reshape(-1, size)
-            s1 = _chain(self.pa, self.step, a, b, steps, self.s1[:size])
+            # the doubling chain's sums of the draws (a, b): from pa[:, a], add
+            # the high half's steps of b in turn, all rows at once; it
+            # subtracts where a bit is clear, and x - v is x + (-v) in IEEE
+            steps = self.steps[: (m.size - h) * rows * size].reshape(-1, rows, size)
+            sums = self.sums[: rows * size].reshape(rows, size)
+            self.pa.take(a, axis=1, out=sums, mode="clip")
+            self.step.take(b, axis=2, out=steps, mode="clip")
+            for row in steps:
+                np.add(sums, row, out=sums)
             out = _StatBuffers(*(x[:size] for x in self.out))
-            if kind == "mean":
-                stat = _statistics(s1, s1, m, sens, False, out)[0]
-            else:
-                if not self.squares:
-                    _enumerate_exact(m[:h], None, self.pa2)
-                    self._steps(m[h:] * m[h:], self.step2)
-                    self.squares = True
-                s2 = _chain(self.pa2, self.step2, a, b, steps, self.s2[:size])
-                stat = _statistics(s1, s2, m, sens, True, out)[1]
+            stat = _statistics(sums[0], sums[-1], m, sens, studentized, out)[studentized]
             yield k, np.less_equal(stat, t, out=out.scratch)
-
-
-def _chain(
-    low: np.ndarray,
-    step: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    steps: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """The doubling chain's sums of the draws ``(a, b)``, written into
-    ``out``: from ``low[a]``, add the high half's steps of ``b`` in turn,
-    gathered from the columns of ``step`` into the rows of ``steps``.  The
-    chain subtracts where a bit is clear, and ``x - v`` is ``x + (-v)`` in
-    IEEE arithmetic."""
-    low.take(a, out=out, mode="clip")
-    step.take(b, axis=1, out=steps, mode="clip")
-    for row in steps:
-        np.add(out, row, out=out)
-    return out
 
 
 class SignDraws:
@@ -810,10 +824,12 @@ class SignDraws:
     reject-only decisions of searches and simulation replications.
 
     A decision needs one number per statistic, the weight of the draws at or
-    below the observed value (``weights_at_most``).  Exact draws are counted,
-    not stored: ``_Halves`` is redone when tau moves and allocates nothing
-    per decision that grows with the draws.  The weights of the + counts are
-    kept while theta is unchanged.
+    below the observed value (``weights_at_most``).  ``move_to`` does all
+    that depends on tau alone: ``m = |y - tau|`` (with its squares when
+    ``studentized``), the observed signed sums of both (``observed_sums``),
+    whether every m is 0 (``all_tied``, perm-t's degeneracy) and the exact
+    ``_Halves``.  Exact draws are counted, not stored.  The weights of the
+    + counts are kept while theta is unchanged.
 
     Monte Carlo draws keep their per-draw sums and statistics in buffers
     made once.  Their signs threshold raw random bits against theta; the
@@ -828,11 +844,10 @@ class SignDraws:
     open.
     """
 
-    def __init__(
-        self, sample: PairedSample, tau: float, engine: EnumSpec, single_use: bool = False
-    ):
+    def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec,
+                 single_use: bool = False, studentized: bool = True):
         n = sample.n_pairs
-        self._single_use = single_use
+        self._single_use, self._studentized = single_use, studentized
         self.y = sample.y
         self.mode = engine.resolve(n)
         self.engine = engine
@@ -841,7 +856,7 @@ class SignDraws:
             _check_fits(_EXACT_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
                         "lower the exact cap to use Monte Carlo draws")
             self.n_draws = 2**n
-            self._halves = _Halves(n)
+            self._halves = _Halves(n, 1 + studentized)
         else:
             self.n_draws = draws = engine.draws
             # checked before any per-draw buffer is made
@@ -858,8 +873,16 @@ class SignDraws:
     def move_to(self, tau: float) -> None:
         """Make later calls use the hypothesized value ``tau``."""
         self.tau = tau
-        self.m = np.abs(self.y - tau)
-        # the halves, or the Monte Carlo sums, are redone before their next use
+        resid = self.y - tau
+        self.m, negative = np.abs(resid), resid < 0.0
+        self.all_tied = not self.m.any()
+        # squares that overflow are refused by observed_statistics, not here
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _rows(self.m, self._studentized)
+            self.observed_sums = _observed_sums(negative, rows)
+            if self.mode == "exact":
+                self._halves.move_to(rows, ~negative)
+        # the Monte Carlo sums are redone before their next use
         self._stale = True
 
     def drop_signs(self) -> None:
@@ -892,10 +915,12 @@ class SignDraws:
         return self._s1, self._s2
 
     def weights_at_most(
-        self, sens: SensitivityParam, observed: dict[str, float]
+        self, sens: SensitivityParam, observed: dict[str, float], own: Union[dict, None] = None
     ) -> dict[str, float]:
         """For each kind, "mean" or "studentized", that ``observed`` names, the
         total weight of the draws whose statistic is <= its observed value.
+        ``own`` holds the observed assignment's statistics at this tau, by
+        kind, when known (``_Halves.counts_at_most``).
 
         An exact weight is ``table @ counts``: the number of such draws per
         count k of + signs, an exact integer, times ``theta**k * (1 -
@@ -906,24 +931,22 @@ class SignDraws:
         the premise of ``testing._GUARD_EPS_PER_DRAW``.  A Monte Carlo
         weight is the share of such draws.
         """
-        self._sens = sens
+        self._sens, self._own = sens, own or {}
         if self.mode == "monte_carlo":
             s1, s2 = self._sums(sens)
             _statistics(s1, s2, self.m, sens, False, self._out)
-        else:
-            if self._stale:
-                self._halves.move_to(self.m)
-                self._stale = False
-            if sens.theta != self._theta:
-                self._table = _weight_table(sens.theta, self.m.size)
-                self._theta = sens.theta
+        elif sens.theta != self._theta:
+            self._table = _weight_table(sens.theta, self.m.size)
+            self._theta = sens.theta
         return {kind: self.weight_at_most(kind, t) for kind, t in observed.items()}
 
     def weight_at_most(self, kind: str, t: float) -> float:
         """Total weight of the draws whose statistic of ``kind`` is <= t, at
-        the bias bound of the last ``weights_at_most`` call."""
+        the bias bound and own statistics of the last ``weights_at_most``
+        call."""
         if self.mode == "exact":
-            return float(self._table @ self._halves.counts_at_most(kind, t, self._sens))
+            counts = self._halves.counts_at_most(kind, t, self._sens, self._own.get(kind))
+            return float(self._table @ counts)
         if kind == "mean":
             below = np.less_equal(self._out.abar, t, out=self._out.scratch)
         else:

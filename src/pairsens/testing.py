@@ -54,6 +54,9 @@ __all__ = [
 # less than 2 * n_draws * eps for every n >= 1.
 _GUARD_EPS_PER_DRAW = 2.0
 
+# float64's machine epsilon: np.finfo costs a lookup a decision
+_EPS = 2.0**-52
+
 
 def _normalized(sample: PairedSample, spec: TestSpec) -> tuple[PairedSample, TestSpec]:
     """Reduce a "less" alternative to "greater" on the negated sample."""
@@ -240,22 +243,24 @@ def _decider(
     engine: Union[EnumSpec, None],
     methods: Sequence[str],
     single_use: bool = False,
-) -> Callable[..., list[bool]]:
+) -> Callable[..., tuple[bool, ...]]:
     """Each of ``methods`` decided as ``run_test(...).reject`` would, as a
-    function of ``sens`` and ``tau`` (default ``spec.tau``).
+    function of ``sens`` and ``tau`` (default ``spec.tau``), in a tuple.
 
     ``stat >= quantile(p)`` holds exactly when the weight of draws at or
     below ``stat`` reaches ``p`` less the quantile's slack, so a decision is
     that weight, with no sort or merge, over one ``SignDraws`` that the
     methods share.  Exact draws are counted per number of + signs from two
-    half-enumerations, redone only when tau moves, and only the draws near a
-    cut are finished one by one; Monte Carlo draws are summed under a mask
-    over buffers rewritten at each call.  Either way the studentized
-    statistic is computed only for the draws whose mean leaves the
-    comparison open (``SignDraws``), and the weights of the + counts are
-    redone only when the bias bound moves.  A weight within roundoff of the
-    threshold is re-decided by ``run_test``.  A ``single_use`` decider,
-    called once, does not keep its Monte Carlo sign matrix.
+    half-enumerations, and only the draws near a cut are finished one by
+    one; Monte Carlo draws are summed under a mask over buffers rewritten at
+    each call.  Either way the studentized statistic is computed only for
+    the draws whose mean leaves the comparison open (``SignDraws``).  What
+    depends on tau alone, the observed signed sums among it, is redone only
+    when tau moves, and the weights of the + counts only when the bias
+    bound moves.  A weight within roundoff of the threshold is re-decided by
+    ``run_test``.  Each ``(gamma, tau)`` point is decided once: a search
+    that returns to a point gets the same tuple again.  A ``single_use``
+    decider, called once, does not keep its Monte Carlo sign matrix.
     """
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)
@@ -263,21 +268,32 @@ def _decider(
     alpha = norm_spec.alpha
     unique = list(dict.fromkeys(methods))
     # neyman reads no draws
-    drawing = any(_KINDS[m] for m in unique)
-    draws = SignDraws(norm_sample, norm_spec.tau, engine, single_use) if drawing else None
+    draws = None
+    if any(_KINDS[m] for m in unique):
+        studentized = any("studentized" in _KINDS[m] for m in unique)
+        draws = SignDraws(norm_sample, norm_spec.tau, engine, single_use, studentized)
     threshold = 1.0 - alpha - _CUM_SLACK
+    decided = {}
 
-    def decide(sens: SensitivityParam, tau: float = spec.tau) -> list[bool]:
+    def decide(sens: SensitivityParam, tau: float = spec.tau) -> tuple[bool, ...]:
+        point = (sens.gamma, tau)
+        if point not in decided:
+            decided[point] = decide_once(sens, tau)
+        return decided[point]
+
+    def decide_once(sens: SensitivityParam, tau: float) -> tuple[bool, ...]:
         t = -tau if flip else tau
-        drawn = [m for m in unique if _KINDS[m] and not _degenerate(m, norm_sample, t, sens)]
+        if draws is not None and t != draws.tau:
+            draws.move_to(t)
+        drawn = [m for m in unique if _KINDS[m] and not (
+            draws.all_tied if m == "perm_t" else _degenerate(m, norm_sample, t, sens))]
         kinds = tuple(k for k in _STATISTICS if any(k in _KINDS[m] for m in drawn))
         if kinds:
-            if t != draws.tau:
-                draws.move_to(t)
-            stats = observed_statistics(norm_sample, t, sens, "studentized" in kinds)
-            observed = dict(zip(_STATISTICS, stats))
-            below = draws.weights_at_most(sens, {k: observed[k] for k in kinds})
-            guard = _GUARD_EPS_PER_DRAW * draws.n_draws * np.finfo(float).eps
+            stats = observed_statistics(norm_sample, t, sens, "studentized" in kinds,
+                                        draws.observed_sums)
+            observed = {k: stat for k, stat in zip(_STATISTICS, stats) if k in kinds}
+            below = draws.weights_at_most(sens, observed, own=observed)
+            guard = _GUARD_EPS_PER_DRAW * draws.n_draws * _EPS
 
         def one(m: str) -> bool:
             if not _KINDS[m]:
@@ -290,8 +306,8 @@ def _decider(
                 return run_test(sample, replace(spec, method=m, tau=tau), sens, engine).reject
             return all(below[k] >= threshold for k in _KINDS[m])
 
-        decided = {m: one(m) for m in unique}
-        return [decided[m] for m in methods]
+        by_method = {m: one(m) for m in unique}
+        return tuple(by_method[m] for m in methods)
 
     return decide
 
@@ -318,4 +334,4 @@ def rejections(
     """``run_test(sample, replace(spec, method=m), sens, engine).reject`` for
     each ``m`` in ``methods``, from one set of draws; ``spec.method`` is not
     read.  See ``_decider``."""
-    return _decider(sample, spec, engine, methods, single_use=True)(sens)
+    return list(_decider(sample, spec, engine, methods, single_use=True)(sens))

@@ -69,18 +69,25 @@ def enumerate_exact_concat(m):
 
 
 def record_enumerations(monkeypatch):
-    """Record each ``randdist._enumerate_exact`` call as its number of pairs
-    and whether ``testing.run_test``, a guard fallback, made it.
+    """Record each ``randdist._enumerate_exact`` call, an enumeration of all
+    ``2**n`` sign vectors, as ``("all", fallback)``, and each move of an
+    exact decision's ``_Halves`` as ``("halves", fallback)``; ``fallback`` is
+    whether ``testing.run_test``, a guard fallback, made it.
 
-    An exact decision enumerates only halves of the pairs; only the sorted
-    distribution of a fallback enumerates them all.
+    An exact decision chains only halves of the pairs from their steps; only
+    the sorted distribution of a fallback enumerates them all.
     """
     calls, inside = [], []
     enumerate_exact, run_test = randdist._enumerate_exact, testing.run_test
+    move_to = randdist._Halves.move_to
 
-    def enumerating(m, *args):
-        calls.append((m.size, bool(inside)))
-        return enumerate_exact(m, *args)
+    def enumerating(*args):
+        calls.append(("all", bool(inside)))
+        return enumerate_exact(*args)
+
+    def moving(halves, *args):
+        calls.append(("halves", bool(inside)))
+        return move_to(halves, *args)
 
     def falling_back(*args, **kwargs):
         inside.append(True)
@@ -90,14 +97,16 @@ def record_enumerations(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(randdist, "_enumerate_exact", enumerating)
+    monkeypatch.setattr(randdist._Halves, "move_to", moving)
     monkeypatch.setattr(testing, "run_test", falling_back)
     return calls
 
 
-def halves_only(calls, n):
-    """Whether every recorded enumeration outside a fallback covers at most
-    ``ceil(n / 2)`` pairs, and some enumeration was made."""
-    return bool(calls) and all(size <= -(-n // 2) or fallback for size, fallback in calls)
+def halves_only(calls):
+    """Whether some halves were moved, and all the pairs were enumerated
+    only inside a fallback."""
+    return ("halves", False) in calls and all(
+        kind == "halves" or fallback for kind, fallback in calls)
 
 
 def draw_monte_carlo_where(m, theta, draws, seed):
@@ -140,6 +149,36 @@ def statistics_alloc(s1, s2, m, sens, studentized):
     da = abar[degenerate]
     tstat[degenerate] = np.where(da > 0, np.inf, np.where(da < 0, -np.inf, 0.0))
     return abar, tstat
+
+
+def observed_statistics_loop(sample, tau, sens, studentized=True):
+    """Reference observed statistics whose signed sums are a Python loop over
+    the pairs, adding or subtracting each ``|y - tau|`` (and its square) in
+    pair order as the doubling enumeration does.
+
+    ``randdist.observed_statistics`` accumulates them with numpy; both must
+    give the same floats, and raise the same ValueError.
+    """
+    resid = sample.y - tau
+    m = np.abs(resid)
+    with np.errstate(over="ignore"):
+        bound = (1.0 + abs(sens.sign_bias)) ** 2
+        if studentized and not np.isfinite(bound * np.sum(m * m)):
+            raise ValueError("the squares of |y - tau| overflow double precision")
+    s1 = 0.0
+    s2 = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ri, mi in zip(resid, m):
+            sq = mi * mi if studentized else 0.0
+            if ri < 0.0:
+                s1 -= mi
+                s2 -= sq
+            else:
+                s1 += mi
+                s2 += sq
+    abar, tstat = randdist._statistics(np.array([s1]), np.array([s2]), m, sens, studentized,
+                                       randdist._StatBuffers.empty(1))
+    return float(abar[0]), None if tstat is None else float(tstat[0])
 
 
 def studentized_full_chain(s1, s2, m, sens):

@@ -3,7 +3,8 @@
 An exact decision counts, per number of + signs, the draws whose statistic
 is at most the observed one, from two sorted half-enumerations
 (``randdist._Halves``); only the draws near a cut get their sums finished on
-the doubling chain.  Its counts must equal ``np.bincount(k[stat <= t])`` of
+the doubling chain, and the observed assignment's draw is settled by its own
+statistic.  Its counts must equal ``np.bincount(k[stat <= t])`` of
 the full chain (``helpers.enumerate_exact_concat`` and
 ``helpers.studentized_full_chain``).  A Monte Carlo decision settles every
 draw whose mean lies at or beyond the cut points of ``randdist._cuts`` and
@@ -23,7 +24,12 @@ from numpy.testing import assert_array_equal
 
 import pairsens as ps
 from pairsens import randdist
-from helpers import draw_monte_carlo_where, enumerate_exact_concat, studentized_full_chain
+from helpers import (
+    draw_monte_carlo_where,
+    enumerate_exact_concat,
+    observed_statistics_loop,
+    studentized_full_chain,
+)
 
 SAMPLES = {
     "random": (np.random.default_rng(81).normal(loc=0.4, size=10), (0.0, 0.4, 1.5)),
@@ -68,6 +74,9 @@ def _check(draws, sens, kind, t, stats, k):
     if draws.mode == "exact":
         counts = draws._halves.counts_at_most(kind, t, sens)
         assert_array_equal(counts, np.bincount(k[want], minlength=draws.m.size + 1), err_msg=msg)
+        # the observed assignment's own statistic settles its draw alike
+        own = stats[kind][np.sum((draws.y >= draws.tau) << np.arange(draws.m.size))]
+        assert_array_equal(draws._halves.counts_at_most(kind, t, sens, own), counts, err_msg=msg)
         # the masked sum of per-draw weights, in another order: within the guard
         w = randdist._weight_table(sens.theta, draws.m.size)[k]
         assert abs(below - float(w @ want)) < draws.n_draws * np.finfo(float).eps, msg
@@ -257,8 +266,8 @@ def test_gamma_one_equals_full_chain(monkeypatch, mode):
                                    np.nextafter(finite, -np.inf)])
             for t in OBSERVED + tuple(near):
                 _check(draws, sens, "studentized", t, stats, k)
-        # a decision enumerates at most half the pairs
-        assert all(size <= -(-y.size // 2) for size in sizes)
+        # a decision enumerates no sign vectors: it chains halves from steps
+        assert not sizes
         sizes.clear()
 
 
@@ -286,3 +295,51 @@ def test_huge_t_falls_back_to_the_sign_rule(mode, spread):
                 assert not any(map(math.isnan, cuts))
             else:
                 assert str(cuts) == str((0.0, math.nan) if t > 0 else (math.nan, -0.0))
+
+
+def _same(got, want):
+    """Equal floats, NaN matching NaN and None matching None."""
+    return str(got) == str(want)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_observed_statistics_equal_the_loop(name):
+    # the observed signed sums, accumulated by numpy and kept per tau by
+    # SignDraws, against the loop over the pairs: at each tested tau, at each
+    # pair's own value (ties at tau) and between them
+    y, taus = SAMPLES[name]
+    sample = ps.PairedSample(y)
+    points = sorted({*taus, *y.tolist(), *((y[:-1] + y[1:]) / 2).tolist()})
+    for studentized in (False, True):
+        draws = randdist.SignDraws(sample, points[0], ENGINES["exact"], studentized=studentized)
+        for tau in points:
+            draws.move_to(tau)
+            for gamma in GAMMAS:
+                sens = ps.SensitivityParam(gamma)
+                try:
+                    want = observed_statistics_loop(sample, tau, sens, studentized)
+                except ValueError:
+                    for sums in (None, draws.observed_sums):
+                        with pytest.raises(ValueError, match="rescale"):
+                            randdist.observed_statistics(sample, tau, sens, studentized, sums)
+                    continue
+                with np.errstate(all="ignore"):
+                    for sums in (None, draws.observed_sums):
+                        got = randdist.observed_statistics(sample, tau, sens, studentized, sums)
+                        assert _same(got, want), (tau, gamma, studentized, sums)
+
+
+def test_observed_statistics_equal_the_loop_on_random_samples():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.choice([-150, -3, 0, 5, 150])
+        y = scale * (rng.integers(-3, 4, n) if rng.random() < 0.3 else rng.normal(0.5, 1, n))
+        sample = ps.PairedSample(y)
+        tau = float(rng.choice(y)) if rng.random() < 0.3 else float(scale * rng.normal())
+        sens = ps.SensitivityParam(float(rng.choice(GAMMAS)))
+        for studentized in (False, True):
+            with np.errstate(all="ignore"):
+                got = randdist.observed_statistics(sample, tau, sens, studentized)
+                want = observed_statistics_loop(sample, tau, sens, studentized)
+            assert _same(got, want), (n, scale, tau, sens.gamma, studentized)
