@@ -110,6 +110,13 @@ class DesignSensitivityResult:
     note: Union[str, None] = None
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a search tolerance that is not a positive finite width: a
+    bisection to 0 or below would run down to adjacent floats."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+
+
 def _bisect(rejects, rej: float, acc: float, tol: float, geometric_above: float = math.inf):
     """Narrow a bracket that rejects at ``rej`` and not at ``acc``; return both ends.
 
@@ -180,12 +187,15 @@ def changepoint_gamma(
     coarse geometric grid from 1 to check that the indicator is monotone; if
     a rejection reappears past the bracket, the changepoint is moved to the
     supremum of rejecting grid points and bisected again locally, and the
-    inversions are reported in the result.
+    inversions are reported in the result.  ``grid_points`` 0 or 1 skips the
+    scan, and ``monotone`` is then reported True unchecked; a negative
+    count raises ValueError.
     """
     if not (math.isfinite(gamma_max) and gamma_max > 1.0):
         raise ValueError("gamma_max must be finite and exceed 1")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
+    if grid_points < 0:
+        raise ValueError("grid_points must not be negative")
     engine = engine or EnumSpec()
     evals = 0
     spec = TestSpec(tau=tau, alpha=alpha, alternative=alternative, method=method)
@@ -286,6 +296,7 @@ def sensitivity_interval(
     between them for non-monotone indicators (the bracket is then widened to
     the outermost rejecting point and the result marked), then bisects.
     Endpoints are +/-inf when the test rejects nowhere within the expansion cap.
+    A given ``tol`` must be positive and finite, as for ``changepoint_gamma``.
     """
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must be in (0, 1)")
@@ -296,8 +307,8 @@ def sensitivity_interval(
     span = float(y.max() - y.min())
     if tol is None:
         tol = 1e-6 * span + 1e-12
-    elif not math.isfinite(tol):
-        raise ValueError("tol must be finite")
+    else:
+        _check_tol(tol)
     step = span if span > 0 else max(abs(float(y[0])), 1.0)
     center = float(y.mean())
 

@@ -744,13 +744,21 @@ class _Halves:
         self.hot.cumsum(axis=1, out=self.cum[:, 1:])
 
     def counts_at_most(
-        self, kind: str, t: float, sens: SensitivityParam, own: Union[float, None] = None
+        self, kind: str, t: float, sens: SensitivityParam, own: Union[float, None] = None,
+        band: Union[tuple[np.ndarray, float, float], None] = None,
     ) -> np.ndarray:
         """Per total + count k, how many draws have a statistic of ``kind``
         at most t: exact integers, in float64.  ``own``, the observed
         assignment's statistic (``observed_statistics``, bit for bit its
         draw's), settles that draw when it is at most t and first in its open
-        run: at t = own, often the only open draw."""
+        run: at t = own, often the only open draw.
+
+        With ``band``, ``(table, low, high)``, a bound may be returned
+        instead, and the open draws are finished only when none is: the
+        counts of the draws the cuts put in when their weight ``table @
+        counts`` is at least high, else those of the draws the cuts do not
+        put out when theirs is at most low.  Both come from ``cum``, below
+        ``first`` and below ``last``."""
         n, c, low = self.n, sens.sign_bias, self.pa[0]
         lo = hi = t
         if kind == "studentized":
@@ -769,24 +777,39 @@ class _Halves:
         a, q = self.observed_at
         if own is not None and own <= t and first[a] == q < last[a]:
             first[a] += 1
-        self.cum.take(first, axis=1, out=self.below, mode="clip")
-        counts = np.bincount(self.k_table.ravel(), weights=self.below.ravel(), minlength=n + 1)
-        for k, below in self._open(first, last, kind, t, sens):
+        counts = self._counts_below(first)
+        # open draws through each a's run; with none, the counts are exact
+        ends = (last - first).cumsum()
+        if band is not None and ends[-1]:
+            table, low, high = band
+            if table @ counts >= high:
+                return counts
+            upto = self._counts_below(last)
+            if table @ upto <= low:
+                return upto
+        for k, below in self._open(first, last, ends, kind, t, sens):
             counts += np.bincount(k, weights=below, minlength=n + 1)
         return counts
 
+    def _counts_below(self, stops: np.ndarray) -> np.ndarray:
+        """Per total + count, the draws at sorted positions below ``stops[a]``
+        for each a; ``below`` is scratch."""
+        self.cum.take(stops, axis=1, out=self.below, mode="clip")
+        return np.bincount(self.k_table.ravel(), weights=self.below.ravel(),
+                           minlength=self.n + 1)
+
     def _open(
-        self, first: np.ndarray, last: np.ndarray, kind: str, t: float, sens: SensitivityParam
+        self, first: np.ndarray, last: np.ndarray, ends: np.ndarray, kind: str, t: float,
+        sens: SensitivityParam,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Per block of the open draws, each a's sorted positions from
-        ``first[a]`` up to ``last[a]``: their + counts and 1.0 where their
-        statistic is at most t, views of the block buffers valid until the
-        next block."""
+        ``first[a]`` up to ``last[a]`` (``ends``, the cumulative counts of
+        those runs): their + counts and 1.0 where their statistic is at most
+        t, views of the block buffers valid until the next block."""
         h, m = self.h, self.m
         # every row is finished, whichever the statistic reads: a take of
         # some rows would copy them
         studentized, rows = kind == "studentized", len(self.pa)
-        ends = (last - first).cumsum()
         # flat position p of a's run is sorted position p + offset[a]
         offset = last - ends
         for start in range(0, int(ends[-1]), self.ramp.size):
@@ -915,7 +938,8 @@ class SignDraws:
         return self._s1, self._s2
 
     def weights_at_most(
-        self, sens: SensitivityParam, observed: dict[str, float], own: Union[dict, None] = None
+        self, sens: SensitivityParam, observed: dict[str, float], own: Union[dict, None] = None,
+        band: Union[tuple[float, float], None] = None,
     ) -> dict[str, float]:
         """For each kind, "mean" or "studentized", that ``observed`` names, the
         total weight of the draws whose statistic is <= its observed value.
@@ -930,8 +954,14 @@ class SignDraws:
         rounds once per draw, so the two differ by less than ``n_draws`` eps,
         the premise of ``testing._GUARD_EPS_PER_DRAW``.  A Monte Carlo
         weight is the share of such draws.
+
+        With ``band``, ``(low, high)``, a kind's weight may be a bound on
+        it, made without finishing the draws its cuts leave open: the weight
+        of the draws surely at most t when that is at least high, or of
+        those not surely above t when that is at most low.  Without it every
+        weight is the one above.
         """
-        self._sens, self._own = sens, own or {}
+        self._sens, self._own, self._band = sens, own or {}, band
         if self.mode == "monte_carlo":
             s1, s2 = self._sums(sens)
             _statistics(s1, s2, self.m, sens, False, self._out)
@@ -941,11 +971,12 @@ class SignDraws:
         return {kind: self.weight_at_most(kind, t) for kind, t in observed.items()}
 
     def weight_at_most(self, kind: str, t: float) -> float:
-        """Total weight of the draws whose statistic of ``kind`` is <= t, at
-        the bias bound and own statistics of the last ``weights_at_most``
-        call."""
+        """Total weight of the draws whose statistic of ``kind`` is <= t, or
+        a bound on it, at the bias bound, own statistics and band of the last
+        ``weights_at_most`` call."""
         if self.mode == "exact":
-            counts = self._halves.counts_at_most(kind, t, self._sens, self._own.get(kind))
+            band = self._band and (self._table, *self._band)
+            counts = self._halves.counts_at_most(kind, t, self._sens, self._own.get(kind), band)
             return float(self._table @ counts)
         if kind == "mean":
             below = np.less_equal(self._out.abar, t, out=self._out.scratch)
@@ -954,12 +985,16 @@ class SignDraws:
         return np.count_nonzero(below) / self.n_draws
 
     def _studentized_at_most(self, t: float) -> np.ndarray:
-        """1.0 where a Monte Carlo draw's studentized statistic is <= t, else
-        0.0.
+        """Nonzero (True or 1.0) where a Monte Carlo draw's studentized
+        statistic is <= t.
 
-        Draws at or past the cuts of ``_cuts`` are settled.  The open ones go
-        through ``_studentized``, gathered, or all draws do when the open
-        ones are more than ``_GATHER_SHARE`` of them.
+        Draws at or past the cuts of ``_cuts`` are settled.  With a band
+        (``weights_at_most``), the draws the cuts put in are returned when
+        their share is at least its high end, and those the cuts do not put
+        out when theirs is at most its low end: a bound, made without
+        gathering an open draw.  Otherwise the open ones go through
+        ``_studentized``, gathered, or all draws do when the open ones are
+        more than ``_GATHER_SHARE`` of them.
         """
         out, abar, s2, m = self._out, self._out.abar, self._s2, self.m
         c, sumsq = self._sens.sign_bias, float(np.sum(m * m))
@@ -967,6 +1002,12 @@ class SignDraws:
         # boolean passes are the cheap ones; the out test borrows tstat's bytes
         settled = np.less_equal(abar, lo, out=out.mask)
         beyond = np.greater_equal(abar, hi, out=out.tstat.view(np.bool_)[: abar.size])
+        if self._band is not None:
+            low, high = self._band
+            if np.count_nonzero(settled) / self.n_draws >= high:
+                return settled
+            if (self.n_draws - np.count_nonzero(beyond)) / self.n_draws <= low:
+                return np.logical_not(beyond, out=beyond)
         size = abar.size - np.count_nonzero(np.logical_or(settled, beyond, out=settled))
         if size > _GATHER_SHARE * self.n_draws:
             tstat = _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)

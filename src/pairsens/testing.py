@@ -80,27 +80,24 @@ _KINDS = {
 _STATISTICS = ("mean", "studentized")
 
 
-def _se(sample: PairedSample, tau: float, sens: SensitivityParam) -> float:
-    """Standard error of the bias-corrected differences."""
-    return sample_mean_and_se(d_values(sample, tau, sens))[1]
+def _mean_se(sample: PairedSample, tau: float, sens: SensitivityParam) -> tuple[float, float]:
+    """Mean and standard error of the bias-corrected differences."""
+    return sample_mean_and_se(d_values(sample, tau, sens))
 
 
 def _degenerate(
-    method: str, sample: PairedSample, tau: float, sens: SensitivityParam
+    method: str, all_tied: bool, mean_se: Union[tuple[float, float], None]
 ) -> bool:
-    """perm-t is degenerate when every ``|y_i - tau|`` is zero; every other
-    method when the standard error is 0.  A degenerate test does not reject."""
-    if method == "perm_t":
-        return not np.any(np.abs(sample.y - tau))
-    return _se(sample, tau, sens) == 0.0
+    """perm-t is degenerate when every ``|y_i - tau|`` is zero (``all_tied``);
+    every other method when the standard error of ``_mean_se`` is 0.  A
+    degenerate test does not reject."""
+    return all_tied if method == "perm_t" else mean_se[1] == 0.0
 
 
-def _neyman(
-    sample: PairedSample, tau: float, alpha: float, sens: SensitivityParam
-) -> tuple[Union[float, None], float, bool]:
+def _neyman(mean_se: tuple[float, float], alpha: float) -> tuple[Union[float, None], float, bool]:
     """The studentized mean (None when degenerate), the normal critical value,
-    and whether the first reaches the second."""
-    dbar, sd = sample_mean_and_se(d_values(sample, tau, sens))
+    and whether the first reaches the second, from ``_mean_se``."""
+    dbar, sd = mean_se
     critical = ndtri(1.0 - alpha)
     if sd == 0.0:
         return None, critical, False
@@ -142,8 +139,11 @@ def run_test(
         alpha=spec.alpha,
         alternative=spec.alternative,
     )
+    perm_t = method == "perm_t"
+    # perm-t reads no standard error; every other method reads one, once
+    mean_se = None if perm_t else _mean_se(norm_sample, tau, sens)
     if method == "neyman":
-        stat, critical, reject = _neyman(norm_sample, tau, norm_spec.alpha, sens)
+        stat, critical, reject = _neyman(mean_se, norm_spec.alpha)
         return TestResult(
             **reported,
             statistic=stat,
@@ -154,8 +154,8 @@ def run_test(
             mode="normal",
         )
     engine = engine or EnumSpec()
-    if _degenerate(method, norm_sample, tau, sens):
-        perm_t = method == "perm_t"
+    all_tied = perm_t and not np.any(np.abs(norm_sample.y - tau))
+    if _degenerate(method, all_tied, mean_se):
         dbar = observed_statistics(norm_sample, tau, sens, studentized=False)[0] if perm_t else None
         mode = engine.resolve(norm_sample.n_pairs)
         return TestResult(
@@ -181,9 +181,7 @@ def run_test(
     counts = [dists[kind].tail_count(observed[kind]) for kind in kinds]
     reported_critical = critical[kinds[-1]]
     if method == "combined":
-        reported_critical = max(
-            critical["mean"] / _se(norm_sample, tau, sens), reported_critical
-        )
+        reported_critical = max(critical["mean"] / mean_se[1], reported_critical)
     dist = dists[kinds[0]]
     return TestResult(
         **reported,
@@ -257,10 +255,32 @@ def _decider(
     the draws whose mean leaves the comparison open (``SignDraws``).  What
     depends on tau alone, the observed signed sums among it, is redone only
     when tau moves, and the weights of the + counts only when the bias
-    bound moves.  A weight within roundoff of the threshold is re-decided by
-    ``run_test``.  Each ``(gamma, tau)`` point is decided once: a search
+    bound moves.  A weight within ``guard`` of the threshold is re-decided
+    by ``run_test``.  Each ``(gamma, tau)`` point is decided once: a search
     that returns to a point gets the same tuple again.  A ``single_use``
-    decider, called once, does not keep its Monte Carlo sign matrix.
+    decider, called once, does not keep its Monte Carlo sign matrix.  The
+    standard error is computed once per point, for every method but perm-t.
+
+    A kind whose draws settled by the cuts already put its weight outside
+    the band ``threshold -/+ 2 guard`` finishes none of its open draws: the
+    weight of the draws surely at or below its observed value, or of those
+    not surely above it, stands in for the weight.  Such a bound decides as
+    the weight would, outside the guard and on the same side, so the
+    decisions, the ``run_test`` fallbacks and the searches are unchanged.  A
+    Monte Carlo weight is a count over ``n_draws``, one rounding, monotone
+    in the count.  An exact weight and its bound are ``fl(table @ c)`` for
+    per-k counts ``c <= c'``: n + 1 non-negative terms, each within ``g =
+    (n+1) u / (1 - (n+1) u)`` (u = eps/2) of its exact value relatively, in
+    any order of summing, and the exact values are ordered.  A lower bound
+    ``b >= threshold + 2 guard`` gives a weight ``>= b (1-g)/(1+g) >= b -
+    2g b``, at least ``threshold + 2 guard - 2g (threshold + 2 guard)``; an
+    upper bound ``b <= threshold - 2 guard < 1`` a weight ``<= b (1+g)/(1-g)
+    < threshold - 2 guard + 2g/(1-g)``.  Both clear the guard when ``guard
+    >= 2g (1 + 2 guard) / (1-g)``; with ``guard = 2 n_draws eps = 2**(n+2)
+    u <= 2**-20`` (n <= 30) that is ``2**(n+1) >= (n+1)(1 + 2**-18)``, which
+    holds with a factor 2 to spare at n = 1, the tight case, and more above;
+    the spare, at least 4u, covers the roundings of the band's ends and of
+    the guard test, under u each.
     """
     engine = engine or EnumSpec()
     norm_sample, norm_spec = _normalized(sample, spec)
@@ -273,6 +293,10 @@ def _decider(
         studentized = any("studentized" in _KINDS[m] for m in unique)
         draws = SignDraws(norm_sample, norm_spec.tau, engine, single_use, studentized)
     threshold = 1.0 - alpha - _CUM_SLACK
+    if draws is not None:
+        guard = _GUARD_EPS_PER_DRAW * draws.n_draws * _EPS
+        band = (threshold - 2.0 * guard, threshold + 2.0 * guard)
+    reads_se = any(m != "perm_t" for m in unique)
     decided = {}
 
     def decide(sens: SensitivityParam, tau: float = spec.tau) -> tuple[bool, ...]:
@@ -285,19 +309,18 @@ def _decider(
         t = -tau if flip else tau
         if draws is not None and t != draws.tau:
             draws.move_to(t)
-        drawn = [m for m in unique if _KINDS[m] and not (
-            draws.all_tied if m == "perm_t" else _degenerate(m, norm_sample, t, sens))]
+        mean_se = _mean_se(norm_sample, t, sens) if reads_se else None
+        drawn = [m for m in unique if _KINDS[m] and not _degenerate(m, draws.all_tied, mean_se)]
         kinds = tuple(k for k in _STATISTICS if any(k in _KINDS[m] for m in drawn))
         if kinds:
             stats = observed_statistics(norm_sample, t, sens, "studentized" in kinds,
                                         draws.observed_sums)
             observed = {k: stat for k, stat in zip(_STATISTICS, stats) if k in kinds}
-            below = draws.weights_at_most(sens, observed, own=observed)
-            guard = _GUARD_EPS_PER_DRAW * draws.n_draws * _EPS
+            below = draws.weights_at_most(sens, observed, own=observed, band=band)
 
         def one(m: str) -> bool:
             if not _KINDS[m]:
-                return _neyman(norm_sample, t, alpha, sens)[2]
+                return _neyman(mean_se, alpha)[2]
             if m not in drawn:
                 return False
             if any(abs(below[k] - threshold) < guard for k in _KINDS[m]):

@@ -244,6 +244,14 @@ def _se(sample, tau, sens):
     return sample_mean_and_se(d_values(sample, tau, sens))[1]
 
 
+def degenerate(method, sample, tau, sens):
+    """A degenerate test does not reject: perm-t when every ``|y_i - tau|`` is
+    zero, every other method when the standard error is 0."""
+    if method == "perm_t":
+        return _all_at_tau(sample, tau)
+    return _se(sample, tau, sens) == 0.0
+
+
 def _conservative(dist, stat):
     count = dist.tail_count(stat)
     if count is None:
@@ -436,7 +444,7 @@ def rejections_sorted(sample, spec, sens, engine, methods):
     norm_sample, norm_spec = _normalized(sample, spec)
     tau, alpha = norm_spec.tau, norm_spec.alpha
     drawing = [m for m in methods if testing._KINDS[m]]
-    drawn = {m for m in drawing if not testing._degenerate(m, norm_sample, tau, sens)}
+    drawn = {m for m in drawing if not degenerate(m, norm_sample, tau, sens)}
     kinds = tuple(k for k in ("mean", "studentized")
                   if any(k in testing._KINDS[m] for m in drawn))
     observed = dict(zip(("mean", "studentized"), observed_statistics(norm_sample, tau, sens)))
@@ -449,7 +457,7 @@ def rejections_sorted(sample, spec, sens, engine, methods):
     return [
         m in drawn and all(passed[kind] for kind in testing._KINDS[m])
         if testing._KINDS[m]
-        else testing._neyman(norm_sample, tau, alpha, sens)[2]
+        else testing._neyman(testing._mean_se(norm_sample, tau, sens), alpha)[2]
         for m in methods
     ]
 

@@ -165,6 +165,30 @@ class TestCmdChangepoint:
         assert proc.returncode == 2
         assert "tol" in proc.stderr
 
+    @pytest.mark.parametrize("points", ["-1", "-3"])
+    def test_negative_grid_points_exit_two(self, diff_csv, capsys, points):
+        assert main(["changepoint", "--input", str(diff_csv), "--tau", "0",
+                     "--grid-points", points]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: grid_points must not be negative\n"
+
+    def test_zero_and_one_grid_points_skip_the_scan(self, tmp_path, capsys):
+        # rejects at gamma 1 and stops below gamma_max, so the scan would follow
+        path = tmp_path / "y.csv"
+        path.write_text("".join(f"{v}\n" for v in range(-1, 7)))
+        outs = []
+        for points in ("0", "1"):
+            assert main(["changepoint", "--input", str(path), "--tau", "0",
+                         "--grid-points", points]) == 0
+            outs.append(capsys.readouterr().out)
+        res = json.loads(outs[0])
+        assert outs[0] == outs[1]
+        assert res["rejects_at_gamma_one"] and res["monotone"]
+        assert main(["changepoint", "--input", str(path), "--tau", "0",
+                     "--grid-points", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_evaluations"] == res["n_evaluations"] + 2
+
     @pytest.mark.parametrize("gamma_max", ["nan", "inf", "1"])
     @pytest.mark.parametrize("y", [[1, -1, 1, -1], list(range(1, 9))])
     def test_bad_gamma_max_exits_two(self, tmp_path, y, gamma_max):
@@ -259,6 +283,14 @@ class TestCmdInterval:
         proc = run_cli("interval", "--input", diff_csv, "--gamma", 1, "--tol", tol)
         assert proc.returncode == 2
         assert "tol" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["interval", "changepoint"])
+    @pytest.mark.parametrize("tol", ["0", "-0.0", "-1", "nan"])
+    def test_tol_not_positive_exits_two(self, diff_csv, capsys, command, tol):
+        # one rule for both searches
+        point = ["--gamma", "1"] if command == "interval" else ["--tau", "0"]
+        assert main([command, "--input", str(diff_csv), *point, "--tol", tol]) == 2
+        assert capsys.readouterr() == ("", "error: tol must be positive and finite\n")
 
 
 class TestCmdDesignSensitivity:

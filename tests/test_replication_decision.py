@@ -15,7 +15,7 @@ import pytest
 
 import pairsens as ps
 from pairsens import randdist, sim, testing
-from helpers import rejections_sorted
+from helpers import degenerate, rejections_sorted
 from test_search_decision import CASES, ENGINES, GAMMAS
 
 METHOD_LISTS = [(m,) for m in ps.METHODS] + [
@@ -124,7 +124,7 @@ def test_guard_catches_roundoff_in_each_kind(monkeypatch, kind, mode):
                 got = testing.rejections(sample, spec, sens, engine, ps.METHODS)
             assert got == want, (name, gamma)
             reading = [mth for mth in ps.METHODS if kind in testing._KINDS[mth]
-                       and not testing._degenerate(mth, sample, tau, sens)]
+                       and not degenerate(mth, sample, tau, sens)]
             assert len(fallbacks) == len(reading), (name, gamma)
 
 
