@@ -85,11 +85,14 @@ _MEMORY_BUDGET_FRACTION = 0.5
 # Bytes a Monte Carlo search holds per draw x pair: its float64 sign matrix.
 _MC_BYTES_PER_SIGN = 8
 
-# Bytes a single-use Monte Carlo replication holds per draw beside its
+# Bytes a single-use Monte Carlo replication is budgeted per draw beside its
 # largest product block and one generation block (``_draw_set_bytes``): the
-# signed sums, both statistics, the scratch array and the mask, 41 bytes
-# (tracemalloc: 40.7 at 10 and 25 pairs x 10**6 draws).  A build holds
-# ``_BUILD_BYTES_PER_DRAW`` instead.
+# signed sums, both statistics, the scratch array and the mask, 41 bytes,
+# when it kept them for every draw (tracemalloc: 40.7 at 10 and 25 pairs x
+# 10**6 draws).  Curtailed (``SignDraws._curtailed``), it keeps them for the
+# rows of one product block only: at 25 pairs x 10**6 draws it peaks at
+# 31.7 MiB against a figure of 72.4.  The figure is kept so that the same
+# inputs are refused (exit 2).  A build holds ``_BUILD_BYTES_PER_DRAW``.
 _MC_BYTES_PER_DRAW = 48
 
 # Signs made per Monte Carlo generation block.  A block's raw bits and
@@ -101,7 +104,9 @@ _MC_BLOCK_SIGNS = 1 << 16
 # Monte Carlo product is made in these blocks of rows, whether the signs are
 # kept (a search) or made a block at a time in one reused buffer (a ``test``
 # build, a simulation replication, which so never hold the whole sign matrix);
-# both make the same BLAS calls and give the same sums.  OpenBLAS sends a
+# both make the same BLAS calls and give the same sums.  A replication's
+# products of single generation blocks with m only bound its sums
+# (``_sum_cut``).  OpenBLAS sends a
 # product with M*N*K <= 10**6 to a small-matrix kernel whose sums differ in
 # the last bits; above that cutoff a block of rows gives the same rows of the
 # whole matrix's one product bit for bit (OpenBLAS 0.3.31, one and two
@@ -141,11 +146,16 @@ class EnumSpec:
     parallel worker could regenerate any block of draws from the seed
     alone.  The signed sums are BLAS products, whose last bits can change
     with the thread count.  A Monte Carlo search holds its whole sign
-    matrix, 8 bytes per draw x pair; a build (``test``) or a simulation
-    replication makes its signs a block of rows at a time and holds at most
-    about 33 MiB of them, plus about 48 bytes per draw.  Both multiply in the
-    same blocks, so they give the same sums, and each is refused when what
-    it holds would exceed the memory budget.
+    matrix, 8 bytes per draw x pair; a build (``test``) makes its signs a
+    block of rows at a time and holds at most about 33 MiB of them, plus its
+    per-draw buffers.  A simulation replication reads the same signs a
+    generation block at a time and stops once the draws made settle its
+    decisions, which are those every draw would give (``SignDraws``); it
+    holds one block of rows and is budgeted at 48 bytes per draw besides.
+    All multiply in the same blocks, so they decide on the same sums, and
+    each is refused when its figure would exceed the memory budget.  A
+    ``test`` build is never curtailed: its p-value and critical value read
+    every draw.
     """
 
     mode: str = "auto"
@@ -339,9 +349,10 @@ def _sign_cut(theta: float) -> int:
 
 
 def _draw_set_bytes(n: int, draws: int, per_draw: int) -> int:
-    """Bytes a single-use Monte Carlo draw set holds: its largest product
-    block, one generation block's raw bits and signs, and ``per_draw`` bytes
-    a draw."""
+    """Bytes a single-use Monte Carlo draw set is budgeted: its largest
+    product block, one generation block's raw bits and signs, and
+    ``per_draw`` bytes a draw.  A build holds about that; a replication
+    holds per-draw buffers for one product block's rows only."""
     return (_MC_BYTES_PER_SIGN * (draws - _last_block_start(draws, n)) * n
             + 12 * _MC_BLOCK_SIGNS + per_draw * draws)
 
@@ -368,28 +379,46 @@ def _product_rows(n: int) -> int:
     return -(-_MC_PRODUCT_SIGNS // (n * gen)) * gen
 
 
-def _fill_signs(signs: np.ndarray, raw: Union[np.random.Philox, None], cut: int) -> None:
-    """Fill the rows of ``signs`` with the next signs of the stream, a
-    generation block of rows at a time, by thresholding the raw Philox bits
-    (see ``_sign_cut``)."""
-    if raw is None:
-        signs.fill(1.0)
-        return
-    rows = _generation_rows(signs.shape[1])
-    for start in range(0, signs.shape[0], rows):
-        block = signs[start : start + rows]
-        # little-endian: each word's low half comes first, as numpy uses it
-        x = raw.random_raw((block.size + 1) // 2).view(np.uint32)
-        np.less(x[: block.size].reshape(block.shape), cut, out=block)
-        block *= 2.0
-        block -= 1.0
+class _SignSource:
+    """The rows of a ``draws x n`` matrix of iid theta-biased signs, made in
+    order from one raw Philox stream (``_sign_stream``), a generation block
+    of rows at a time, by thresholding its raw bits (see ``_sign_cut``).
+
+    A search keeps the whole matrix; a build fills one product block's
+    buffer at a time; a simulation replication reads it a generation block
+    at a time and may stop after any of them (``SignDraws``).  Whatever the
+    buffers, the same rows get the same signs.
+    """
+
+    def __init__(self, n: int, theta: float, seed: SeedLike):
+        self.raw, self.cut = _sign_stream(theta, seed)
+        self.rows = _generation_rows(n)
+
+    def blocks(self, signs: np.ndarray) -> Iterator[np.ndarray]:
+        """Fill the rows of ``signs`` with the stream's next signs, yielding
+        each generation block of them once it is made."""
+        for start in range(0, signs.shape[0], self.rows):
+            block = signs[start : start + self.rows]
+            if self.raw is None:
+                block.fill(1.0)
+            else:
+                # little-endian: each word's low half comes first, as numpy uses it
+                x = self.raw.random_raw((block.size + 1) // 2).view(np.uint32)
+                np.less(x[: block.size].reshape(block.shape), self.cut, out=block)
+                block *= 2.0
+                block -= 1.0
+            yield block
+
+    def fill(self, signs: np.ndarray) -> np.ndarray:
+        """``signs``, every row made by ``blocks``."""
+        for _ in self.blocks(signs):
+            pass
+        return signs
 
 
-def _monte_carlo_signs(n: int, theta: float, draws: int, seed: SeedLike) -> np.ndarray:
-    """The ``draws x n`` matrix of iid theta-biased signs."""
-    signs = np.empty((draws, n))
-    _fill_signs(signs, *_sign_stream(theta, seed))
-    return signs
+def _product_buffer(draws: int, n: int) -> np.ndarray:
+    """A buffer for the rows of the largest Monte Carlo product block."""
+    return np.empty((draws - _last_block_start(draws, n), n))
 
 
 def _product_blocks(draws: int, n: int) -> Iterator[tuple[int, int]]:
@@ -432,19 +461,11 @@ def _draw_monte_carlo(
     """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors.
 
     The same sums, bit for bit, as ``_signed_sums`` of the kept matrix of
-    ``_monte_carlo_signs``, without holding it: each product block's rows are
+    ``_SignSource.fill``, without holding it: each product block's rows are
     made in one reused buffer.
     """
-    n = m.size
-    buf = np.empty((draws - _last_block_start(draws, n), n))
-    raw, cut = _sign_stream(theta, seed)
-
-    def signs_of(start: int, stop: int) -> np.ndarray:
-        block = buf[: stop - start]
-        _fill_signs(block, raw, cut)
-        return block
-
-    return _signed_sums(m, draws, signs_of)
+    source, buf = _SignSource(m.size, theta, seed), _product_buffer(draws, m.size)
+    return _signed_sums(m, draws, lambda start, stop: source.fill(buf[: stop - start]))
 
 
 class _StatBuffers(NamedTuple):
@@ -641,17 +662,19 @@ def _bit_table(width: int) -> np.ndarray:
 
 
 def _sum_cut(a: float, side: float, n: int, total: float, shift: float) -> float:
-    """A cut on a draw's split sum ``pa + sb`` (``_Halves``) from the cut
-    ``a`` on its mean: ``side`` -1 gives a lower cut, below which the chain
-    gives every draw a mean ``<= a``, +1 an upper one, above which it gives
-    ``> a``.  NaN is no cut.
+    """A cut on a draw's split sum ``pa + sb`` (``_Halves``), or on its
+    generation block's sum (``SignDraws._curtailed``), from the cut ``a`` on
+    its mean: ``side`` -1 gives a lower cut, below which the chain or the
+    product gives every draw a mean ``<= a``, +1 an upper one, above which it
+    gives ``> a``.  NaN is no cut.
 
     ``total`` is ``sum(m)`` and ``shift`` the ``c * sum(m)`` of
-    ``_statistics``, whose mean is ``(s1 - shift) / n``.  The chain's sum
-    ``s1`` and the split sum each round n times, so they differ by at most
-    ``2 g(n) sum(m)``, ``g(k) = k u/(1 - k u)``; comparing ``sb`` with
-    ``cut - pa`` rounds once, and forming the mean and ``n a + shift`` twice
-    each, on values under ``2 sum(m) + |cut|``.  ``g(2n + 16) (4 sum(m) + 2
+    ``_statistics``, whose mean is ``(s1 - shift) / n``.  The sum ``s1``
+    that a decision reads and the split or block sum each add n terms of
+    size m_i, in some order, so they differ by at most ``2 g(n) sum(m)``,
+    ``g(k) = k u/(1 - k u)``; comparing ``sb`` with ``cut - pa`` rounds once
+    (a block sum is compared with the cut itself), and forming the mean and
+    ``n a + shift`` twice each, on values under ``2 sum(m) + |cut|``.  ``g(2n + 16) (4 sum(m) + 2
     |cut|)`` bounds it all with room enough that an upper cut keeps even a
     mean that rounds to ``a`` out.  An infinite ``a`` is its own cut; where
     ``4 sum(m)`` overflows, a sum could too, and no cut is made.
@@ -854,17 +877,20 @@ class SignDraws:
     ``_Halves``.  Exact draws are counted, not stored.  The weights of the
     + counts are kept while theta is unchanged.
 
-    Monte Carlo draws keep their per-draw sums and statistics in buffers
-    made once.  Their signs threshold raw random bits against theta; the
-    sign matrix is kept while theta is unchanged, so a move redoes only its
-    product with the new ``|y - tau|``, and a new theta redraws it from the
-    engine's seed (common random numbers).  A ``single_use`` draw set, read
-    at one tau and theta (a simulation replication), keeps only the sums and
-    makes its signs a product block at a time (``_draw_monte_carlo``), as a
-    build does; a move redraws them.  Both kinds multiply in the same product
-    blocks, so they give the same sums bit for bit.  A studentized decision
-    computes the statistic only for the draws the cuts of ``_cuts`` leave
-    open.
+    Monte Carlo signs threshold raw random bits against theta
+    (``_SignSource``).  A search's draws keep their per-draw sums and
+    statistics in buffers made once, and the sign matrix while theta is
+    unchanged, so a move redoes only its product with the new ``|y - tau|``,
+    and a new theta redraws it from the engine's seed (common random
+    numbers); a studentized decision computes the statistic only for the
+    draws the cuts of ``_cuts`` leave open.  A ``single_use`` draw set, read
+    at one tau and theta (a simulation replication), is curtailed: it reads
+    the stream a generation block at a time into one product block's buffer,
+    and stops once the draws made settle every decision (``_curtailed``).
+    It holds that buffer, one generation block and per-draw buffers for the
+    rows of one product block, never the whole matrix.  Both kinds multiply
+    in the same product blocks as a build, so they decide on the sums a
+    build sorts, bit for bit.
     """
 
     def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec,
@@ -890,7 +916,7 @@ class SignDraws:
             _check_fits(need, f"Monte Carlo {what} of {draws} draws x {n} pairs",
                         "use fewer Monte Carlo draws")
             self._s1 = self._s2 = None
-            self._out = _StatBuffers.empty(self.n_draws)
+            self._out = None if single_use else _StatBuffers.empty(draws)
         self.move_to(tau)
 
     def move_to(self, tau: float) -> None:
@@ -916,26 +942,93 @@ class SignDraws:
             self._theta = None
 
     def _sums(self, sens: SensitivityParam) -> tuple[np.ndarray, np.ndarray]:
-        """The Monte Carlo signed sums of m and m**2 at the current tau and
-        the theta of ``sens``; only stale ones are redone."""
-        theta, draws, seed = sens.theta, self.engine.draws, self.engine.seed
+        """A search's Monte Carlo signed sums of m and m**2 at the current
+        tau and the theta of ``sens``, from its kept sign matrix; only stale
+        ones are redone."""
+        theta, n, draws = sens.theta, self.m.size, self.engine.draws
         if theta != self._theta:
             # the old matrix is freed before the new one is drawn
             self._signs = None
-            if not self._single_use:
-                self._signs = _monte_carlo_signs(self.m.size, theta, draws, seed)
+            self._signs = _SignSource(n, theta, self.engine.seed).fill(np.empty((draws, n)))
             self._theta = theta
             self._stale = True
         if self._stale:
-            if self._single_use:
-                self._s1, self._s2 = _draw_monte_carlo(self.m, theta, draws, seed)
-            else:
-                signs = self._signs
-                self._s1, self._s2 = _signed_sums(
-                    self.m, draws, lambda start, stop: signs[start:stop]
-                )
+            signs = self._signs
+            self._s1, self._s2 = _signed_sums(self.m, draws, lambda start, stop: signs[start:stop])
             self._stale = False
         return self._s1, self._s2
+
+    def _curtailed(self, sens: SensitivityParam, observed: dict[str, float]) -> dict[str, float]:
+        """The weights of ``weights_at_most`` for a single-use draw set, by
+        kind, from only as many generation blocks of draws as settle them.
+
+        Each generation block's own product with m gives sums within ``2
+        g(n) sum(m)`` of those of the product blocks, which a build makes:
+        both are sums of n terms of size m_i, in some order.  So ``_sum_cut``
+        of a kind's cuts on the mean, t for the mean and those of ``_cuts``
+        for the studentized statistic, counts the draws surely at or below t
+        and surely above it.  A kind stops once those counts bound its
+        weight outside the band, as the exact decision's counts do
+        (``_Halves.counts_at_most``); the weight lies beyond the bound, so
+        the decision is the one every draw would give.  No draw after the
+        last kind stops is made.  A kind still open when a product block is
+        drawn counts that block's rows on the product a build makes, so once
+        every block is drawn its weight is exact, on the floats of a build.
+        """
+        m, n, draws = self.m, self.m.size, self.n_draws
+        c, total = sens.sign_bias, float(m.sum())
+        low, high = self._band or (-math.inf, math.inf)
+        weights, cuts, done = {}, {}, {}
+
+        def settle(counts: dict[str, tuple[int, int]]) -> bool:
+            # an open kind whose draws surely in, or not surely out, bound
+            # its weight outside the band is settled at that bound
+            for kind in list(cuts):
+                inside, outside = counts[kind]
+                sure, unsure = inside / draws, (draws - outside) / draws
+                if sure >= high or unsure <= low:
+                    weights[kind] = sure if sure >= high else unsure
+                    del cuts[kind]
+            return not cuts
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kind, t in observed.items():
+                lo = hi = t
+                if kind == "studentized":
+                    lo, hi = _cuts(t, n, float(np.sum(m * m)), c)
+                cuts[kind] = [_sum_cut(x, side, n, total, c * total)
+                              for x, side in ((lo, -1.0), (hi, 1.0))]
+                done[kind] = (0, 0)
+            coef = np.column_stack([m, m * m])
+            signs = _product_buffer(draws, n)
+            sums, out = np.empty((len(signs), 2)), _StatBuffers.empty(len(signs))
+            source = _SignSource(n, sens.theta, self.engine.seed)
+            for start, stop in _product_blocks(draws, n):
+                rows = stop - start
+                # the counts with this block's draws made so far
+                made = dict(done)
+                for block in source.blocks(signs[:rows]):
+                    s1 = np.matmul(block, m)
+                    for kind, (lo, hi) in cuts.items():
+                        inside, outside = made[kind]
+                        made[kind] = (inside + np.count_nonzero(s1 < lo),
+                                      outside + np.count_nonzero(s1 > hi))
+                    if settle(made):
+                        return weights
+                # the block is drawn: its rows are counted on a build's sums
+                block_sums = np.matmul(signs[:rows], coef, out=sums[:rows])
+                block_out = _StatBuffers(*(x[:rows] for x in out))
+                stats = _statistics(block_sums[:, 0], block_sums[:, 1], m, sens,
+                                    "studentized" in cuts, block_out)
+                for kind in cuts:
+                    stat = stats[kind == "studentized"]
+                    below = np.count_nonzero(np.less_equal(stat, observed[kind], out=block_out.mask))
+                    done[kind] = (done[kind][0] + below, done[kind][1] + rows - below)
+                if settle(done):
+                    return weights
+        # every draw is counted, each on its own floats: the weights are exact
+        weights.update((kind, done[kind][0] / draws) for kind in cuts)
+        return weights
 
     def weights_at_most(
         self, sens: SensitivityParam, observed: dict[str, float], own: Union[dict, None] = None,
@@ -956,13 +1049,16 @@ class SignDraws:
         weight is the share of such draws.
 
         With ``band``, ``(low, high)``, a kind's weight may be a bound on
-        it, made without finishing the draws its cuts leave open: the weight
-        of the draws surely at most t when that is at least high, or of
-        those not surely above t when that is at most low.  Without it every
-        weight is the one above.
+        it, made without finishing the draws its cuts leave open, or for a
+        single-use draw set (``_curtailed``) without making the draws after
+        those that settle it: the weight of the draws surely at most t when
+        that is at least high, or of those not surely above t when that is
+        at most low.  Without it every weight is the one above.
         """
         self._sens, self._own, self._band = sens, own or {}, band
-        if self.mode == "monte_carlo":
+        if self.mode == "monte_carlo" and self._single_use:
+            self._weights = self._curtailed(sens, observed)
+        elif self.mode == "monte_carlo":
             s1, s2 = self._sums(sens)
             _statistics(s1, s2, self.m, sens, False, self._out)
         elif sens.theta != self._theta:
@@ -978,6 +1074,8 @@ class SignDraws:
             band = self._band and (self._table, *self._band)
             counts = self._halves.counts_at_most(kind, t, self._sens, self._own.get(kind), band)
             return float(self._table @ counts)
+        if self._single_use:
+            return self._weights[kind]
         if kind == "mean":
             below = np.less_equal(self._out.abar, t, out=self._out.scratch)
         else:

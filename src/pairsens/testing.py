@@ -258,7 +258,8 @@ def _decider(
     bound moves.  A weight within ``guard`` of the threshold is re-decided
     by ``run_test``.  Each ``(gamma, tau)`` point is decided once: a search
     that returns to a point gets the same tuple again.  A ``single_use``
-    decider, called once, does not keep its Monte Carlo sign matrix.  The
+    decider, called once, does not keep its Monte Carlo sign matrix, and
+    makes only as many of its draws as settle its kinds (below).  The
     standard error is computed once per point, for every method but perm-t.
 
     A kind whose draws settled by the cuts already put its weight outside
@@ -267,8 +268,10 @@ def _decider(
     not surely above it, stands in for the weight.  Such a bound decides as
     the weight would, outside the guard and on the same side, so the
     decisions, the ``run_test`` fallbacks and the searches are unchanged.  A
-    Monte Carlo weight is a count over ``n_draws``, one rounding, monotone
-    in the count.  An exact weight and its bound are ``fl(table @ c)`` for
+    single-use Monte Carlo bound may count a prefix of the draws only, the
+    rest counted neither in nor out (``SignDraws._curtailed``).  A Monte
+    Carlo weight is a count over ``n_draws``, one rounding, monotone in the
+    count.  An exact weight and its bound are ``fl(table @ c)`` for
     per-k counts ``c <= c'``: n + 1 non-negative terms, each within ``g =
     (n+1) u / (1 - (n+1) u)`` (u = eps/2) of its exact value relatively, in
     any order of summing, and the exact values are ordered.  A lower bound

@@ -14,6 +14,7 @@ from helpers import (
 )
 from pairsens import cli, randdist
 from pairsens.rng import as_seed_sequence
+from test_decision_band import _unbanded
 
 
 def exact_engine(cap=20):
@@ -390,14 +391,20 @@ class TestBlockedProduct:
     def test_equals_whole_product(self, n, monkeypatch):
         rows = randdist._product_rows(n)
         gen = randdist._generation_rows(n)
-        m = np.abs(np.random.default_rng(n).normal(size=n))
+        sample = ps.PairedSample(np.abs(np.random.default_rng(n).normal(size=n)))
+        m = sample.y
         coef = np.column_stack([m, m * m])
-        products = []
+        products, made = [], []
         matmul = np.matmul
 
         def counting(a, b, **kwargs):
-            products.append(a.shape[0])
-            return matmul(a, b, **kwargs)
+            out = matmul(a, b, **kwargs)
+            # a replication's products of single generation blocks with m
+            # only bound its sums, and are not counted here
+            if b.ndim == 2:
+                products.append(a.shape[0])
+                made.append(out.copy())
+            return out
 
         # two blocks, one row short of two, three and a row, and a remainder
         # of one generation block
@@ -406,21 +413,32 @@ class TestBlockedProduct:
             # also taking the remainder
             q = max(1, draws // rows)
             blocks = [rows] * (q - 1) + [draws - (q - 1) * rows]
-            for theta in (0.7, 1e9 / (1 + 1e9)):
-                signs = randdist._monte_carlo_signs(n, theta, draws, 5)
+            for sens in (ps.SensitivityParam(7 / 3), ps.SensitivityParam(1e9)):
+                signs = randdist._SignSource(n, sens.theta, 5).fill(np.empty((draws, n)))
                 want = signs @ coef
                 with monkeypatch.context() as patch:
                     patch.setattr(np, "matmul", counting)
-                    got = randdist._draw_monte_carlo(m, theta, draws, 5)
+                    got = randdist._draw_monte_carlo(m, sens.theta, draws, 5)
                     assert products == blocks
                     products.clear()
                     # a search's kept matrix: the same products
                     kept = randdist._signed_sums(m, draws, lambda a, b: signs[a:b])
                     assert products == blocks
                     products.clear()
+                    # a replication that counts every draw on the same products
+                    made.clear()
+                    drawn = randdist.SignDraws(sample, 0.0, mc_engine(draws, seed=5),
+                                               single_use=True, studentized=False)
+                    t = float(np.median(got[0]) - sens.sign_bias * m.sum()) / n
+                    weight = drawn.weights_at_most(sens, {"mean": t})["mean"]
+                    assert products == blocks
+                    products.clear()
                 for g, k, w in zip(got, kept, want.T):
                     assert_array_equal(g, w)
                     assert_array_equal(k, w)
+                assert_array_equal(np.concatenate(made), want)
+                abar = (want[:, 0] - sens.sign_bias * m.sum()) / n
+                assert weight == np.count_nonzero(abar <= t) / draws
 
     def test_search_and_build_make_the_same_products(self, monkeypatch):
         # a search's kept matrix and a build's streamed rows go through the
@@ -429,7 +447,7 @@ class TestBlockedProduct:
         draws = 3 * randdist._product_rows(n) + 1
         sample = ps.PairedSample(np.random.default_rng(3).normal(size=n))
         sens = ps.SensitivityParam(1.7)
-        products, sums = [], []
+        products = []
         matmul = np.matmul
 
         def counting(a, b, **kwargs):
@@ -437,14 +455,14 @@ class TestBlockedProduct:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counting)
-        for single_use in (False, True):
-            drawn = randdist.SignDraws(sample, 0.1, mc_engine(draws, seed=4), single_use)
-            sums.append(drawn._sums(sens))
-            products.append(None)
+        drawn = randdist.SignDraws(sample, 0.1, mc_engine(draws, seed=4))
+        kept = drawn._sums(sens)
+        products.append(None)
+        streamed = randdist._draw_monte_carlo(drawn.m, sens.theta, draws, 4)
         rows = randdist._product_rows(n)
-        assert products == 2 * [rows, rows, rows + 1, None]
-        for kept, streamed in zip(*sums):
-            assert_array_equal(kept, streamed)
+        assert products == [rows, rows, rows + 1, None, rows, rows, rows + 1]
+        for k, s in zip(kept, streamed):
+            assert_array_equal(k, s)
 
     def test_equals_float32_where_oracle(self):
         n = 1001
@@ -455,15 +473,19 @@ class TestBlockedProduct:
         for g, w in zip(got, want):
             assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("single_use", ["build", "replication"])
+    @pytest.mark.parametrize("single_use", ["build", "replication", "replication-every-draw"])
     @pytest.mark.parametrize("n, draws", [(2000, 6000), (25, 10**6)])
-    def test_holds_blocks_not_the_matrix(self, single_use, n, draws):
+    def test_holds_blocks_not_the_matrix(self, single_use, n, draws, monkeypatch):
         # the whole sign matrix of 6000 draws x 2000 pairs is 96 MB, and the
         # product block is most of the figure; at 25 pairs x 10**6 draws the
-        # per-draw bytes are, with nearly all values distinct
+        # per-draw bytes are, with nearly all values distinct.  A replication
+        # with the band dropped makes every draw and counts every product
+        # block: the most it holds
         s = ps.PairedSample(np.random.default_rng(54).normal(loc=0.3, size=n))
         sens, engine = ps.SensitivityParam(2.0), mc_engine(draws)
         spec = ps.TestSpec(tau=0.0, method="combined")
+        if single_use == "replication-every-draw":
+            _unbanded(monkeypatch)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

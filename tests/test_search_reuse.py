@@ -4,7 +4,8 @@ An exact search chains only halves of the pairs, never enumerating all
 ``2**n`` sign vectors, unless a guard fallback builds a sorted distribution.  A Monte Carlo
 search keeps its sign matrix while theta is unchanged, so an interval
 search at one bias bound draws its signs once per side, and redoes only the
-matrix product when tau moves.  No matrix is drawn while another is alive.
+matrix product when tau moves.  No signs are drawn into a matrix or buffer
+while another is alive.
 The endpoints stay those recorded before either change.
 """
 
@@ -68,18 +69,21 @@ def test_monte_carlo_interval_draws_once_per_side(monkeypatch, method, gamma):
 
 @pytest.mark.parametrize("search", ["changepoint", "interval"])
 def test_no_sign_matrix_beside_another(monkeypatch, search):
-    # every decision falls back to run_test, whose build draws its own matrix
+    # every decision falls back to run_test, whose build draws its own
+    # signs; each array a sign source fills, a search's kept matrix or a
+    # build's product block buffer, is made only when no other is alive
     monkeypatch.setattr(testing, "_GUARD_EPS_PER_DRAW", np.inf)
     alive = []
-    original = randdist._monte_carlo_signs
+    original = randdist._SignSource.blocks
 
-    def tracking(*args):
-        assert not any(ref() is not None for ref in alive)
-        signs = original(*args)
-        alive.append(weakref.ref(signs))
-        return signs
+    def tracking(source, signs):
+        held = signs if signs.base is None else signs.base
+        if not any(ref() is held for ref in alive):
+            assert not any(ref() is not None for ref in alive)
+            alive.append(weakref.ref(held))
+        return original(source, signs)
 
-    monkeypatch.setattr(randdist, "_monte_carlo_signs", tracking)
+    monkeypatch.setattr(randdist._SignSource, "blocks", tracking)
     sample = ps.PairedSample(_c11_sample().y[:12])
     if search == "changepoint":
         ps.changepoint_gamma(sample, tau=0.0, method="combined", engine=MC_ENGINE,
