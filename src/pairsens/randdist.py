@@ -105,13 +105,13 @@ _MC_BLOCK_SIGNS = 1 << 16
 # kept (a search) or made a block at a time in one reused buffer (a ``test``
 # build, a simulation replication, which so never hold the whole sign matrix);
 # both make the same BLAS calls and give the same sums.  A replication's
-# products of single generation blocks with m only bound its sums
-# (``_sum_cut``).  OpenBLAS sends a
-# product with M*N*K <= 10**6 to a small-matrix kernel whose sums differ in
-# the last bits; above that cutoff a block of rows gives the same rows of the
-# whole matrix's one product bit for bit (OpenBLAS 0.3.31, one and two
-# threads, 100 to 5000 pairs), so blocking left every result unchanged.  A
-# block has M*2*n >= 2**22, over four times the cutoff.  Guarded by
+# products of single generation blocks with m and m**2 only bound its sums
+# (``_sum_cut``, ``_own_cuts``).  OpenBLAS sends a product with M*N*K <=
+# 10**6 to a small-matrix kernel whose sums differ in the last bits; above
+# that cutoff a block of rows gives the same rows of the whole matrix's one
+# product bit for bit (OpenBLAS 0.3.31, one and two threads, 100 to 5000
+# pairs), so blocking left every result unchanged.  A block has M*2*n >=
+# 2**22, over four times the cutoff.  Guarded by
 # tests/test_randdist.py::TestBlockedProduct.
 _MC_PRODUCT_SIGNS = 1 << 21
 
@@ -150,8 +150,9 @@ class EnumSpec:
     block of rows at a time and holds at most about 33 MiB of them, plus its
     per-draw buffers.  A simulation replication reads the same signs a
     generation block at a time and stops once the draws made settle its
-    decisions, which are those every draw would give (``SignDraws``); it
-    holds one block of rows and is budgeted at 48 bytes per draw besides.
+    decisions, a studentized draw by a bound on its own statistic; they are
+    those every draw would give (``SignDraws``).  It holds one block of rows
+    and is budgeted at 48 bytes per draw besides.
     All multiply in the same blocks, so they decide on the same sums, and
     each is refused when its figure would exceed the memory budget.  A
     ``test`` build is never curtailed: its p-value and critical value read
@@ -498,7 +499,9 @@ def _statistics(
     that its cuts leave open (``_Halves``, ``SignDraws._studentized_at_most``).
     """
     c = sens.sign_bias
-    abar = np.subtract(s1, c * m.sum(), out=out.abar)
+    # a mean beyond double range is +/-inf: its own atom, as perm-t reads it
+    with np.errstate(over="ignore"):
+        abar = np.subtract(s1, c * m.sum(), out=out.abar)
     np.divide(abar, m.size, out=abar)
     if not studentized:
         return abar, None
@@ -580,6 +583,42 @@ def _cuts(t: float, n: int, sumsq: float, c: float) -> tuple[float, float]:
         near = abs(t) * math.sqrt(q_near) if q_near >= tiny else 0.0
         far = abs(t) * math.sqrt(q_far) if q_far >= tiny else math.nan
     return (near, far) if t >= 0 else (-far, -near)
+
+
+def _own_cuts(t: float, n: int, sumsq: float, c: float, total: float) -> Union[Callable, None]:
+    """A function of a generation block's signed sums of m and m**2 giving
+    masks of the draws whose studentized statistic a build surely puts at
+    or below t, and surely above it; None where the bound does not apply.
+
+    The inequality of ``_cuts`` with the draw's own ``S = (1+c**2) sum(m**2)
+    - 2c s2`` for its range: for ``t > 0``, ``tstat <= t`` iff ``a <= 0`` or
+    ``a**2 K <= t**2 S``, ``K = n(n-1) + n t**2``; tstat is odd in a, so
+    ``t < 0`` mirrors.  A build's sums lie within ``2 g(n) sum(m)`` and ``2
+    g(n) sum(m**2)`` of the block's (``_sum_cut``); with the roundings that
+    form a and S, ``g(2n+16) (2 sum(m)/n, 4 sum(m**2))`` bounds their gaps.
+    The build's chain from a and S to tstat rounds 8 times, this comparison
+    12: ``g(32)`` on ``t**2 / K``.  It needs the bounds of ``_cuts`` on n, t
+    and sum(m**2), a finite ``4 sum(m)``, and the least S and its product
+    with ``t**2`` above ``_SETTLED_SUMSQ[0]``: then no draw it puts in is
+    degenerate and nothing it compares is subnormal.
+    """
+    e, g = (k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF) for k in (2 * n + 16, 32))
+    t2, least = t * t, ((1.0 - abs(c)) ** 2 - 8.0 * e) * sumsq
+    if not (n >= 2 and _SETTLED_SUMSQ[0] < sumsq < _SETTLED_SUMSQ[1] and 4.0 * total < math.inf
+            and _TINY <= t2 < (n - 1) * (0.5 / _DEGENERATE_RTOL - 1.0)
+            and least * min(t2, 1.0) > _SETTLED_SUMSQ[0]):
+        return None
+    sign, shift, q = math.copysign(1.0, t), c * total, (1.0 + c * c) * sumsq
+    da, ds, per = e * 2.0 * total / n, e * 4.0 * sumsq, t2 / (n * (n - 1) + n * t2)
+
+    def sides(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, s = sign * ((s1 - shift) / n), q - 2.0 * c * s2
+        # a and tstat mirrored to t's sign: surely below |t|, surely above
+        below = (a + da <= 0.0) | ((np.abs(a) + da) ** 2 <= per * (1.0 - g) * (s - ds))
+        above = (a - da > 0.0) & ((a - da) ** 2 > per * (1.0 + g) * (s + ds))
+        return (below, above) if t > 0 else (above, below)
+
+    return sides
 
 
 def _positions(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -886,11 +925,11 @@ class SignDraws:
     draws the cuts of ``_cuts`` leave open.  A ``single_use`` draw set, read
     at one tau and theta (a simulation replication), is curtailed: it reads
     the stream a generation block at a time into one product block's buffer,
-    and stops once the draws made settle every decision (``_curtailed``).
-    It holds that buffer, one generation block and per-draw buffers for the
-    rows of one product block, never the whole matrix.  Both kinds multiply
-    in the same product blocks as a build, so they decide on the sums a
-    build sorts, bit for bit.
+    and stops once the draws made settle every decision, a studentized draw
+    by a bound on its own statistic (``_curtailed``).  It holds that buffer,
+    one generation block and per-draw buffers for the rows of one product
+    block, never the whole matrix.  Both kinds multiply in the same product
+    blocks as a build, so they decide on the sums a build sorts, bit for bit.
     """
 
     def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec,
@@ -962,13 +1001,15 @@ class SignDraws:
         """The weights of ``weights_at_most`` for a single-use draw set, by
         kind, from only as many generation blocks of draws as settle them.
 
-        Each generation block's own product with m gives sums within ``2
-        g(n) sum(m)`` of those of the product blocks, which a build makes:
-        both are sums of n terms of size m_i, in some order.  So ``_sum_cut``
-        of a kind's cuts on the mean, t for the mean and those of ``_cuts``
-        for the studentized statistic, counts the draws surely at or below t
-        and surely above it.  A kind stops once those counts bound its
-        weight outside the band, as the exact decision's counts do
+        Each generation block's own products with m and, while a
+        studentized kind is open, m**2 give sums within ``2 g(n)`` times
+        ``sum(m)`` and ``sum(m**2)`` of those a build makes: both add n terms
+        in some order.  So ``_sum_cut`` of t counts the mean's draws surely at
+        or below t and surely above it, and ``_own_cuts`` the studentized
+        statistic's, each draw by a bound on its own statistic; where that
+        bound does not apply, ``_sum_cut`` of the cuts of ``_cuts`` on its
+        mean does.  A kind stops once those counts bound its weight outside
+        the band, as the exact decision's counts do
         (``_Halves.counts_at_most``); the weight lies beyond the bound, so
         the decision is the one every draw would give.  No draw after the
         last kind stops is made.  A kind still open when a product block is
@@ -992,14 +1033,19 @@ class SignDraws:
             return not cuts
 
         with np.errstate(over="ignore", invalid="ignore"):
+            m2 = m * m
+            sumsq = float(np.sum(m2))
             for kind, t in observed.items():
-                lo = hi = t
-                if kind == "studentized":
-                    lo, hi = _cuts(t, n, float(np.sum(m * m)), c)
-                cuts[kind] = [_sum_cut(x, side, n, total, c * total)
-                              for x, side in ((lo, -1.0), (hi, 1.0))]
-                done[kind] = (0, 0)
-            coef = np.column_stack([m, m * m])
+                sides = kind == "studentized" and _own_cuts(t, n, sumsq, c, total)
+                if not sides:
+                    lo = hi = t
+                    if kind == "studentized":
+                        lo, hi = _cuts(t, n, sumsq, c)
+                    lo, hi = (_sum_cut(x, side, n, total, c * total)
+                              for x, side in ((lo, -1.0), (hi, 1.0)))
+                    sides = lambda s1, s2, lo=lo, hi=hi: (s1 < lo, s1 > hi)  # noqa: E731
+                cuts[kind], done[kind] = sides, (0, 0)
+            coef = np.column_stack([m, m2])
             signs = _product_buffer(draws, n)
             sums, out = np.empty((len(signs), 2)), _StatBuffers.empty(len(signs))
             source = _SignSource(n, sens.theta, self.engine.seed)
@@ -1009,10 +1055,11 @@ class SignDraws:
                 made = dict(done)
                 for block in source.blocks(signs[:rows]):
                     s1 = np.matmul(block, m)
-                    for kind, (lo, hi) in cuts.items():
-                        inside, outside = made[kind]
-                        made[kind] = (inside + np.count_nonzero(s1 < lo),
-                                      outside + np.count_nonzero(s1 > hi))
+                    s2 = np.matmul(block, m2) if "studentized" in cuts else None
+                    for kind, sides in cuts.items():
+                        (inside, outside), (more_in, more_out) = made[kind], sides(s1, s2)
+                        made[kind] = (inside + np.count_nonzero(more_in),
+                                      outside + np.count_nonzero(more_out))
                     if settle(made):
                         return weights
                 # the block is drawn: its rows are counted on a build's sums
@@ -1050,10 +1097,11 @@ class SignDraws:
 
         With ``band``, ``(low, high)``, a kind's weight may be a bound on
         it, made without finishing the draws its cuts leave open, or for a
-        single-use draw set (``_curtailed``) without making the draws after
-        those that settle it: the weight of the draws surely at most t when
-        that is at least high, or of those not surely above t when that is
-        at most low.  Without it every weight is the one above.
+        single-use draw set (``_curtailed``, a studentized draw settled by a
+        bound on its own statistic) without making the draws after those
+        that settle it: the weight of the draws surely at most t when that
+        is at least high, or of those not surely above t when that is at
+        most low.  Without it every weight is the one above.
         """
         self._sens, self._own, self._band = sens, own or {}, band
         if self.mode == "monte_carlo" and self._single_use:

@@ -544,6 +544,30 @@ class TestExitCodes:
         else:
             assert err == "" and json.loads(out)["reject"] is not None
 
+    @pytest.mark.parametrize("engine, expected", [
+        ([], '"p_value_upper": 0.6584362139917694, "p_value_upper_conservative": null, '
+             '"reject": false, "degenerate": false, '
+             '"engine": {"mode": "exact", "draws": "exact", "seed": 0}}\n'),
+        (["--exact-below", "0", "--reps", "200"],
+         '"p_value_upper": 0.7, "p_value_upper_conservative": 0.7014925373134329, '
+         '"reject": false, "degenerate": false, '
+         '"engine": {"mode": "monte_carlo", "draws": 200, "seed": 0}}\n'),
+    ], ids=["exact", "monte-carlo"])
+    def test_means_overflowing_print_no_warning(self, tmp_path, capsys, engine, expected):
+        # sum(|y - tau|) is finite but (1 + |c|) times it is not: the lowest
+        # draw's mean is -inf, an atom like any other.  The line is the one
+        # printed before the warning was silenced
+        path = tmp_path / "y.csv"
+        path.write_text("3e307\n-3e307\n4.5e307\n1.5e307\n-3e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--input", str(path), "--tau", "0", "--gamma", "2",
+                         "--method", "perm-t", *engine]) == 0
+        head = ('{"method": "perm_t", "gamma": 2.0, "tau": 0.0, "alpha": 0.05, '
+                '"alternative": "greater", "statistic": -3.999999999999998e+306, '
+                '"critical_value": 2e+307, ')
+        assert capsys.readouterr() == (head + expected, "")
+
     @pytest.mark.parametrize("argv", [
         ["test", "--input", "{y}", "--tau", "0", "--gamma", "1"],
         ["changepoint", "--input", "{y}", "--tau", "0"],

@@ -15,6 +15,7 @@ oracle and the fallbacks make the same product blocks.
 
 import contextlib
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,11 @@ SAMPLES = {
     "ties-at-tau": (np.array([1, 1, 3, -2, 0, 1, 4, 2, 1, 5, 1, 1], dtype=float), 1.0, 0.05),
     # 2**-8 is the weight of one draw at gamma 1: no test rejects below it
     "unattainable": (np.random.default_rng(17).normal(2.0, 1.0, 8), 0.0, 1e-3),
+    # the observed studentized statistic is below 0 under "greater"
+    "negative-t": (np.random.default_rng(20).normal(-0.4, 1.0, 40), 0.0, 0.05),
+    # each x beside -x: the observed sum of y is exactly 0, and so t at gamma 1
+    "symmetric": (np.repeat(np.random.default_rng(21).lognormal(0.0, 0.7, 12), 2)
+                  * np.tile([1.0, -1.0], 12), 0.0, 0.05),
 }
 # 4 sum(|y|) overflows, so _sum_cut makes no cut, though no draw's mean does;
 # the squares overflow too, so only perm-t decides and the others are refused
@@ -244,6 +250,125 @@ def test_block_sum_across_t_stays_open():
         assert got == draws_set.weights_at_most(sens, {"mean": t})["mean"]
 
 
+def test_own_bound_reaches_negative_zero_and_gamma_one(monkeypatch):
+    # the differential cases above decide studentized draws by a bound on
+    # their own statistic (_own_cuts) at t < 0 and at gamma 1, where c = 0
+    # gives every draw the same sum of squares; at t = 0 the bound does not
+    # apply and the cuts of _cuts decide
+    seen = []
+    original = randdist._own_cuts
+
+    def recording(t, n, sumsq, c, total):
+        sides = original(t, n, sumsq, c, total)
+        seen.append((t, c, sides is not None))
+        return sides
+
+    monkeypatch.setattr(randdist, "_own_cuts", recording)
+    for name in ("negative-t", "symmetric"):
+        y, tau, alpha = SAMPLES[name]
+        _decide(monkeypatch, y, tau, alpha, "greater", ("studentized",))
+    assert any(t < 0 and used for t, _, used in seen)
+    assert any(c == 0 and used for _, c, used in seen)
+    assert any(t == 0 and not used for t, _, used in seen)
+
+
+def _build_statistics(y, tau, gamma, draws, seed):
+    """m, the build's signed sums of m and m**2 over ``draws`` sign vectors,
+    its studentized statistic of each, the signs and the bias bound."""
+    m, sens = np.abs(y - tau), ps.SensitivityParam(gamma)
+    signs = randdist._SignSource(m.size, sens.theta, seed).fill(np.empty((draws, m.size)))
+    s1, s2 = randdist._signed_sums(m, draws, lambda a, b: signs[a:b])
+    out = randdist._StatBuffers.empty(draws)
+    tstat = randdist._statistics(s1, s2, m, sens, True, out)[1].copy()
+    return m, s1, s2, tstat, signs, sens
+
+
+@pytest.mark.parametrize("gamma", (1.0, 4.0, 1000.0))
+@pytest.mark.parametrize("name", ("skewed", "normal", "negative-t"))
+def test_own_cuts_hold_for_sums_within_the_bound(name, gamma):
+    # a generation block's sums lie within 2 g(n) sum(m) and 2 g(n)
+    # sum(m**2) of a build's.  Moved by up to 2 n u of those, either way,
+    # the build's sums must give masks that never put in a draw whose build
+    # statistic is above t, nor out one at or below it.  t is on, and a
+    # float either side of, the statistics nearest 0 (where the mean's
+    # error counts most), of the extremes and of the quartiles; at gamma
+    # 1000 most draws have every sign +, the least sum of squares, where
+    # its error counts most
+    y, tau, _ = SAMPLES[name]
+    m, s1, s2, tstat, _, sens = _build_statistics(y, tau, gamma, 2000, 3)
+    n, total, sumsq = m.size, float(m.sum()), float(np.sum(m * m))
+    d1, d2 = (2 * n * randdist._UNIT_ROUNDOFF * x for x in (total, sumsq))
+    by_size, by_value = np.argsort(np.abs(tstat)), np.argsort(tstat)
+    picks = np.concatenate((by_size[:20], by_value[[0, 1, -2, -1, 500, 1000, 1500]]))
+    edges = np.concatenate([(np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))
+                            for x in tstat[picks]])
+    for t in set(edges.tolist()):
+        sides = randdist._own_cuts(t, n, sumsq, sens.sign_bias, total)
+        assert sides is not None, t
+        below = tstat <= t
+        for shift1 in (-d1, 0.0, d1):
+            for shift2 in (-d2, 0.0, d2):
+                inside, outside = sides(s1 + shift1, s2 + shift2)
+                assert not np.any(inside & ~below), (t, shift1, shift2)
+                assert not np.any(outside & below), (t, shift1, shift2)
+                # and it is no vacuous bound: it decides every draw whose
+                # statistic is not within a relative 1e-6 of t
+                assert np.all(inside | outside | (np.abs(tstat - t) <= 1e-6 * abs(t)))
+
+
+def test_own_cuts_refuse_where_the_bound_does_not_apply():
+    m = np.abs(SAMPLES["skewed"][0])
+    n, total, sumsq = m.size, float(m.sum()), float(np.sum(m * m))
+    c = ps.SensitivityParam(4.0).sign_bias
+    assert randdist._own_cuts(1.5, n, sumsq, c, total) is not None
+    for t in (0.0, 1e-160, math.inf, -math.inf, math.nan, 1e7):
+        assert randdist._own_cuts(t, n, sumsq, c, total) is None, t
+    # one pair; squares out of range; 4 sum(m) overflowing; theta 1 in
+    # float32, where a draw's least sum of squares is lost to rounding
+    assert randdist._own_cuts(1.5, 1, sumsq, c, total) is None
+    assert randdist._own_cuts(1.5, n, 2.0**901, c, total) is None
+    assert randdist._own_cuts(1.5, n, sumsq, c, 1e308) is None
+    assert randdist._own_cuts(1.5, n, sumsq, ps.SensitivityParam(1e9).sign_bias, total) is None
+
+
+@pytest.mark.parametrize("direction", ("in", "out"))
+def test_block_tstat_across_t_stays_open(direction):
+    # a draw whose studentized statistic from its generation block's sums
+    # and from a build's sums lie on opposite sides of t: in on the build
+    # and above t on the block, or out on the build and at or below t on
+    # the block.  _own_cuts leaves it open, so a band that one miscounted
+    # draw would cross is never crossed
+    n, draws, gamma = 100, 10_000, 4.0
+    sample = ps.PairedSample(np.random.default_rng(19).normal(0.5, 1.0, n))
+    engine = ps.EnumSpec(mode="monte_carlo", draws=draws, seed=6)
+    m, s1, s2, whole, signs, sens = _build_statistics(sample.y, 0.0, gamma, draws, engine.seed)
+    gen = randdist._generation_rows(n)
+    blocks = [(signs[i : i + gen] @ m, signs[i : i + gen] @ (m * m)) for i in range(0, draws, gen)]
+    b1, b2 = (np.concatenate(x) for x in zip(*blocks))
+    block = randdist._statistics(b1, b2, m, sens, True, randdist._StatBuffers.empty(draws))[1]
+    if direction == "in":
+        (across,) = np.nonzero(block > whole)
+        r = across[0]
+        t = float(whole[r])
+    else:
+        (across,) = np.nonzero(block < whole)
+        r = across[0]
+        t = float(np.nextafter(whole[r], -np.inf))
+    assert (whole[r] <= t) == (direction == "in") and (block[r] <= t) != (whole[r] <= t)
+    total, sumsq = float(m.sum()), float(np.sum(m * m))
+    inside, outside = randdist._own_cuts(t, n, sumsq, sens.sign_bias, total)(b1, b2)
+    assert not inside[r] and not outside[r]
+    weight = np.count_nonzero(whole <= t) / draws
+    draws_set = randdist.SignDraws(sample, 0.0, engine, single_use=True, studentized=True)
+    # with draw r miscounted out, the upper bound would reach low; in, the
+    # lower bound high
+    for band in ((weight - 1 / draws, weight), (weight, weight + 1 / draws),
+                 (weight - 1 / draws, weight + 1 / draws)):
+        got = draws_set.weights_at_most(sens, {"studentized": t}, band=band)["studentized"]
+        assert got == weight
+    assert weight == draws_set.weights_at_most(sens, {"studentized": t})["studentized"]
+
+
 def _simulate(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -270,12 +395,16 @@ def test_reduced_simulate_draws_fewer_signs(monkeypatch):
     assert sum(words) < 5 * 200 * 24 // 2
 
 
-def test_simulate_draws_under_half_the_signs(monkeypatch):
+@pytest.mark.parametrize("methods", ("perm-t,neyman,studentized", "studentized"))
+def test_simulate_draws_under_30_percent_of_the_signs(monkeypatch, methods):
     # 100 pairs and 10,000 draws, as the simulate-mc workload, at the
-    # shipped block sizes: the replications read under half their signs
+    # shipped block sizes: the replications read under 30% of their signs
+    # once each studentized draw is settled by a bound on its own statistic
+    # (over 36% when settled by its mean)
     argv = ["simulate", "--scenario", "counterexample", "--pairs", "100", "--tau", "2.5",
-            "--gamma", "4", "--reps", "20", "--mc-draws", "10000", "--seed", "1"]
+            "--gamma", "4", "--reps", "20", "--mc-draws", "10000", "--seed", "1",
+            "--methods", methods]
     words = _count_words(monkeypatch)
     _simulate(argv)
     assert len(words) == 20
-    assert sum(words) < 0.5 * 20 * 10_000 * 100 // 2
+    assert sum(words) < 0.3 * 20 * 10_000 * 100 // 2

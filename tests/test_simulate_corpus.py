@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairsens import cli
+from pairsens import cli, randdist
 
 CORPUS = Path(__file__).with_name("simulate_corpus.json")
 
@@ -57,6 +57,15 @@ def corpus_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
     }
     for name, args in extra.items():
         calls[name] = ("monte_carlo" if "--mc-draws" in args else "exact"), base + args
+    # replications whose studentized draws are settled by a bound on their own
+    # statistic: at gamma 1 every draw has the same sum of squares, and a tau
+    # above favorable-normal's mean of 0.5 makes some observed t negative
+    for scenario, tau in (("counterexample", "2.5"), ("favorable-normal", "0.6")):
+        for methods in ("studentized", "combined"):
+            calls[f"{scenario}/{methods}/own-bound"] = "monte_carlo", (
+                "simulate", "--scenario", scenario, "--tau", tau, "--gammas", "1,1.5,4,1e9",
+                "--methods", methods, "--reps", "20", "--seed", "5",
+                *_ENGINES["monte_carlo-100"])
     return calls
 
 
@@ -86,6 +95,21 @@ def test_replays_recorded_output(name):
     recorded = _RECORDED["calls"][name]
     assert list(argv) == recorded["argv"]
     assert replay(argv) == (recorded["sha256"], recorded["exit"])
+
+
+def test_own_bound_calls_observe_negative_t(monkeypatch):
+    # favorable-normal's own-bound calls decide some replications at an
+    # observed studentized statistic below 0
+    seen = []
+    original = randdist.SignDraws.weights_at_most
+
+    def recording(draws, sens, observed, own=None, band=None):
+        seen.append(observed["studentized"])
+        return original(draws, sens, observed, own, band)
+
+    monkeypatch.setattr(randdist.SignDraws, "weights_at_most", recording)
+    replay(corpus_calls()["favorable-normal/studentized/own-bound"][1])
+    assert min(seen) < 0 < max(seen)
 
 
 if __name__ == "__main__":
