@@ -100,20 +100,23 @@ _MC_BYTES_PER_DRAW = 48
 # passes that threshold and rescale them read from cache, not memory.
 _MC_BLOCK_SIGNS = 1 << 16
 
-# Signs per Monte Carlo product block, at least (16 MiB of float64).  Every
-# Monte Carlo product is made in these blocks of rows, whether the signs are
-# kept (a search) or made a block at a time in one reused buffer (a ``test``
-# build, a simulation replication, which so never hold the whole sign matrix);
-# both make the same BLAS calls and give the same sums.  A replication's
-# products of single generation blocks with m and m**2 only bound its sums
-# (``_sum_cut``, ``_own_cuts``).  OpenBLAS sends a product with M*N*K <=
-# 10**6 to a small-matrix kernel whose sums differ in the last bits; above
-# that cutoff a block of rows gives the same rows of the whole matrix's one
-# product bit for bit (OpenBLAS 0.3.31, one and two threads, 100 to 5000
-# pairs), so blocking left every result unchanged.  A block has M*2*n >=
-# 2**22, over four times the cutoff.  Guarded by
-# tests/test_randdist.py::TestBlockedProduct.
-_MC_PRODUCT_SIGNS = 1 << 21
+# Signs and rows per Monte Carlo product block, at least (``_product_rows``).
+# Every Monte Carlo product is made in these blocks of rows, whether the signs
+# are kept (a search) or made a block at a time in one reused buffer (a
+# ``test`` build, a simulation replication, which so never hold the whole sign
+# matrix); both make the same BLAS calls and give the same sums.  A
+# replication's products of single generation blocks with m and m**2 only
+# bound its sums (``_sum_cut``, ``_own_cuts``).  OpenBLAS sends a product with
+# M*N*K <= 10**6 to a small-matrix kernel whose sums differ in the last bits;
+# 2**19 signs is the least power of two with M*2*n above that cutoff for
+# every n.  Above it a block of rows gives the same rows of the whole matrix's
+# one product bit for bit, but at two BLAS threads only from 32 rows: blocks
+# of 16 rows or fewer split differently (16 rows changed the sums at 33,000
+# pairs).  The floor binds from 17,477 pairs, and is capped at the rows of
+# 2**21 signs, the earlier block, which binds from 69,906.  Verified with
+# OpenBLAS 0.3.31 at one and two threads, 100 to 70,000 pairs; guarded by
+# tests/test_randdist.py::TestBlockedProduct and TestProductThreads.
+_MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 
 # Open draws an exact decision finishes per block: those its cuts leave
 # open, whose signed sums it takes from the doubling chain.  A block's
@@ -147,16 +150,16 @@ class EnumSpec:
     alone.  The signed sums are BLAS products, whose last bits can change
     with the thread count.  A Monte Carlo search holds its whole sign
     matrix, 8 bytes per draw x pair; a build (``test``) makes its signs a
-    block of rows at a time and holds at most about 33 MiB of them, plus its
-    per-draw buffers.  A simulation replication reads the same signs a
-    generation block at a time and stops once the draws made settle its
-    decisions, a studentized draw by a bound on its own statistic; they are
-    those every draw would give (``SignDraws``).  It holds one block of rows
-    and is budgeted at 48 bytes per draw besides.
-    All multiply in the same blocks, so they decide on the same sums, and
-    each is refused when its figure would exceed the memory budget.  A
-    ``test`` build is never curtailed: its p-value and critical value read
-    every draw.
+    block of rows at a time and holds under two blocks of them (9 MiB below
+    17,477 pairs, 32 MiB below 65,536), plus its per-draw buffers.  A
+    simulation replication reads the same signs a generation block at a
+    time and stops once the draws made settle its decisions, a studentized
+    draw by a bound on its own statistic; they are those every draw would
+    give (``SignDraws``).  It holds one block of rows and is budgeted at 48
+    bytes per draw besides.  All multiply in the same blocks, so they
+    decide on the same sums, and each is refused when its figure would
+    exceed the memory budget.  A ``test`` build is never curtailed: its
+    p-value and critical value read every draw.
     """
 
     mode: str = "auto"
@@ -375,9 +378,15 @@ def _generation_rows(n: int) -> int:
 
 def _product_rows(n: int) -> int:
     """Rows per Monte Carlo product block: the fewest whole generation
-    blocks that hold ``_MC_PRODUCT_SIGNS`` signs."""
+    blocks that hold ``_MC_PRODUCT_SIGNS`` signs, so ``rows * 2 * n`` is
+    above OpenBLAS's small-matrix cutoff of 10**6, and ``_MC_PRODUCT_ROWS``
+    rows, the floor two BLAS threads need, or the rows of four times the
+    signs where those are fewer.  Verified bit for bit against 2**21-sign
+    blocks at one and two threads, 100 to 70,000 pairs."""
+    rows = max(-(-_MC_PRODUCT_SIGNS // n),
+               min(_MC_PRODUCT_ROWS, -(-4 * _MC_PRODUCT_SIGNS // n)))
     gen = _generation_rows(n)
-    return -(-_MC_PRODUCT_SIGNS // (n * gen)) * gen
+    return -(-rows // gen) * gen
 
 
 class _SignSource:
@@ -500,7 +509,8 @@ def _statistics(
     """
     c = sens.sign_bias
     # a mean beyond double range is +/-inf: its own atom, as perm-t reads it
-    with np.errstate(over="ignore"):
+    # (NaN where an inf sum meets an inf shift)
+    with np.errstate(over="ignore", invalid="ignore"):
         abar = np.subtract(s1, c * m.sum(), out=out.abar)
     np.divide(abar, m.size, out=abar)
     if not studentized:
@@ -897,8 +907,11 @@ class _Halves:
             sums = self.sums[: rows * size].reshape(rows, size)
             self.pa.take(a, axis=1, out=sums, mode="clip")
             self.step.take(b, axis=2, out=steps, mode="clip")
-            for row in steps:
-                np.add(sums, row, out=sums)
+            # at a tau far out the sums overflow, as the enumeration's would
+            # on the same adds; the statistic reads them, without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for row in steps:
+                    np.add(sums, row, out=sums)
             out = _StatBuffers(*(x[:size] for x in self.out))
             stat = _statistics(sums[0], sums[-1], m, sens, studentized, out)[studentized]
             yield k, np.less_equal(stat, t, out=out.scratch)

@@ -568,6 +568,22 @@ class TestExitCodes:
                 '"critical_value": 2e+307, ')
         assert capsys.readouterr() == (head + expected, "")
 
+    @pytest.mark.parametrize("engine", [[], ["--exact-below", "0", "--reps", "200"]],
+                             ids=["exact", "monte-carlo"])
+    def test_interval_sums_overflowing_print_no_warning(self, tmp_path, capsys, engine):
+        # the same data in a search: the exact decision's doubling chain
+        # overflows, and an inf sum minus an inf shift is NaN.  The line is
+        # the one printed before the warnings were silenced
+        path = tmp_path / "y.csv"
+        path.write_text("3e307\n-3e307\n4.5e307\n1.5e307\n-3e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["interval", "--input", str(path), "--gamma", "2",
+                         "--method", "perm-t", *engine]) == 0
+        assert capsys.readouterr() == (
+            '{"method": "perm_t", "confidence": 0.9, "seed": 0, "intervals": [{"gamma": 2.0, '
+            '"lower": -Infinity, "upper": Infinity, "non_monotone": false}]}\n', "")
+
     @pytest.mark.parametrize("argv", [
         ["test", "--input", "{y}", "--tau", "0", "--gamma", "1"],
         ["changepoint", "--input", "{y}", "--tau", "0"],

@@ -191,7 +191,7 @@ def _product_calls(monkeypatch):
 
 
 def test_exact_pass_per_product_block(monkeypatch):
-    # 600 pairs: three product blocks of 33 generation blocks each, the last
+    # 600 pairs: three product blocks of 9 generation blocks each, the last
     # taking one more draw.  A rejecting decision settles no earlier than
     # 95% of the draws, so every block before the last is counted exactly;
     # with the band dropped, every block is

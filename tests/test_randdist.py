@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,13 +386,34 @@ class TestDrawMonteCarloRawBits:
             assert_array_equal(s1 > 0, u < theta)
 
 
+def _earlier_rows(n):
+    """Rows of a product block of 2**21 signs, the earlier block rule."""
+    gen = randdist._generation_rows(n)
+    return -(-(1 << 21) // (n * gen)) * gen
+
+
 class TestBlockedProduct:
     """The blocked Monte Carlo sums against the whole matrix's one product,
-    bit for bit.  Guards ``_MC_PRODUCT_SIGNS``: a product block under the
-    BLAS small-matrix cutoff would change the last bits."""
+    bit for bit.  Guards ``_MC_PRODUCT_SIGNS`` and ``_MC_PRODUCT_ROWS``: a
+    product block under the BLAS small-matrix cutoff, or of too few rows at
+    two BLAS threads, would change the last bits."""
 
-    @pytest.mark.parametrize("n", [600, 1001, 2500, 5000])
+    def test_block_rule(self):
+        # every block but a lone one has at least these rows: over
+        # OpenBLAS's cutoff (M*N*K <= 10**6 goes to its small-matrix kernel),
+        # at least 32 or the earlier rule's rows, never more than those, and
+        # one generation block fewer would miss one of the first two
+        for n in range(1, 10**6 + 1):
+            rows, gen, earlier = (randdist._product_rows(n), randdist._generation_rows(n),
+                                  _earlier_rows(n))
+            floor = min(32, earlier)
+            assert rows % gen == 0 and rows * 2 * n > 10**6 and floor <= rows <= earlier
+            assert (rows - gen) * n < 1 << 19 or rows - gen < floor
+
+    @pytest.mark.parametrize("n", [600, 1001, 2500, 5000, 20_000, 70_000])
     def test_equals_whole_product(self, n, monkeypatch):
+        # 20,000 pairs take the 32-row floor, 70,000 the cap at 2**21 signs'
+        # rows; both with under 100 draws
         rows = randdist._product_rows(n)
         gen = randdist._generation_rows(n)
         sample = ps.PairedSample(np.abs(np.random.default_rng(n).normal(size=n)))
@@ -474,13 +499,17 @@ class TestBlockedProduct:
             assert_array_equal(g, w)
 
     @pytest.mark.parametrize("single_use", ["build", "replication", "replication-every-draw"])
-    @pytest.mark.parametrize("n, draws", [(2000, 6000), (25, 10**6)])
+    @pytest.mark.parametrize("n, draws", [(2000, 6000), (5000, 10_000), (25, 10**6)])
     def test_holds_blocks_not_the_matrix(self, single_use, n, draws, monkeypatch):
         # the whole sign matrix of 6000 draws x 2000 pairs is 96 MB, and the
         # product block is most of the figure; at 25 pairs x 10**6 draws the
         # per-draw bytes are, with nearly all values distinct.  A replication
         # with the band dropped makes every draw and counts every product
-        # block: the most it holds
+        # block: the most it holds.  At 5000 pairs x 10,000 draws the
+        # largest block is 172 rows, 6.9 MB (760 rows, 30.4 MB, in blocks of
+        # 2**21 signs)
+        if n == 5000:
+            assert randdist._product_buffer(draws, n).nbytes == 8 * 172 * n
         s = ps.PairedSample(np.random.default_rng(54).normal(loc=0.3, size=n))
         sens, engine = ps.SensitivityParam(2.0), mc_engine(draws)
         spec = ps.TestSpec(tau=0.0, method="combined")
@@ -502,6 +531,45 @@ class TestBlockedProduct:
         per_draw = (randdist._BUILD_BYTES_PER_DRAW if single_use == "build"
                     else randdist._MC_BYTES_PER_DRAW)
         assert peak <= randdist._draw_set_bytes(n, draws, per_draw)
+
+
+_THREAD_CHECK = """
+import numpy as np
+from pairsens import randdist
+
+n, rows = {n}, {rows}
+m = np.abs(np.random.default_rng(n).normal(size=n))
+coef = np.column_stack([m, m * m])
+draws = 2 * rows + randdist._product_rows(n) + 1
+signs = randdist._SignSource(n, 0.7, 5).fill(np.empty((draws, n)))
+want = np.empty((draws, 2))
+last = (draws // rows - 1) * rows
+for start in range(0, last, rows):
+    np.matmul(signs[start : start + rows], coef, out=want[start : start + rows])
+np.matmul(signs[last:], coef, out=want[last:])
+for got in (randdist._draw_monte_carlo(m, 0.7, draws, 5),
+            randdist._signed_sums(m, draws, lambda a, b: signs[a:b])):
+    assert np.array_equal(got[0], want[:, 0]) and np.array_equal(got[1], want[:, 1])
+"""
+
+
+class TestProductThreads:
+    """A build's and a kept matrix's sums against the products over blocks
+    of 2**21 signs, the earlier block rule, bit for bit at one and two BLAS
+    threads: at two, plain blocks of 2**19 signs, 16 rows at 33,000 pairs,
+    round differently.  Each runs in a fresh interpreter, as the BLAS reads
+    its thread count when numpy is imported."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n", [5000, 33_000, 70_000])
+    def test_equals_earlier_blocks(self, n, threads):
+        src = str(Path(randdist.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = _THREAD_CHECK.format(n=n, rows=_earlier_rows(n))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 def _garbage_buffers(size):
@@ -604,7 +672,7 @@ class TestMemoryBudget:
     def test_single_use_draws_budgeted_by_what_they_hold(self, monkeypatch, tmp_path, capsys):
         # 10000 draws x 600 pairs: the whole sign matrix, 45.8 MiB, is over
         # the budget's share of a pretended 80 MiB; a test build, budgeted
-        # at one product block and 120 bytes a draw, about 31.4 MiB, is under
+        # at one product block and 120 bytes a draw, about 7.6 MiB, is under
         monkeypatch.setattr(randdist, "_physical_memory_bytes", lambda: 80 * 2**20)
         n, draws = 600, 10_000
         held = randdist._draw_set_bytes(n, draws, randdist._BUILD_BYTES_PER_DRAW)
