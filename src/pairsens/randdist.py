@@ -55,18 +55,6 @@ _EXACT_BYTES_PER_DRAW = 64
 # build at 25 pairs x 10**6 draws, whose values are nearly all distinct.
 _BUILD_BYTES_PER_DRAW = 120
 
-# A decision gathers the draws whose studentized statistic it must compute
-# when they are at most this share of all draws, else computes it for every
-# draw.  Three gathered arrays then fit in one per-draw buffer.  On one core
-# of a 2-vCPU Xeon, at 17 and 20 pairs, gathering still took 0.84-0.93 of
-# the full computation's time at shares of 0.29-0.33; below 15 pairs a
-# decision takes under 0.2 ms either way.
-_GATHER_SHARE = 1 / 3
-
-# Draws gathered per block by ``_positions``: its only temporary, the
-# block's indices, stays under 16 KiB whatever the number of draws.
-_POSITIONS_BLOCK = 1 << 11
-
 # A draw's mean settles its studentized comparison only while no
 # studentized statistic can be NaN.  Within this range of sum(m**2) none
 # can: nothing overflows to inf - inf, and a zero mean never meets a
@@ -148,18 +136,19 @@ class EnumSpec:
     32-bit half of the raw stream, low half of each 64-bit word first, so a
     parallel worker could regenerate any block of draws from the seed
     alone.  The signed sums are BLAS products, whose last bits can change
-    with the thread count.  A Monte Carlo search holds its whole sign
-    matrix, 8 bytes per draw x pair; a build (``test``) makes its signs a
-    block of rows at a time and holds under two blocks of them (9 MiB below
-    17,477 pairs, 32 MiB below 65,536), plus its per-draw buffers.  A
-    simulation replication reads the same signs a generation block at a
-    time and stops once the draws made settle its decisions, a studentized
-    draw by a bound on its own statistic; they are those every draw would
-    give (``SignDraws``).  It holds one block of rows and is budgeted at 48
-    bytes per draw besides.  All multiply in the same blocks, so they
-    decide on the same sums, and each is refused when its figure would
-    exceed the memory budget.  A ``test`` build is never curtailed: its
-    p-value and critical value read every draw.
+    with the thread count.  A build (``test``) makes its signs a block of
+    rows at a time and holds under two blocks of them (9 MiB below 17,477
+    pairs, 32 MiB below 65,536), plus its per-draw buffers.  A Monte Carlo
+    decision counts its draws the same blocks at a time and stops once they
+    settle it, as every draw would (``SignDraws``).  A search holds its
+    whole sign matrix, 8 bytes per draw x pair.  A simulation replication
+    makes its signs a generation block at a time, and may stop after any of
+    them, a studentized draw settled by a bound on its own statistic; it
+    holds one block of rows and is budgeted at 48 bytes per draw besides.
+    All multiply in the same blocks, so they decide on the same sums, and
+    each is refused when its figure would exceed the memory budget.  A
+    ``test`` build is never curtailed: its p-value and critical value read
+    every draw.
     """
 
     mode: str = "auto"
@@ -332,13 +321,15 @@ def _enumerate_exact(
     if k is not None:
         k[0] = 0
     size = 1
-    for i in range(m.size):
-        for sums, v in filled:
-            np.add(sums[:size], v[i], out=sums[size : 2 * size])
-            np.subtract(sums[:size], v[i], out=sums[:size])
-        if k is not None:
-            np.add(k[:size], 1, out=k[size : 2 * size])
-        size *= 2
+    # a sum that overflows is inf; a NaN mean made of it is refused by _build
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m.size):
+            for sums, v in filled:
+                np.add(sums[:size], v[i], out=sums[size : 2 * size])
+                np.subtract(sums[:size], v[i], out=sums[:size])
+            if k is not None:
+                np.add(k[:size], 1, out=k[size : 2 * size])
+            size *= 2
 
 
 def _sign_cut(theta: float) -> int:
@@ -504,8 +495,8 @@ def _statistics(
     Both are written into ``out`` and returned as ``out.abar`` and
     ``out.tstat``, which stay valid until ``out`` is written again; the
     studentized statistic is None unless ``studentized`` is set.  Reference
-    builds need it for every draw; a decision computes it only for the draws
-    that its cuts leave open (``_Halves``, ``SignDraws._studentized_at_most``).
+    builds need it for every draw; an exact decision only for the draws that
+    its cuts leave open (``_Halves``).
     """
     c = sens.sign_bias
     # a mean beyond double range is +/-inf: its own atom, as perm-t reads it
@@ -629,22 +620,6 @@ def _own_cuts(t: float, n: int, sumsq: float, c: float, total: float) -> Union[C
         return (below, above) if t > 0 else (above, below)
 
     return sides
-
-
-def _positions(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Indices of ``mask``'s True entries, in order, written into ``out``.
-
-    numpy's nonzero allocates its result, so it is asked one block at a
-    time, and only of the blocks that hold a True entry: a block's indices
-    and one flag per block are the only temporaries.
-    """
-    end = 0
-    starts = np.arange(0, mask.size, _POSITIONS_BLOCK)
-    for lo in starts[np.logical_or.reduceat(mask, starts)]:
-        (found,) = mask[lo : lo + _POSITIONS_BLOCK].nonzero()
-        np.add(found, lo, out=out[end : end + found.size])
-        end += found.size
-    return out[:end]
 
 
 def _observed_sums(negative: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -930,19 +905,19 @@ class SignDraws:
     + counts are kept while theta is unchanged.
 
     Monte Carlo signs threshold raw random bits against theta
-    (``_SignSource``).  A search's draws keep their per-draw sums and
-    statistics in buffers made once, and the sign matrix while theta is
-    unchanged, so a move redoes only its product with the new ``|y - tau|``,
-    and a new theta redraws it from the engine's seed (common random
-    numbers); a studentized decision computes the statistic only for the
-    draws the cuts of ``_cuts`` leave open.  A ``single_use`` draw set, read
-    at one tau and theta (a simulation replication), is curtailed: it reads
-    the stream a generation block at a time into one product block's buffer,
-    and stops once the draws made settle every decision, a studentized draw
-    by a bound on its own statistic (``_curtailed``).  It holds that buffer,
-    one generation block and per-draw buffers for the rows of one product
-    block, never the whole matrix.  Both kinds multiply in the same product
-    blocks as a build, so they decide on the sums a build sorts, bit for bit.
+    (``_SignSource``), and every Monte Carlo decision is one curtailed pass
+    over the product blocks of a build (``_curtailed``): it counts each
+    block's draws on the build's product and stops once the draws counted
+    settle every decision.  A search keeps its sign matrix while theta is
+    unchanged, so a move redoes only the products with the new ``|y -
+    tau|``, and a new theta redraws it from the engine's seed (common random
+    numbers).  A ``single_use`` draw set, read at one tau and theta (a
+    simulation replication), never holds the whole matrix: it makes each
+    product block's signs a generation block at a time into one buffer, and
+    may stop after any generation block, a studentized draw settled by a
+    bound on its own statistic.  Either holds per-draw buffers for the rows
+    of one product block only, and decides on the sums a build sorts, bit
+    for bit.
     """
 
     def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec,
@@ -960,15 +935,12 @@ class SignDraws:
             self._halves = _Halves(n, 1 + studentized)
         else:
             self.n_draws = draws = engine.draws
-            # checked before any per-draw buffer is made
             if single_use:
                 need, what = _draw_set_bytes(n, draws, _MC_BYTES_PER_DRAW), "draw set"
             else:
                 need, what = _MC_BYTES_PER_SIGN * draws * n, "sign matrix"
             _check_fits(need, f"Monte Carlo {what} of {draws} draws x {n} pairs",
                         "use fewer Monte Carlo draws")
-            self._s1 = self._s2 = None
-            self._out = None if single_use else _StatBuffers.empty(draws)
         self.move_to(tau)
 
     def move_to(self, tau: float) -> None:
@@ -983,111 +955,115 @@ class SignDraws:
             self.observed_sums = _observed_sums(negative, rows)
             if self.mode == "exact":
                 self._halves.move_to(rows, ~negative)
-        # the Monte Carlo sums are redone before their next use
-        self._stale = True
 
     def drop_signs(self) -> None:
-        """Free the Monte Carlo sign matrix, and the sums made from it after
-        it, so the heap can return their memory; the next call redraws it."""
+        """Free the Monte Carlo sign matrix, so the heap can return its
+        memory; the next call redraws it."""
         if self._signs is not None:
-            self._signs = self._s1 = self._s2 = None
-            self._theta = None
+            self._signs = self._theta = None
 
-    def _sums(self, sens: SensitivityParam) -> tuple[np.ndarray, np.ndarray]:
-        """A search's Monte Carlo signed sums of m and m**2 at the current
-        tau and the theta of ``sens``, from its kept sign matrix; only stale
-        ones are redone."""
-        theta, n, draws = sens.theta, self.m.size, self.engine.draws
+    def _kept(self, theta: float) -> np.ndarray:
+        """A search's sign matrix at ``theta``, redrawn only when theta moves."""
         if theta != self._theta:
             # the old matrix is freed before the new one is drawn
             self._signs = None
-            self._signs = _SignSource(n, theta, self.engine.seed).fill(np.empty((draws, n)))
+            signs = np.empty((self.n_draws, self.m.size))
+            self._signs = _SignSource(self.m.size, theta, self.engine.seed).fill(signs)
             self._theta = theta
-            self._stale = True
-        if self._stale:
-            signs = self._signs
-            self._s1, self._s2 = _signed_sums(self.m, draws, lambda start, stop: signs[start:stop])
-            self._stale = False
-        return self._s1, self._s2
+        return self._signs
 
     def _curtailed(self, sens: SensitivityParam, observed: dict[str, float]) -> dict[str, float]:
-        """The weights of ``weights_at_most`` for a single-use draw set, by
-        kind, from only as many generation blocks of draws as settle them.
+        """The Monte Carlo weights of ``weights_at_most``, by kind, from only
+        as many draws as settle them.
 
-        Each generation block's own products with m and, while a
+        The draws are counted a product block at a time, each block's rows
+        on the product with m and m**2 that a build makes, so once every
+        block is counted a kind's weight is exact, on the floats of a build.
+        A kind stops once its counts bound its weight outside the band, as
+        the exact decision's counts do (``_Halves.counts_at_most``): the
+        share of the draws surely at or below t is a lower bound, and that
+        of those not surely above it an upper one, so the decision is the
+        one every draw would give.  A search reads each block from its kept
+        matrix (``_kept``).
+
+        A single-use draw set also bounds its counts within a block, after
+        each generation block made, and makes no draw after the last kind
+        stops.  Each generation block's own products with m and, while a
         studentized kind is open, m**2 give sums within ``2 g(n)`` times
         ``sum(m)`` and ``sum(m**2)`` of those a build makes: both add n terms
         in some order.  So ``_sum_cut`` of t counts the mean's draws surely at
         or below t and surely above it, and ``_own_cuts`` the studentized
         statistic's, each draw by a bound on its own statistic; where that
         bound does not apply, ``_sum_cut`` of the cuts of ``_cuts`` on its
-        mean does.  A kind stops once those counts bound its weight outside
-        the band, as the exact decision's counts do
-        (``_Halves.counts_at_most``); the weight lies beyond the bound, so
-        the decision is the one every draw would give.  No draw after the
-        last kind stops is made.  A kind still open when a product block is
-        drawn counts that block's rows on the product a build makes, so once
-        every block is drawn its weight is exact, on the floats of a build.
+        mean does.
         """
-        m, n, draws = self.m, self.m.size, self.n_draws
-        c, total = sens.sign_bias, float(m.sum())
+        m, n, draws, single_use = self.m, self.m.size, self.n_draws, self._single_use
         low, high = self._band or (-math.inf, math.inf)
-        weights, cuts, done = {}, {}, {}
+        # the open kinds' counts of draws surely in and surely out
+        weights, done, cuts = {}, dict.fromkeys(observed, (0, 0)), {}
 
         def settle(counts: dict[str, tuple[int, int]]) -> bool:
             # an open kind whose draws surely in, or not surely out, bound
             # its weight outside the band is settled at that bound
-            for kind in list(cuts):
+            for kind in list(done):
                 inside, outside = counts[kind]
                 sure, unsure = inside / draws, (draws - outside) / draws
                 if sure >= high or unsure <= low:
                     weights[kind] = sure if sure >= high else unsure
-                    del cuts[kind]
-            return not cuts
+                    del done[kind]
+            return not done
 
         with np.errstate(over="ignore", invalid="ignore"):
-            m2 = m * m
-            sumsq = float(np.sum(m2))
-            for kind, t in observed.items():
-                sides = kind == "studentized" and _own_cuts(t, n, sumsq, c, total)
-                if not sides:
-                    lo = hi = t
-                    if kind == "studentized":
-                        lo, hi = _cuts(t, n, sumsq, c)
-                    lo, hi = (_sum_cut(x, side, n, total, c * total)
-                              for x, side in ((lo, -1.0), (hi, 1.0)))
-                    sides = lambda s1, s2, lo=lo, hi=hi: (s1 < lo, s1 > hi)  # noqa: E731
-                cuts[kind], done[kind] = sides, (0, 0)
+            c, total, m2 = sens.sign_bias, float(m.sum()), m * m
             coef = np.column_stack([m, m2])
-            signs = _product_buffer(draws, n)
-            sums, out = np.empty((len(signs), 2)), _StatBuffers.empty(len(signs))
-            source = _SignSource(n, sens.theta, self.engine.seed)
+            if single_use:
+                sumsq = float(np.sum(m2))
+                for kind, t in observed.items():
+                    sides = kind == "studentized" and _own_cuts(t, n, sumsq, c, total)
+                    if not sides:
+                        lo = hi = t
+                        if kind == "studentized":
+                            lo, hi = _cuts(t, n, sumsq, c)
+                        lo, hi = (_sum_cut(x, side, n, total, c * total)
+                                  for x, side in ((lo, -1.0), (hi, 1.0)))
+                        sides = lambda s1, s2, lo=lo, hi=hi: (s1 < lo, s1 > hi)  # noqa: E731
+                    cuts[kind] = sides
+                source = _SignSource(n, sens.theta, self.engine.seed)
+                signs = _product_buffer(draws, n)
+            else:
+                signs = self._kept(sens.theta)
+            size = draws - _last_block_start(draws, n)
+            sums, out = np.empty((size, 2)), _StatBuffers.empty(size)
             for start, stop in _product_blocks(draws, n):
                 rows = stop - start
-                # the counts with this block's draws made so far
-                made = dict(done)
-                for block in source.blocks(signs[:rows]):
-                    s1 = np.matmul(block, m)
-                    s2 = np.matmul(block, m2) if "studentized" in cuts else None
-                    for kind, sides in cuts.items():
-                        (inside, outside), (more_in, more_out) = made[kind], sides(s1, s2)
-                        made[kind] = (inside + np.count_nonzero(more_in),
-                                      outside + np.count_nonzero(more_out))
-                    if settle(made):
-                        return weights
-                # the block is drawn: its rows are counted on a build's sums
-                block_sums = np.matmul(signs[:rows], coef, out=sums[:rows])
+                if not single_use:
+                    block = signs[start:stop]
+                else:
+                    block, made = signs[:rows], dict(done)
+                    # the counts with this block's draws made so far
+                    for drawn in source.blocks(block):
+                        s1 = np.matmul(drawn, m)
+                        s2 = np.matmul(drawn, m2) if "studentized" in done else None
+                        for kind in done:
+                            more_in, more_out = cuts[kind](s1, s2)
+                            inside, outside = made[kind]
+                            made[kind] = (inside + np.count_nonzero(more_in),
+                                          outside + np.count_nonzero(more_out))
+                        if settle(made):
+                            return weights
+                # the block's rows are counted on a build's sums
+                block_sums = np.matmul(block, coef, out=sums[:rows])
                 block_out = _StatBuffers(*(x[:rows] for x in out))
                 stats = _statistics(block_sums[:, 0], block_sums[:, 1], m, sens,
-                                    "studentized" in cuts, block_out)
-                for kind in cuts:
+                                    "studentized" in done, block_out)
+                for kind in done:
                     stat = stats[kind == "studentized"]
                     below = np.count_nonzero(np.less_equal(stat, observed[kind], out=block_out.mask))
                     done[kind] = (done[kind][0] + below, done[kind][1] + rows - below)
                 if settle(done):
                     return weights
         # every draw is counted, each on its own floats: the weights are exact
-        weights.update((kind, done[kind][0] / draws) for kind in cuts)
+        weights.update((kind, inside / draws) for kind, (inside, _) in done.items())
         return weights
 
     def weights_at_most(
@@ -1109,19 +1085,16 @@ class SignDraws:
         weight is the share of such draws.
 
         With ``band``, ``(low, high)``, a kind's weight may be a bound on
-        it, made without finishing the draws its cuts leave open, or for a
-        single-use draw set (``_curtailed``, a studentized draw settled by a
-        bound on its own statistic) without making the draws after those
-        that settle it: the weight of the draws surely at most t when that
-        is at least high, or of those not surely above t when that is at
-        most low.  Without it every weight is the one above.
+        it: made without finishing the exact draws its cuts leave open, or
+        from the Monte Carlo draws of the product blocks counted so far, and
+        for a single-use draw set without making the draws after those that
+        settle it (``_curtailed``).  It is the weight of the draws surely at
+        most t when that is at least high, or of those not surely above t
+        when that is at most low.  Without it every weight is the one above.
         """
         self._sens, self._own, self._band = sens, own or {}, band
-        if self.mode == "monte_carlo" and self._single_use:
+        if self.mode == "monte_carlo":
             self._weights = self._curtailed(sens, observed)
-        elif self.mode == "monte_carlo":
-            s1, s2 = self._sums(sens)
-            _statistics(s1, s2, self.m, sens, False, self._out)
         elif sens.theta != self._theta:
             self._table = _weight_table(sens.theta, self.m.size)
             self._theta = sens.theta
@@ -1130,56 +1103,12 @@ class SignDraws:
     def weight_at_most(self, kind: str, t: float) -> float:
         """Total weight of the draws whose statistic of ``kind`` is <= t, or
         a bound on it, at the bias bound, own statistics and band of the last
-        ``weights_at_most`` call."""
-        if self.mode == "exact":
-            band = self._band and (self._table, *self._band)
-            counts = self._halves.counts_at_most(kind, t, self._sens, self._own.get(kind), band)
-            return float(self._table @ counts)
-        if self._single_use:
+        ``weights_at_most`` call; a Monte Carlo t is that call's."""
+        if self.mode == "monte_carlo":
             return self._weights[kind]
-        if kind == "mean":
-            below = np.less_equal(self._out.abar, t, out=self._out.scratch)
-        else:
-            below = self._studentized_at_most(t)
-        return np.count_nonzero(below) / self.n_draws
-
-    def _studentized_at_most(self, t: float) -> np.ndarray:
-        """Nonzero (True or 1.0) where a Monte Carlo draw's studentized
-        statistic is <= t.
-
-        Draws at or past the cuts of ``_cuts`` are settled.  With a band
-        (``weights_at_most``), the draws the cuts put in are returned when
-        their share is at least its high end, and those the cuts do not put
-        out when theirs is at most its low end: a bound, made without
-        gathering an open draw.  Otherwise the open ones go through
-        ``_studentized``, gathered, or all draws do when the open ones are
-        more than ``_GATHER_SHARE`` of them.
-        """
-        out, abar, s2, m = self._out, self._out.abar, self._s2, self.m
-        c, sumsq = self._sens.sign_bias, float(np.sum(m * m))
-        lo, hi = _cuts(t, m.size, sumsq, c)
-        # boolean passes are the cheap ones; the out test borrows tstat's bytes
-        settled = np.less_equal(abar, lo, out=out.mask)
-        beyond = np.greater_equal(abar, hi, out=out.tstat.view(np.bool_)[: abar.size])
-        if self._band is not None:
-            low, high = self._band
-            if np.count_nonzero(settled) / self.n_draws >= high:
-                return settled
-            if (self.n_draws - np.count_nonzero(beyond)) / self.n_draws <= low:
-                return np.logical_not(beyond, out=beyond)
-        size = abar.size - np.count_nonzero(np.logical_or(settled, beyond, out=settled))
-        if size > _GATHER_SHARE * self.n_draws:
-            tstat = _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)
-            return np.less_equal(tstat, t, out=out.scratch)
-        # the positions, the means and the sums of m**2 share the tstat buffer
-        at = _positions(np.logical_not(settled, out=settled), out.tstat[:size].view(np.int64))
-        a = np.take(abar, at, out=out.tstat[size : 2 * size], mode="clip")
-        s2 = np.take(s2, at, out=out.tstat[2 * size : 3 * size], mode="clip")
-        tstat = _studentized(a, s2, m, c, s2, out.scratch[:size], out.mask[:size])
-        below = out.scratch
-        np.copyto(below, np.less_equal(abar, lo, out=out.mask))
-        np.put(below, at, np.less_equal(tstat, t, out=tstat), mode="clip")
-        return below
+        band = self._band and (self._table, *self._band)
+        counts = self._halves.counts_at_most(kind, t, self._sens, self._own.get(kind), band)
+        return float(self._table @ counts)
 
 
 def _build(
@@ -1220,6 +1149,9 @@ def _build(
         vals = by_kind[kind]
         order, starts = _merge_atoms(vals)
         merged_vals = vals[order][starts]
+        # the sort puts NaN last: an inf signed sum less an inf shift
+        if np.isnan(merged_vals[-1]):
+            raise ValueError(f"the signed sums of |y - tau| overflow double precision; {RESCALE}")
         if draw_weights is not None:
             merged_w = np.add.reduceat(draw_weights[order], starts)
             counts = None

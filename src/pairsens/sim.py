@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import METHODS, PairedSample, SensitivityParam, TestSpec
 # build_pair and observed_statistics stay names here for bench/tracer.py;
-# replications decide through rejections' masked sums, with no sorted build
+# replications decide through rejections' weights, with no sorted build
 from .randdist import EnumSpec, build_pair, observed_statistics  # noqa: F401
 from .rng import SeedLike, as_generator, as_seed_sequence
 from .testing import rejections
@@ -220,9 +220,9 @@ def estimate_size_power_multi(
     reproducible bit-for-bit for a given ``(seed, replications)`` and do not
     depend on which methods are requested together.  The methods within a
     replication decide from a single set of assignment draws, by the same
-    masked weight sum as the searches (``testing.rejections``); no sorted
-    reference distribution is built unless a sum lies within roundoff of
-    its threshold.
+    weight of the draws at or below each observed statistic as the searches
+    (``testing.rejections``); no sorted reference distribution is built
+    unless a weight lies within roundoff of its threshold.
     """
     scen = _resolve_scenario(scenario, n_pairs)
     n = scen.n_pairs

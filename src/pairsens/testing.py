@@ -250,12 +250,10 @@ def _decider(
     that weight, with no sort or merge, over one ``SignDraws`` that the
     methods share.  Exact draws are counted per number of + signs from two
     half-enumerations, and only the draws near a cut are finished one by
-    one; Monte Carlo draws are summed under a mask over buffers rewritten at
-    each call.  Either way the studentized statistic is computed only for
-    the draws whose mean leaves the comparison open (``SignDraws``).  What
-    depends on tau alone, the observed signed sums among it, is redone only
-    when tau moves, and the weights of the + counts only when the bias
-    bound moves.  A weight within ``guard`` of the threshold is re-decided
+    one; Monte Carlo draws are counted a product block at a time, on the
+    sums a build makes (``SignDraws``).  What depends on tau alone, the
+    observed signed sums among it, is redone only when tau moves, and the
+    weights of the + counts only when the bias bound moves.  A weight within ``guard`` of the threshold is re-decided
     by ``run_test``.  Each ``(gamma, tau)`` point is decided once: a search
     that returns to a point gets the same tuple again.  A ``single_use``
     decider, called once, does not keep its Monte Carlo sign matrix, and
@@ -268,13 +266,13 @@ def _decider(
     not surely above it, stands in for the weight.  Such a bound decides as
     the weight would, outside the guard and on the same side, so the
     decisions, the ``run_test`` fallbacks and the searches are unchanged.  A
-    single-use Monte Carlo bound may count a prefix of the draws only, the
-    rest counted neither in nor out (``SignDraws._curtailed``).  A Monte
-    Carlo weight is a count over ``n_draws``, one rounding, monotone in the
-    count.  An exact weight and its bound are ``fl(table @ c)`` for
-    per-k counts ``c <= c'``: n + 1 non-negative terms, each within ``g =
-    (n+1) u / (1 - (n+1) u)`` (u = eps/2) of its exact value relatively, in
-    any order of summing, and the exact values are ordered.  A lower bound
+    Monte Carlo bound may count a prefix of the draws only, the rest counted
+    neither in nor out (``SignDraws._curtailed``).  A Monte Carlo weight is
+    a count over ``n_draws``, one rounding, monotone in the count.  An exact
+    weight and its bound are ``fl(table @ c)`` for per-k counts ``c <=
+    c'``: n + 1 non-negative terms, each within ``g = (n+1) u / (1 - (n+1)
+    u)`` (u = eps/2) of its exact value relatively, in any order of summing,
+    and the exact values are ordered.  A lower bound
     ``b >= threshold + 2 guard`` gives a weight ``>= b (1-g)/(1+g) >= b -
     2g b``, at least ``threshold + 2 guard - 2g (threshold + 2 guard)``; an
     upper bound ``b <= threshold - 2 guard < 1`` a weight ``<= b (1+g)/(1-g)

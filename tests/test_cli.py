@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from pairsens import cli
+from pairsens.core import RESCALE
 from pairsens.cli import main
 
 
@@ -583,6 +584,30 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             '{"method": "perm_t", "confidence": 0.9, "seed": 0, "intervals": [{"gamma": 2.0, '
             '"lower": -Infinity, "upper": Infinity, "non_monotone": false}]}\n', "")
+
+    @pytest.mark.parametrize("engine", [[], ["--exact-below", "0", "--reps", "200"]],
+                             ids=["exact", "monte-carlo"])
+    def test_sums_overflowing_at_tau_exit_two_on_scale(self, tmp_path, capsys, engine):
+        # at tau 1e308 sum(|y - tau|) overflows, so a draw's mean can be an
+        # inf sum less an inf shift, NaN: test refuses the input by its scale,
+        # without a warning, and changepoint prints the line it printed before
+        path = tmp_path / "y.csv"
+        path.write_text("3e307\n-3e307\n4.5e307\n1.5e307\n-3e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--input", str(path), "--tau=1e308", "--gamma", "2",
+                         "--method", "perm-t", *engine]) == 2
+            assert capsys.readouterr() == ("", "error: the signed sums of |y - tau| overflow "
+                                               f"double precision; {RESCALE}\n")
+            assert main(["changepoint", "--input", str(path), "--tau=1e308",
+                         "--method", "perm-t", *engine]) == 0
+        draws = engine[-1] if engine else "10000"
+        assert capsys.readouterr() == (
+            '{"method": "perm_t", "tau": 1e+308, "alpha": 0.05, "alternative": "greater", '
+            '"gamma_changepoint": 1.0, "bracket": [1.0, 1.0], "tolerance": 0.001, '
+            '"rejects_at_gamma_one": false, "exceeded_gamma_max": false, "monotone": true, '
+            '"inversions": [], "n_evaluations": 1, '
+            f'"engine": {{"mode": "auto", "draws": {draws}, "seed": 0}}}}\n', "")
 
     @pytest.mark.parametrize("argv", [
         ["test", "--input", "{y}", "--tau", "0", "--gamma", "1"],

@@ -7,10 +7,12 @@ once the draws made settle every kind's weight outside the band
 fallbacks must equal those made from every draw (the band dropped, which
 also drops curtailing) and those of ``helpers.rejections_sorted``, for every
 method alone and all four together, both alternatives, gammas 1, 2, 4 and
-1e9 (theta 1 in float32), and knife-edge samples.  Generation and product
-blocks are shrunk in some cases so that a few thousand draws span many of
-them: the stream does not depend on the block sizes, and the builds of the
-oracle and the fallbacks make the same product blocks.
+1e9 (theta 1 in float32), and knife-edge samples.  A search's decisions,
+which count the product blocks of its kept sign matrix and stop once those
+settle them, must equal ``helpers.rejections_sorted`` alike.  Generation
+and product blocks are shrunk in some cases so that a few thousand draws
+span many of them: the stream does not depend on the block sizes, and the
+builds of the oracle and the fallbacks make the same product blocks.
 """
 
 import contextlib
@@ -132,6 +134,68 @@ def test_curtailing_reads_fewer_words(monkeypatch):
     words = _count_words(monkeypatch)
     _decide(monkeypatch, y, tau, alpha, "greater", tuple(ps.METHODS))
     assert words and min(words) < ENGINE.draws * y.size // 2
+
+
+def _blocks_read(monkeypatch):
+    """Record, per pass over the product blocks, how many were read and how
+    many there are."""
+    read = []
+    original = randdist._product_blocks
+
+    def counting(draws, n):
+        blocks = list(original(draws, n))
+        read.append([0, len(blocks)])
+        for block in blocks:
+            read[-1][0] += 1
+            yield block
+
+    monkeypatch.setattr(randdist, "_product_blocks", counting)
+    return read
+
+
+def _alphas_at_weights(sample, points, alternative):
+    """Alphas half a draw either side of each point's observed statistics'
+    weights in the sorted distributions: there a decision that counts one
+    draw wrong differs."""
+    if alternative == "less":
+        sample, points = ps.PairedSample(-sample.y), [(g, -t) for g, t in points]
+    alphas = set()
+    for gamma, tau in points:
+        sens = ps.SensitivityParam(gamma)
+        observed = randdist.observed_statistics(sample, tau, sens)
+        for dist, t in zip(randdist.build_pair(sample, tau, sens, ENGINE), observed):
+            for side in (-0.5, 0.5):
+                alphas.add(1.0 - dist.cdf(t) - randdist._CUM_SLACK + side / ENGINE.draws)
+    return sorted(alpha for alpha in alphas if 0.0 < alpha <= 0.5)
+
+
+@pytest.mark.parametrize("alternative", ps.ALTERNATIVES)
+@pytest.mark.parametrize("name", ["skewed", "normal", "constant", "ties-at-tau", "two-pairs"])
+def test_search_decisions_equal_sorted(monkeypatch, name, alternative):
+    # a search's decider, band on, over taus it moves between and the gammas
+    # in turn, against the sorted distributions, at the sample's alpha and at
+    # alphas half a draw from the weights; its kept matrix spans several
+    # product blocks, and some decisions read only some of them
+    y, tau, alpha = SAMPLES[name]
+    _shrink(monkeypatch, BLOCKS["small"])
+    sample = ps.PairedSample(y)
+    points = [(gamma, t) for gamma in GAMMAS for t in (tau, tau + 0.3, tau - 0.3)]
+    read = []
+    for level in [alpha, *_alphas_at_weights(sample, points, alternative)]:
+        spec = ps.TestSpec(tau=tau, alpha=level, alternative=alternative)
+        # every method list at the sample's alpha, all four methods elsewhere
+        for methods in METHOD_LISTS if level == alpha else METHOD_LISTS[-1:]:
+            want = [rejections_sorted(sample, replace(spec, tau=t), ps.SensitivityParam(gamma),
+                                      ENGINE, methods) for gamma, t in points]
+            with monkeypatch.context() as m:
+                blocks = _blocks_read(m)
+                decide = testing._decider(sample, spec, ENGINE, methods)
+                got = [list(decide(ps.SensitivityParam(gamma), t)) for gamma, t in points]
+            assert got == want, (name, level, methods)
+            read += blocks
+    assert all(total >= 2 for _, total in read)
+    if name == "skewed":
+        assert any(done < total for done, total in read)
 
 
 def test_theta_one_makes_no_generator(monkeypatch):

@@ -3,7 +3,8 @@
 ``testing._decider`` passes the band ``threshold -/+ 2 guard`` to
 ``SignDraws.weights_at_most``, which may then return, for a kind, the weight
 of the draws its cuts put in (a lower bound) or of those its cuts do not put
-out (an upper bound) without finishing the open draws.  A bound is returned
+out (an upper bound) without finishing the open draws; a Monte Carlo bound
+counts the draws of the product blocks read so far.  A bound is returned
 only beyond the band, where the weight itself lies outside the guard on the
 same side, so every decision, every ``run_test`` fallback and every search
 must equal those made with ``band=None``.  Checked for exact and Monte Carlo
@@ -36,6 +37,14 @@ ENGINES = {
     "monte_carlo": ps.EnumSpec(mode="monte_carlo", draws=2000, seed=3),
 }
 METHOD_LISTS = [(m,) for m in ps.METHODS] + [tuple(ps.METHODS)]
+
+
+def _engine(mode, n):
+    """``ENGINES[mode]``, but Monte Carlo draws over three product blocks, so
+    that a decision can stop with its bound after the first or the second."""
+    if mode == "exact":
+        return ENGINES[mode]
+    return ps.EnumSpec(mode="monte_carlo", draws=3 * randdist._product_rows(n), seed=3)
 
 
 def _unbanded(monkeypatch):
@@ -102,7 +111,7 @@ def test_bounds_bracket_the_weight(mode, name):
     # the weight, at its bounds and between, so that each way out is taken
     y, _ = SAMPLES[name]
     sample = ps.PairedSample(y)
-    draws = randdist.SignDraws(sample, 0.0, ENGINES[mode])
+    draws = randdist.SignDraws(sample, 0.0, _engine(mode, y.size))
     guard = testing._GUARD_EPS_PER_DRAW * draws.n_draws * testing._EPS
     taken = set()
     for tau in TAUS:
@@ -141,7 +150,8 @@ def test_thresholds_at_the_band_edges(monkeypatch, mode):
     # few guards from the weight or from either bound: a band narrower than
     # the guard would return a bound inside it and fall back where the weight
     # does not
-    sample, engine = ps.PairedSample(SAMPLES["skewed"][0]), ENGINES[mode]
+    sample = ps.PairedSample(SAMPLES["skewed"][0])
+    engine = _engine(mode, sample.n_pairs)
     draws = randdist.SignDraws(sample, 0.0, engine)
     guard = testing._GUARD_EPS_PER_DRAW * draws.n_draws * testing._EPS
     cases, bounded = [], 0

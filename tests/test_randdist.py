@@ -466,27 +466,32 @@ class TestBlockedProduct:
                 assert weight == np.count_nonzero(abar <= t) / draws
 
     def test_search_and_build_make_the_same_products(self, monkeypatch):
-        # a search's kept matrix and a build's streamed rows go through the
-        # same BLAS calls, so a search decides on the sums run_test sees
+        # a search's blocks of its kept matrix and a build's streamed rows go
+        # through the same BLAS calls, so a search decides on the sums
+        # run_test sees
         n = 1001
         draws = 3 * randdist._product_rows(n) + 1
         sample = ps.PairedSample(np.random.default_rng(3).normal(size=n))
         sens = ps.SensitivityParam(1.7)
-        products = []
+        products, made = [], []
         matmul = np.matmul
 
         def counting(a, b, **kwargs):
             products.append(a.shape[0])
-            return matmul(a, b, **kwargs)
+            out = matmul(a, b, **kwargs)
+            made.append(out.copy())
+            return out
 
         monkeypatch.setattr(np, "matmul", counting)
         drawn = randdist.SignDraws(sample, 0.1, mc_engine(draws, seed=4))
-        kept = drawn._sums(sens)
+        # no band: every block is counted
+        drawn.weights_at_most(sens, {"mean": 0.0, "studentized": 0.0})
+        kept = np.concatenate(made)
         products.append(None)
         streamed = randdist._draw_monte_carlo(drawn.m, sens.theta, draws, 4)
         rows = randdist._product_rows(n)
         assert products == [rows, rows, rows + 1, None, rows, rows, rows + 1]
-        for k, s in zip(kept, streamed):
+        for k, s in zip(kept.T, streamed):
             assert_array_equal(k, s)
 
     def test_equals_float32_where_oracle(self):

@@ -1,8 +1,9 @@
 """Simulation replications' decisions against the sorted-distribution oracle.
 
 ``testing.rejections`` decides every method of one replication by the
-searches' masked weight sum over one ``SignDraws``, and re-decides a method
-by ``run_test`` only when its sum lies within roundoff of the threshold.
+searches' weight of the draws at or below each observed statistic, over one
+``SignDraws``, and re-decides a method by ``run_test`` only when its weight
+lies within roundoff of the threshold.
 Its decisions must equal those of ``helpers.rejections_sorted``, which
 compares each observed statistic with a sorted distribution's quantile,
 with the guard as shipped, forced on for every method and forced off.
@@ -98,7 +99,7 @@ def test_rejections_equal_sorted_oracle(monkeypatch, guard, y, tau, alpha, alter
 @pytest.mark.parametrize("kind", ["mean", "studentized"])
 @pytest.mark.parametrize("mode", sorted(ENGINES))
 def test_guard_catches_roundoff_in_each_kind(monkeypatch, kind, mode):
-    # every masked sum of one kind is moved just across the threshold, as
+    # every weight of one kind is moved just across the threshold, as
     # roundoff could move it: each method reading that kind must fall back
     engine = ENGINES[mode]
     original = randdist.SignDraws.weight_at_most

@@ -1,8 +1,8 @@
 """The searches' reject-only decisions against the full test procedures.
 
-``testing.rejector`` decides by a masked weight sum over shared draws and
-falls back to ``run_test`` only when that sum lies within roundoff of the
-threshold.  Its decisions must equal ``run_test(...).reject`` exactly, with
+``testing.rejector`` decides by the weight of the draws at or below the
+observed statistic, over shared draws, and falls back to ``run_test`` only
+when that weight lies within roundoff of the threshold.  Its decisions must equal ``run_test(...).reject`` exactly, with
 the fallback guard as shipped, forced on for every call, and forced off,
 whether one decider moves over the bias bound, over tau, or both.
 """
