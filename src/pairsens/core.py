@@ -24,6 +24,7 @@ __all__ = [
     "a_values",
     "d_values",
     "observed_signs",
+    "residuals",
     "sample_mean_and_se",
 ]
 
@@ -164,14 +165,23 @@ class AssignmentVector:
         return int(self.v.size)
 
 
+def residuals(y: np.ndarray, tau: float) -> np.ndarray:
+    """``y - tau``, +/-inf without a warning where it overflows: ``run_test``
+    refuses such a tau, and a search reads it as it is."""
+    with np.errstate(over="ignore"):
+        return y - tau
+
+
 def d_values(sample: PairedSample, tau: float, sens: SensitivityParam) -> np.ndarray:
     """Bias-corrected differences ``y_i - tau - (2*theta - 1)*|y_i - tau|``.
 
     At ``gamma = 1`` this is exactly ``y_i - tau``.  The map from ``y_i`` to
     each value is monotone nondecreasing for any fixed ``tau`` and ``gamma``.
+    An infinite residual gives +/-inf or NaN, without a warning.
     """
-    resid = sample.y - tau
-    return resid - sens.sign_bias * np.abs(resid)
+    resid = residuals(sample.y, tau)
+    with np.errstate(invalid="ignore"):
+        return resid - sens.sign_bias * np.abs(resid)
 
 
 def a_values(
@@ -189,7 +199,7 @@ def a_values(
     vv = v.v if isinstance(v, AssignmentVector) else np.asarray(v, dtype=float)
     if vv.shape != sample.y.shape:
         raise ValueError("assignment vector and sample must have equal length")
-    mag = np.abs(sample.y - tau)
+    mag = np.abs(residuals(sample.y, tau))
     return vv * mag - sens.sign_bias * mag
 
 
@@ -199,7 +209,7 @@ def observed_signs(sample: PairedSample, tau: float) -> AssignmentVector:
     Ties contribute ``|y_i - tau| = 0`` so the choice is inert; fixing it
     keeps runs reproducible.
     """
-    return AssignmentVector(np.where(sample.y - tau < 0.0, -1.0, 1.0))
+    return AssignmentVector(np.where(residuals(sample.y, tau) < 0.0, -1.0, 1.0))
 
 
 def sample_mean_and_se(x) -> tuple[float, float]:

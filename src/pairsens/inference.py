@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import PairedSample, SensitivityParam, TestSpec
+from .core import PairedSample, SensitivityParam, TestSpec, residuals
 from .randdist import EnumSpec
 # run_test stays a name of this module because bench/tracer.py wraps
 # inference.run_test; the searches decide through rejector
@@ -354,7 +354,7 @@ def design_sensitivity(
         if mean is not None or abs_moment is not None:
             raise ValueError("pass either a sample or explicit moments, not both")
         mean = float(sample.y.mean())
-        abs_moment = float(np.mean(np.abs(sample.y - tau)))
+        abs_moment = float(np.mean(np.abs(residuals(sample.y, tau))))
         source = "estimated"
     else:
         if mean is None or abs_moment is None:

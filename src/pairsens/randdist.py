@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .core import RESCALE, PairedSample, SensitivityParam
+from .core import RESCALE, PairedSample, SensitivityParam, residuals
 from .rng import SeedLike, as_seed_sequence
 
 __all__ = [
@@ -70,7 +70,7 @@ _UNIT_ROUNDOFF, _TINY = 2.0**-53, 2.0**-1022
 # input and the machine.
 _MEMORY_BUDGET_FRACTION = 0.5
 
-# Bytes a Monte Carlo search holds per draw x pair: its float64 sign matrix.
+# Bytes a Monte Carlo search is budgeted per draw x pair: its float64 sign matrix.
 _MC_BYTES_PER_SIGN = 8
 
 # Bytes a single-use Monte Carlo replication is budgeted per draw beside its
@@ -93,7 +93,7 @@ _MC_BLOCK_SIGNS = 1 << 16
 # are kept (a search) or made a block at a time in one reused buffer (a
 # ``test`` build, a simulation replication, which so never hold the whole sign
 # matrix); both make the same BLAS calls and give the same sums.  A
-# replication's products of single generation blocks with m and m**2 only
+# decision's products of single generation blocks with m and m**2 only
 # bound its sums (``_sum_cut``, ``_own_cuts``).  OpenBLAS sends a product with
 # M*N*K <= 10**6 to a small-matrix kernel whose sums differ in the last bits;
 # 2**19 signs is the least power of two with M*2*n above that cutoff for
@@ -140,10 +140,10 @@ class EnumSpec:
     rows at a time and holds under two blocks of them (9 MiB below 17,477
     pairs, 32 MiB below 65,536), plus its per-draw buffers.  A Monte Carlo
     decision counts its draws the same blocks at a time and stops once they
-    settle it, as every draw would (``SignDraws``).  A search holds its
-    whole sign matrix, 8 bytes per draw x pair.  A simulation replication
-    makes its signs a generation block at a time, and may stop after any of
-    them, a studentized draw settled by a bound on its own statistic; it
+    settle it, as every draw would (``SignDraws``), making its signs a
+    generation block at a time, a studentized draw settled by a bound on its
+    own statistic.  A search keeps the rows it has made, budgeted as its
+    whole sign matrix, 8 bytes per draw x pair; a simulation replication
     holds one block of rows and is budgeted at 48 bytes per draw besides.
     All multiply in the same blocks, so they decide on the same sums, and
     each is refused when its figure would exceed the memory budget.  A
@@ -383,43 +383,53 @@ def _product_rows(n: int) -> int:
 class _SignSource:
     """The rows of a ``draws x n`` matrix of iid theta-biased signs, made in
     order from one raw Philox stream (``_sign_stream``), a generation block
-    of rows at a time, by thresholding its raw bits (see ``_sign_cut``).
+    of rows at a time, by thresholding its raw bits (see ``_sign_cut``).  It
+    counts the rows it has made, and makes a row only when a reader asks.
 
-    A search keeps the whole matrix; a build fills one product block's
-    buffer at a time; a simulation replication reads it a generation block
-    at a time and may stop after any of them (``SignDraws``).  Whatever the
-    buffers, the same rows get the same signs.
+    A search's source keeps (``keep``) the rows it makes in its matrix, so a
+    later decision at the same theta reads them again and makes only those
+    after them; a build's or a replication's makes each product block's rows
+    in one reused buffer, in order.  Whatever the buffer, the same rows get
+    the same signs.
     """
 
-    def __init__(self, n: int, theta: float, seed: SeedLike):
+    def __init__(self, n: int, theta: float, seed: SeedLike, draws: int, keep: bool = False):
         self.raw, self.cut = _sign_stream(theta, seed)
-        self.rows = _generation_rows(n)
+        self.gen = _generation_rows(n)
+        self.theta, self.draws, self.keep, self.made = theta, draws, keep, 0
+        # the whole matrix, or a buffer for the largest product block, the last
+        self.signs = np.empty((draws if keep else draws - _last_block_start(draws, n), n))
 
-    def blocks(self, signs: np.ndarray) -> Iterator[np.ndarray]:
-        """Fill the rows of ``signs`` with the stream's next signs, yielding
-        each generation block of them once it is made."""
-        for start in range(0, signs.shape[0], self.rows):
-            block = signs[start : start + self.rows]
+    def _held(self, start: int, stop: int) -> np.ndarray:
+        return self.signs[start:stop] if self.keep else self.signs[: stop - start]
+
+    def make(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Make those of the rows ``start:stop`` not yet made, which follow
+        the rows made, yielding each generation block of them once made."""
+        block = self._held(start, stop)
+        for first in range(self.made - start, stop - start, self.gen):
+            rows = block[first : first + self.gen]
             if self.raw is None:
-                block.fill(1.0)
+                rows.fill(1.0)
             else:
                 # little-endian: each word's low half comes first, as numpy uses it
-                x = self.raw.random_raw((block.size + 1) // 2).view(np.uint32)
-                np.less(x[: block.size].reshape(block.shape), self.cut, out=block)
-                block *= 2.0
-                block -= 1.0
-            yield block
+                x = self.raw.random_raw((rows.size + 1) // 2).view(np.uint32)
+                np.less(x[: rows.size].reshape(rows.shape), self.cut, out=rows)
+                rows *= 2.0
+                rows -= 1.0
+            self.made = start + first + len(rows)
+            yield rows
 
-    def fill(self, signs: np.ndarray) -> np.ndarray:
-        """``signs``, every row made by ``blocks``."""
-        for _ in self.blocks(signs):
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The rows ``start:stop``, made where they are not yet."""
+        for _ in self.make(start, stop):
             pass
-        return signs
+        return self._held(start, stop)
 
-
-def _product_buffer(draws: int, n: int) -> np.ndarray:
-    """A buffer for the rows of the largest Monte Carlo product block."""
-    return np.empty((draws - _last_block_start(draws, n), n))
+    def fill(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Signed sums of m and m**2 over every draw (``_signed_sums``); a
+        source that does not keep its rows holds one product block of them."""
+        return _signed_sums(m, self.draws, self.rows)
 
 
 def _product_blocks(draws: int, n: int) -> Iterator[tuple[int, int]]:
@@ -454,19 +464,6 @@ def _signed_sums(
         for start, stop in _product_blocks(draws, m.size):
             np.matmul(signs_of(start, stop), coef, out=sums[start:stop])
     return sums[:, 0], sums[:, 1]
-
-
-def _draw_monte_carlo(
-    m: np.ndarray, theta: float, draws: int, seed: SeedLike
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sums of m and m**2 over ``draws`` iid theta-biased sign vectors.
-
-    The same sums, bit for bit, as ``_signed_sums`` of the kept matrix of
-    ``_SignSource.fill``, without holding it: each product block's rows are
-    made in one reused buffer.
-    """
-    source, buf = _SignSource(m.size, theta, seed), _product_buffer(draws, m.size)
-    return _signed_sums(m, draws, lambda start, stop: source.fill(buf[: stop - start]))
 
 
 class _StatBuffers(NamedTuple):
@@ -652,7 +649,7 @@ def observed_statistics(
     draw's sum of squares, overflows, draws' studentized statistics could be
     NaN or wrong: ValueError.
     """
-    resid = sample.y - tau
+    resid = residuals(sample.y, tau)
     m = np.abs(resid)
     # a signed sum that overflows is inf, and inf - inf NaN, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -710,6 +707,17 @@ def _sum_cut(a: float, side: float, n: int, total: float, shift: float) -> float
     ku = (2 * n + 16) * _UNIT_ROUNDOFF
     cut = n * a + shift
     return cut + side * ku / (1.0 - ku) * (4.0 * total + 2.0 * abs(cut))
+
+
+def _sum_cuts(kind: str, t: float, n: int, sumsq: float, c: float, total: float
+              ) -> tuple[float, float]:
+    """The lower and upper ``_sum_cut`` for ``stat <= t`` of ``kind``, from
+    the cuts on a draw's mean: t itself for the mean, ``_cuts`` for the
+    studentized statistic.  ``sumsq`` is ``sum(m**2)``, ``total`` ``sum(m)``."""
+    lo = hi = t
+    if kind == "studentized":
+        lo, hi = _cuts(t, n, sumsq, c)
+    return _sum_cut(lo, -1.0, n, total, c * total), _sum_cut(hi, 1.0, n, total, c * total)
 
 
 class _Halves:
@@ -806,12 +814,8 @@ class _Halves:
         counts`` is at least high, else those of the draws the cuts do not
         put out when theirs is at most low.  Both come from ``cum``, below
         ``first`` and below ``last``."""
-        n, c, low = self.n, sens.sign_bias, self.pa[0]
-        lo = hi = t
-        if kind == "studentized":
-            lo, hi = _cuts(t, n, self.sumsq, c)
-        total, shift = self.total, c * self.total
-        lo, hi = (_sum_cut(x, side, n, total, shift) for x, side in ((lo, -1.0), (hi, 1.0)))
+        n, low = self.n, self.pa[0]
+        lo, hi = _sum_cuts(kind, t, n, self.sumsq, sens.sign_bias, self.total)
         # per a, the sorted positions below first[a] are in, from last[a] out
         if math.isnan(lo):
             first = np.zeros(low.size, np.intp)
@@ -906,28 +910,25 @@ class SignDraws:
 
     Monte Carlo signs threshold raw random bits against theta
     (``_SignSource``), and every Monte Carlo decision is one curtailed pass
-    over the product blocks of a build (``_curtailed``): it counts each
-    block's draws on the build's product and stops once the draws counted
-    settle every decision.  A search keeps its sign matrix while theta is
-    unchanged, so a move redoes only the products with the new ``|y -
-    tau|``, and a new theta redraws it from the engine's seed (common random
+    over the product blocks of a build (``_curtailed``): it makes the signs
+    a generation block at a time, may stop after any of them, and stops once
+    the draws counted settle every decision.  A search keeps the rows it has
+    made while theta is unchanged, so a move redoes only the products with
+    the new ``|y - tau|`` and makes only the rows no decision has read yet,
+    and a new theta starts again from the engine's seed (common random
     numbers).  A ``single_use`` draw set, read at one tau and theta (a
     simulation replication), never holds the whole matrix: it makes each
-    product block's signs a generation block at a time into one buffer, and
-    may stop after any generation block, a studentized draw settled by a
-    bound on its own statistic.  Either holds per-draw buffers for the rows
-    of one product block only, and decides on the sums a build sorts, bit
-    for bit.
+    product block's rows in one reused buffer.  Either holds per-draw buffers
+    for the rows of one product block only, and decides on the sums a build
+    sorts, bit for bit.
     """
 
     def __init__(self, sample: PairedSample, tau: float, engine: EnumSpec,
                  single_use: bool = False, studentized: bool = True):
         n = sample.n_pairs
-        self._single_use, self._studentized = single_use, studentized
-        self.y = sample.y
-        self.mode = engine.resolve(n)
-        self.engine = engine
-        self._signs = self._theta = None
+        self.y, self._studentized = sample.y, studentized
+        self.mode, self.engine = engine.resolve(n), engine
+        self._source = self._theta = None
         if self.mode == "exact":
             _check_fits(_EXACT_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
                         "lower the exact cap to use Monte Carlo draws")
@@ -935,6 +936,7 @@ class SignDraws:
             self._halves = _Halves(n, 1 + studentized)
         else:
             self.n_draws = draws = engine.draws
+            self._keeps = not single_use
             if single_use:
                 need, what = _draw_set_bytes(n, draws, _MC_BYTES_PER_DRAW), "draw set"
             else:
@@ -946,7 +948,7 @@ class SignDraws:
     def move_to(self, tau: float) -> None:
         """Make later calls use the hypothesized value ``tau``."""
         self.tau = tau
-        resid = self.y - tau
+        resid = residuals(self.y, tau)
         self.m, negative = np.abs(resid), resid < 0.0
         self.all_tied = not self.m.any()
         # squares that overflow are refused by observed_statistics, not here
@@ -957,22 +959,14 @@ class SignDraws:
                 self._halves.move_to(rows, ~negative)
 
     def drop_signs(self) -> None:
-        """Free the Monte Carlo sign matrix, so the heap can return its
-        memory; the next call redraws it."""
-        if self._signs is not None:
-            self._signs = self._theta = None
+        """Free a search's Monte Carlo sign matrix, so the heap can return
+        its memory; the next decision makes its rows again."""
+        self._source = None
 
-    def _kept(self, theta: float) -> np.ndarray:
-        """A search's sign matrix at ``theta``, redrawn only when theta moves."""
-        if theta != self._theta:
-            # the old matrix is freed before the new one is drawn
-            self._signs = None
-            signs = np.empty((self.n_draws, self.m.size))
-            self._signs = _SignSource(self.m.size, theta, self.engine.seed).fill(signs)
-            self._theta = theta
-        return self._signs
-
-    def _curtailed(self, sens: SensitivityParam, observed: dict[str, float]) -> dict[str, float]:
+    def _curtailed(
+        self, sens: SensitivityParam, observed: dict[str, float],
+        band: Union[tuple[float, float], None],
+    ) -> dict[str, float]:
         """The Monte Carlo weights of ``weights_at_most``, by kind, from only
         as many draws as settle them.
 
@@ -983,22 +977,22 @@ class SignDraws:
         the exact decision's counts do (``_Halves.counts_at_most``): the
         share of the draws surely at or below t is a lower bound, and that
         of those not surely above it an upper one, so the decision is the
-        one every draw would give.  A search reads each block from its kept
-        matrix (``_kept``).
+        one every draw would give.
 
-        A single-use draw set also bounds its counts within a block, after
-        each generation block made, and makes no draw after the last kind
-        stops.  Each generation block's own products with m and, while a
-        studentized kind is open, m**2 give sums within ``2 g(n)`` times
-        ``sum(m)`` and ``sum(m**2)`` of those a build makes: both add n terms
-        in some order.  So ``_sum_cut`` of t counts the mean's draws surely at
-        or below t and surely above it, and ``_own_cuts`` the studentized
-        statistic's, each draw by a bound on its own statistic; where that
-        bound does not apply, ``_sum_cut`` of the cuts of ``_cuts`` on its
-        mean does.
+        Within a block, the rows not made yet are also bounded as they are
+        made, after each generation block, and no row is made after the last
+        kind stops; rows a search made for an earlier decision go straight
+        to the block's product.  Each generation block's own products with
+        m and, while a studentized kind is open, m**2 give sums within ``2
+        g(n)`` times ``sum(m)`` and ``sum(m**2)`` of those a build makes: both
+        add n terms in some order.  So ``_sum_cut`` of t counts the mean's
+        draws surely at or below t and surely above it, and ``_own_cuts`` the
+        studentized statistic's, each draw by a bound on its own statistic;
+        where that bound does not apply, ``_sum_cut`` of the cuts of
+        ``_cuts`` on its mean does.
         """
-        m, n, draws, single_use = self.m, self.m.size, self.n_draws, self._single_use
-        low, high = self._band or (-math.inf, math.inf)
+        m, n, draws = self.m, self.m.size, self.n_draws
+        low, high = band or (-math.inf, math.inf)
         # the open kinds' counts of draws surely in and surely out
         weights, done, cuts = {}, dict.fromkeys(observed, (0, 0)), {}
 
@@ -1015,44 +1009,38 @@ class SignDraws:
 
         with np.errstate(over="ignore", invalid="ignore"):
             c, total, m2 = sens.sign_bias, float(m.sum()), m * m
-            coef = np.column_stack([m, m2])
-            if single_use:
-                sumsq = float(np.sum(m2))
-                for kind, t in observed.items():
-                    sides = kind == "studentized" and _own_cuts(t, n, sumsq, c, total)
-                    if not sides:
-                        lo = hi = t
-                        if kind == "studentized":
-                            lo, hi = _cuts(t, n, sumsq, c)
-                        lo, hi = (_sum_cut(x, side, n, total, c * total)
-                                  for x, side in ((lo, -1.0), (hi, 1.0)))
-                        sides = lambda s1, s2, lo=lo, hi=hi: (s1 < lo, s1 > hi)  # noqa: E731
-                    cuts[kind] = sides
-                source = _SignSource(n, sens.theta, self.engine.seed)
-                signs = _product_buffer(draws, n)
-            else:
-                signs = self._kept(sens.theta)
+            coef, sumsq = np.column_stack([m, m2]), float(np.sum(m2))
+            for kind, t in observed.items():
+                sides = kind == "studentized" and _own_cuts(t, n, sumsq, c, total)
+                if not sides:
+                    lo, hi = _sum_cuts(kind, t, n, sumsq, c, total)
+                    sides = lambda s1, s2, lo=lo, hi=hi: (s1 < lo, s1 > hi)  # noqa: E731
+                cuts[kind] = sides
+            # a search's source while theta is unchanged, else a new one, made
+            # once the old matrix is freed
+            source = self._source
+            if source is None or source.theta != sens.theta:
+                self._source = source = None
+                source = _SignSource(n, sens.theta, self.engine.seed, draws, self._keeps)
+                self._source = source if self._keeps else None
             size = draws - _last_block_start(draws, n)
             sums, out = np.empty((size, 2)), _StatBuffers.empty(size)
             for start, stop in _product_blocks(draws, n):
-                rows = stop - start
-                if not single_use:
-                    block = signs[start:stop]
-                else:
-                    block, made = signs[:rows], dict(done)
-                    # the counts with this block's draws made so far
-                    for drawn in source.blocks(block):
-                        s1 = np.matmul(drawn, m)
-                        s2 = np.matmul(drawn, m2) if "studentized" in done else None
-                        for kind in done:
-                            more_in, more_out = cuts[kind](s1, s2)
-                            inside, outside = made[kind]
-                            made[kind] = (inside + np.count_nonzero(more_in),
-                                          outside + np.count_nonzero(more_out))
-                        if settle(made):
-                            return weights
+                made = dict(done)
+                # the counts with this block's rows made so far
+                for drawn in source.make(start, stop):
+                    s1 = np.matmul(drawn, m)
+                    s2 = np.matmul(drawn, m2) if "studentized" in done else None
+                    for kind in done:
+                        more_in, more_out = cuts[kind](s1, s2)
+                        inside, outside = made[kind]
+                        made[kind] = (inside + np.count_nonzero(more_in),
+                                      outside + np.count_nonzero(more_out))
+                    if settle(made):
+                        return weights
                 # the block's rows are counted on a build's sums
-                block_sums = np.matmul(block, coef, out=sums[:rows])
+                rows = stop - start
+                block_sums = np.matmul(source.rows(start, stop), coef, out=sums[:rows])
                 block_out = _StatBuffers(*(x[:rows] for x in out))
                 stats = _statistics(block_sums[:, 0], block_sums[:, 1], m, sens,
                                     "studentized" in done, block_out)
@@ -1086,29 +1074,20 @@ class SignDraws:
 
         With ``band``, ``(low, high)``, a kind's weight may be a bound on
         it: made without finishing the exact draws its cuts leave open, or
-        from the Monte Carlo draws of the product blocks counted so far, and
-        for a single-use draw set without making the draws after those that
-        settle it (``_curtailed``).  It is the weight of the draws surely at
-        most t when that is at least high, or of those not surely above t
-        when that is at most low.  Without it every weight is the one above.
+        from the Monte Carlo draws counted so far, without making the draws
+        after those that settle it (``_curtailed``).  It is the weight of the
+        draws surely at most t when that is at least high, or of those not
+        surely above t when that is at most low.  Without it every weight is
+        the one above.
         """
-        self._sens, self._own, self._band = sens, own or {}, band
         if self.mode == "monte_carlo":
-            self._weights = self._curtailed(sens, observed)
-        elif sens.theta != self._theta:
-            self._table = _weight_table(sens.theta, self.m.size)
-            self._theta = sens.theta
-        return {kind: self.weight_at_most(kind, t) for kind, t in observed.items()}
-
-    def weight_at_most(self, kind: str, t: float) -> float:
-        """Total weight of the draws whose statistic of ``kind`` is <= t, or
-        a bound on it, at the bias bound, own statistics and band of the last
-        ``weights_at_most`` call; a Monte Carlo t is that call's."""
-        if self.mode == "monte_carlo":
-            return self._weights[kind]
-        band = self._band and (self._table, *self._band)
-        counts = self._halves.counts_at_most(kind, t, self._sens, self._own.get(kind), band)
-        return float(self._table @ counts)
+            return self._curtailed(sens, observed, band)
+        if sens.theta != self._theta:
+            self._table, self._theta = _weight_table(sens.theta, self.m.size), sens.theta
+        table, own = self._table, own or {}
+        band = band and (table, *band)
+        return {kind: float(table @ self._halves.counts_at_most(kind, t, sens, own.get(kind), band))
+                for kind, t in observed.items()}
 
 
 def _build(
@@ -1118,7 +1097,7 @@ def _build(
     engine: EnumSpec,
     kinds: tuple[str, ...],
 ) -> tuple[ReferenceDistribution, ...]:
-    n, m = sample.n_pairs, np.abs(sample.y - tau)
+    n, m = sample.n_pairs, np.abs(residuals(sample.y, tau))
     studentized = "studentized" in kinds
     mode = engine.resolve(n)
     if mode == "exact":
@@ -1137,7 +1116,7 @@ def _build(
         _check_fits(_draw_set_bytes(n, n_draws, _BUILD_BYTES_PER_DRAW),
                     f"Monte Carlo draw set of {n_draws} draws x {n} pairs",
                     "use fewer Monte Carlo draws")
-        s1, s2 = _draw_monte_carlo(m, sens.theta, n_draws, engine.seed)
+        s1, s2 = _SignSource(n, sens.theta, engine.seed, n_draws).fill(m)
         draw_weights = None
     abar, tstat = _statistics(s1, s2, m, sens, studentized, _StatBuffers.empty(n_draws))
     # frees the sums and scratch before the sorts allocate

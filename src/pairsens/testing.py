@@ -17,11 +17,13 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .core import (
+    RESCALE,
     PairedSample,
     SensitivityParam,
     TestResult,
     TestSpec,
     d_values,
+    residuals,
     sample_mean_and_se,
 )
 from .randdist import (
@@ -75,8 +77,7 @@ _KINDS = {
     "combined": ("mean", "studentized"),
 }
 
-# The kinds in the order observed_statistics and SignDraws.statistics
-# return their statistics.
+# The kinds in the order observed_statistics returns their statistics.
 _STATISTICS = ("mean", "studentized")
 
 
@@ -128,10 +129,14 @@ def run_test(
     The p-value upper bound is the reference distribution's tail weight at
     the observed statistic, the larger of the two for ``combined``; Monte
     Carlo results also report the conservative ``(1 + count) / (1 + draws)``
-    variant.  A degenerate test (see ``_degenerate``) does not reject.
+    variant.  A degenerate test (see ``_degenerate``) does not reject.  A
+    tau at which some ``y_i - tau`` overflows raises ValueError.
     """
     norm_sample, norm_spec = _normalized(sample, spec)
     method, tau = spec.method, norm_spec.tau
+    resid = residuals(norm_sample.y, tau)
+    if not np.isfinite(resid).all():
+        raise ValueError(f"y - tau overflows double precision; {RESCALE}")
     reported = dict(
         method=method,
         tau=spec.tau,
@@ -154,7 +159,7 @@ def run_test(
             mode="normal",
         )
     engine = engine or EnumSpec()
-    all_tied = perm_t and not np.any(np.abs(norm_sample.y - tau))
+    all_tied = perm_t and not resid.any()
     if _degenerate(method, all_tied, mean_se):
         dbar = observed_statistics(norm_sample, tau, sens, studentized=False)[0] if perm_t else None
         mode = engine.resolve(norm_sample.n_pairs)
@@ -253,11 +258,12 @@ def _decider(
     one; Monte Carlo draws are counted a product block at a time, on the
     sums a build makes (``SignDraws``).  What depends on tau alone, the
     observed signed sums among it, is redone only when tau moves, and the
-    weights of the + counts only when the bias bound moves.  A weight within ``guard`` of the threshold is re-decided
-    by ``run_test``.  Each ``(gamma, tau)`` point is decided once: a search
-    that returns to a point gets the same tuple again.  A ``single_use``
-    decider, called once, does not keep its Monte Carlo sign matrix, and
-    makes only as many of its draws as settle its kinds (below).  The
+    weights of the + counts only when the bias bound moves.  A weight within
+    ``guard`` of the threshold is re-decided by ``run_test``.  Each ``(gamma,
+    tau)`` point is decided once: a search that returns to a point gets the
+    same tuple again.  Every Monte Carlo decision makes only as many of its
+    draws as settle its kinds (below); a search keeps them while theta is
+    unchanged, a ``single_use`` decider, called once, does not.  The
     standard error is computed once per point, for every method but perm-t.
 
     A kind whose draws settled by the cuts already put its weight outside

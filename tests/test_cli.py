@@ -609,6 +609,39 @@ class TestExitCodes:
             '"inversions": [], "n_evaluations": 1, '
             f'"engine": {{"mode": "auto", "draws": {draws}, "seed": 0}}}}\n', "")
 
+    @pytest.mark.parametrize("engine", [[], ["--exact-below", "0", "--reps", "200"]],
+                             ids=["exact", "monte-carlo"])
+    def test_overflowing_residual_exits_two_in_test(self, tmp_path, capsys, engine):
+        # at tau -1.5e308 some y - tau overflows to inf: test refuses every
+        # method by the scale, neyman among them, which printed NaN, and
+        # changepoint prints the lines and exits as it did, all without a
+        # warning
+        path = tmp_path / "y.csv"
+        path.write_text("3e307\n-3e307\n4.5e307\n1.5e307\n-3e307\n")
+        args = ["--input", str(path), "--tau=-1.5e308", *engine]
+        draws = engine[-1] if engine else "10000"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("perm-t", "studentized", "neyman", "combined"):
+                assert main(["test", *args, "--gamma", "2", "--method", method]) == 2
+                assert capsys.readouterr() == (
+                    "", f"error: y - tau overflows double precision; {RESCALE}\n")
+            for method, code in (("perm-t", 0), ("studentized", 2), ("neyman", 0),
+                                 ("combined", 2)):
+                assert main(["changepoint", *args, "--method", method]) == code
+                out, err = capsys.readouterr()
+                if code == 2:
+                    assert out == "" and err == ("error: the squares of |y - tau| overflow "
+                                                 f"double precision; {RESCALE}\n")
+                    continue
+                assert (out, err) == (
+                    f'{{"method": "{method.replace("-", "_")}", "tau": -1.5e+308, '
+                    '"alpha": 0.05, "alternative": "greater", "gamma_changepoint": 1.0, '
+                    '"bracket": [1.0, 1.0], "tolerance": 0.001, "rejects_at_gamma_one": false, '
+                    '"exceeded_gamma_max": false, "monotone": true, "inversions": [], '
+                    '"n_evaluations": 1, '
+                    f'"engine": {{"mode": "auto", "draws": {draws}, "seed": 0}}}}\n', "")
+
     @pytest.mark.parametrize("argv", [
         ["test", "--input", "{y}", "--tau", "0", "--gamma", "1"],
         ["changepoint", "--input", "{y}", "--tau", "0"],

@@ -8,8 +8,8 @@ fallbacks must equal those made from every draw (the band dropped, which
 also drops curtailing) and those of ``helpers.rejections_sorted``, for every
 method alone and all four together, both alternatives, gammas 1, 2, 4 and
 1e9 (theta 1 in float32), and knife-edge samples.  A search's decisions,
-which count the product blocks of its kept sign matrix and stop once those
-settle them, must equal ``helpers.rejections_sorted`` alike.  Generation
+which make and bound their signs alike but keep the rows made for the next
+decision at the same theta, must equal ``helpers.rejections_sorted`` alike.  Generation
 and product blocks are shrunk in some cases so that a few thousand draws
 span many of them: the stream does not depend on the block sizes, and the
 builds of the oracle and the fallbacks make the same product blocks.
@@ -22,9 +22,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import pairsens as ps
 from pairsens import cli, randdist, testing
+
 from helpers import rejections_sorted
 from test_decision_band import _fallbacks, _unbanded
 
@@ -287,7 +289,7 @@ def test_block_sum_across_t_stays_open():
     sens = ps.SensitivityParam(gamma)
     engine = ps.EnumSpec(mode="monte_carlo", draws=draws, seed=6)
     m = np.abs(sample.y)
-    signs = randdist._SignSource(n, sens.theta, engine.seed).fill(np.empty((draws, n)))
+    signs = randdist._SignSource(n, sens.theta, engine.seed, draws, keep=True).rows(0, draws)
     whole = randdist._signed_sums(m, draws, lambda a, b: signs[a:b])[0]
     gen = randdist._generation_rows(n)
     block = np.concatenate([signs[i : i + gen] @ m for i in range(0, draws, gen)])
@@ -340,7 +342,7 @@ def _build_statistics(y, tau, gamma, draws, seed):
     """m, the build's signed sums of m and m**2 over ``draws`` sign vectors,
     its studentized statistic of each, the signs and the bias bound."""
     m, sens = np.abs(y - tau), ps.SensitivityParam(gamma)
-    signs = randdist._SignSource(m.size, sens.theta, seed).fill(np.empty((draws, m.size)))
+    signs = randdist._SignSource(m.size, sens.theta, seed, draws, keep=True).rows(0, draws)
     s1, s2 = randdist._signed_sums(m, draws, lambda a, b: signs[a:b])
     out = randdist._StatBuffers.empty(draws)
     tstat = randdist._statistics(s1, s2, m, sens, True, out)[1].copy()
@@ -431,6 +433,67 @@ def test_block_tstat_across_t_stays_open(direction):
         got = draws_set.weights_at_most(sens, {"studentized": t}, band=band)["studentized"]
         assert got == weight
     assert weight == draws_set.weights_at_most(sens, {"studentized": t})["studentized"]
+
+
+def test_search_keeps_the_rows_it_has_made(monkeypatch):
+    # a search at one theta and several taus, band on: its decisions stop in
+    # different generation blocks, each making only the rows after those an
+    # earlier one made, and the rows it keeps are those of a whole-matrix
+    # fill, bit for bit; with the band dropped its weights are those of
+    # every draw, counted on a build's sums
+    y, _, alpha = SAMPLES["skewed"]
+    _shrink(monkeypatch, BLOCKS["small"])
+    words = _count_words(monkeypatch)
+    sample, sens = ps.PairedSample(y), ps.SensitivityParam(1.0)
+    n, draws, seed = y.size, ENGINE.draws, ENGINE.seed
+    whole = randdist._SignSource(n, sens.theta, seed, draws, keep=True).rows(0, draws)
+    threshold = 1.0 - alpha - randdist._CUM_SLACK
+    guard = testing._GUARD_EPS_PER_DRAW * draws * testing._EPS
+    band = (threshold - 2.0 * guard, threshold + 2.0 * guard)
+    taus = (3.0, 1.0, 0.9, 0.8, 0.6, -1.0)
+    searched = randdist.SignDraws(sample, taus[0], ENGINE)
+    made = []
+    for tau in taus:
+        searched.move_to(tau)
+        stats = randdist.observed_statistics(sample, tau, sens, True, searched.observed_sums)
+        searched.weights_at_most(sens, dict(zip(("mean", "studentized"), stats)), band=band)
+        made.append(searched._source.made)
+        assert 2 * words[1] == made[-1] * n
+        assert_array_equal(searched._source.signs[: made[-1]], whole[: made[-1]])
+    gen, rows = randdist._generation_rows(n), randdist._product_rows(n)
+    assert made == sorted(made) and len(set(made)) >= 4 and made[-1] < draws
+    assert any(k % rows for k in made) and not any(k % gen for k in made)
+    for tau in taus:
+        searched.move_to(tau)
+        m = searched.m
+        stats = randdist.observed_statistics(sample, tau, sens, True, searched.observed_sums)
+        got = searched.weights_at_most(sens, dict(zip(("mean", "studentized"), stats)))
+        s1, s2 = randdist._SignSource(n, sens.theta, seed, draws).fill(m)
+        built = randdist._statistics(s1, s2, m, sens, True, randdist._StatBuffers.empty(draws))
+        assert got == {kind: np.count_nonzero(stat <= t) / draws
+                       for kind, stat, t in zip(("mean", "studentized"), built, stats)}
+    assert searched._source.made == draws
+    assert_array_equal(searched._source.signs, whole)
+
+
+def test_changepoint_makes_under_a_matrix_of_signs_a_gamma(monkeypatch):
+    # a Monte Carlo search makes its signs only as its decisions read them:
+    # on average under three quarters of a whole draws x n matrix at each
+    # gamma it decides (a search that drew the whole matrix made all of it)
+    words = _count_words(monkeypatch)
+    gammas = set()
+    original = randdist.SignDraws.weights_at_most
+
+    def recording(draws, sens, *args, **kwargs):
+        gammas.add(sens.gamma)
+        return original(draws, sens, *args, **kwargs)
+
+    monkeypatch.setattr(randdist.SignDraws, "weights_at_most", recording)
+    sample = ps.PairedSample(np.random.default_rng(22).normal(0.3, 1.0, 200))
+    engine = ps.EnumSpec(mode="monte_carlo", draws=3000, seed=3)
+    ps.changepoint_gamma(sample, tau=0.0, method="combined", engine=engine)
+    assert len(gammas) > 10
+    assert 2 * sum(words) < 0.75 * engine.draws * sample.n_pairs * len(gammas)
 
 
 def _simulate(argv):

@@ -346,7 +346,7 @@ class TestDrawMonteCarloRawBits:
         for theta in _THETAS:
             for seed in _SEEDS:
                 for draws in (1, 2, 1001):
-                    got = randdist._draw_monte_carlo(m, theta, draws, seed)
+                    got = randdist._SignSource(m.size, theta, seed, draws).fill(m)
                     want = draw_monte_carlo_where(m, theta, draws, seed)
                     for g, w in zip(got, want):
                         assert_array_equal(g, w)
@@ -354,7 +354,7 @@ class TestDrawMonteCarloRawBits:
     def test_theta_rounding_to_one_draws_only_plus(self):
         m = np.array([1.0, 2.0, 4.0])
         assert randdist._sign_cut(1e9 / (1 + 1e9)) == 2**32
-        s1, s2 = randdist._draw_monte_carlo(m, 1e9 / (1 + 1e9), 5, 0)
+        s1, s2 = randdist._SignSource(m.size, 1e9 / (1 + 1e9), 0, 5).fill(m)
         assert_array_equal(s1, np.full(5, 7.0))
         assert_array_equal(s2, np.full(5, 21.0))
 
@@ -381,7 +381,7 @@ class TestDrawMonteCarloRawBits:
             j = j[j < 2**24]
             x = np.concatenate([j << 8, (j << 8) + 255]).astype(np.uint32)
             monkeypatch.setattr(np.random, "Philox", lambda seed, x=x: _RawWords(x))
-            s1, _ = randdist._draw_monte_carlo(np.array([1.0]), theta, x.size, 0)
+            s1, _ = randdist._SignSource(1, theta, 0, x.size).fill(np.array([1.0]))
             u = (x >> 8).astype(np.float32) * np.float32(2.0**-24)
             assert_array_equal(s1 > 0, u < theta)
 
@@ -439,11 +439,11 @@ class TestBlockedProduct:
             q = max(1, draws // rows)
             blocks = [rows] * (q - 1) + [draws - (q - 1) * rows]
             for sens in (ps.SensitivityParam(7 / 3), ps.SensitivityParam(1e9)):
-                signs = randdist._SignSource(n, sens.theta, 5).fill(np.empty((draws, n)))
+                signs = randdist._SignSource(n, sens.theta, 5, draws, keep=True).rows(0, draws)
                 want = signs @ coef
                 with monkeypatch.context() as patch:
                     patch.setattr(np, "matmul", counting)
-                    got = randdist._draw_monte_carlo(m, sens.theta, draws, 5)
+                    got = randdist._SignSource(n, sens.theta, 5, draws).fill(m)
                     assert products == blocks
                     products.clear()
                     # a search's kept matrix: the same products
@@ -477,9 +477,12 @@ class TestBlockedProduct:
         matmul = np.matmul
 
         def counting(a, b, **kwargs):
-            products.append(a.shape[0])
             out = matmul(a, b, **kwargs)
-            made.append(out.copy())
+            # the products of single generation blocks with m only bound the
+            # sums, and are not counted here
+            if b.ndim == 2:
+                products.append(a.shape[0])
+                made.append(out.copy())
             return out
 
         monkeypatch.setattr(np, "matmul", counting)
@@ -488,7 +491,7 @@ class TestBlockedProduct:
         drawn.weights_at_most(sens, {"mean": 0.0, "studentized": 0.0})
         kept = np.concatenate(made)
         products.append(None)
-        streamed = randdist._draw_monte_carlo(drawn.m, sens.theta, draws, 4)
+        streamed = randdist._SignSource(n, sens.theta, 4, draws).fill(drawn.m)
         rows = randdist._product_rows(n)
         assert products == [rows, rows, rows + 1, None, rows, rows, rows + 1]
         for k, s in zip(kept.T, streamed):
@@ -498,7 +501,7 @@ class TestBlockedProduct:
         n = 1001
         draws = 3 * randdist._product_rows(n) + 1
         m = np.abs(np.random.default_rng(n).normal(size=n))
-        got = randdist._draw_monte_carlo(m, 0.7, draws, 8)
+        got = randdist._SignSource(n, 0.7, 8, draws).fill(m)
         want = draw_monte_carlo_where(m, 0.7, draws, 8)
         for g, w in zip(got, want):
             assert_array_equal(g, w)
@@ -514,7 +517,7 @@ class TestBlockedProduct:
         # largest block is 172 rows, 6.9 MB (760 rows, 30.4 MB, in blocks of
         # 2**21 signs)
         if n == 5000:
-            assert randdist._product_buffer(draws, n).nbytes == 8 * 172 * n
+            assert randdist._SignSource(n, 0.5, 0, draws).signs.nbytes == 8 * 172 * n
         s = ps.PairedSample(np.random.default_rng(54).normal(loc=0.3, size=n))
         sens, engine = ps.SensitivityParam(2.0), mc_engine(draws)
         spec = ps.TestSpec(tau=0.0, method="combined")
@@ -546,13 +549,13 @@ n, rows = {n}, {rows}
 m = np.abs(np.random.default_rng(n).normal(size=n))
 coef = np.column_stack([m, m * m])
 draws = 2 * rows + randdist._product_rows(n) + 1
-signs = randdist._SignSource(n, 0.7, 5).fill(np.empty((draws, n)))
+signs = randdist._SignSource(n, 0.7, 5, draws, keep=True).rows(0, draws)
 want = np.empty((draws, 2))
 last = (draws // rows - 1) * rows
 for start in range(0, last, rows):
     np.matmul(signs[start : start + rows], coef, out=want[start : start + rows])
 np.matmul(signs[last:], coef, out=want[last:])
-for got in (randdist._draw_monte_carlo(m, 0.7, draws, 5),
+for got in (randdist._SignSource(n, 0.7, 5, draws).fill(m),
             randdist._signed_sums(m, draws, lambda a, b: signs[a:b])):
     assert np.array_equal(got[0], want[:, 0]) and np.array_equal(got[1], want[:, 1])
 """
@@ -610,7 +613,7 @@ class TestStatisticsKinds:
     def test_mean_alone_is_bit_identical(self):
         rng = np.random.default_rng(51)
         m = np.abs(rng.normal(size=12))
-        s1, s2 = randdist._draw_monte_carlo(m, 0.7, 2000, 3)
+        s1, s2 = randdist._SignSource(m.size, 0.7, 3, 2000).fill(m)
         sens = ps.SensitivityParam(0.7 / 0.3)
         abar, tstat = randdist._statistics(s1, s2, m, sens, False, _garbage_buffers(2000))
         assert tstat is None
@@ -666,7 +669,7 @@ class TestStatisticsInPlace:
         for seed, gamma in ((0, 1.0), (1, 2.5), (2, 40.0)):
             sens = ps.SensitivityParam(gamma)
             m = np.abs(y - 0.5)
-            s1, s2 = randdist._draw_monte_carlo(m, sens.theta, 3001, seed)
+            s1, s2 = randdist._SignSource(m.size, sens.theta, seed, 3001).fill(m)
             got = randdist._statistics(s1, s2, m, sens, True, out)
             want = statistics_alloc(s1, s2, m, sens, True)
             assert_array_equal(got[0], want[0])

@@ -102,14 +102,14 @@ def test_guard_catches_roundoff_in_each_kind(monkeypatch, kind, mode):
     # every weight of one kind is moved just across the threshold, as
     # roundoff could move it: each method reading that kind must fall back
     engine = ENGINES[mode]
-    original = randdist.SignDraws.weight_at_most
+    original = randdist.SignDraws.weights_at_most
 
-    def wrong_side(draws, summed, t):
-        below = original(draws, summed, t)
-        if summed != kind:
-            return below
-        shift = draws.n_draws * np.finfo(float).eps
-        return threshold - shift if below >= threshold else threshold + shift
+    def wrong_side(draws, *args, **kwargs):
+        below = original(draws, *args, **kwargs)
+        if kind in below:
+            shift = draws.n_draws * np.finfo(float).eps
+            below[kind] = threshold - shift if below[kind] >= threshold else threshold + shift
+        return below
 
     for name, y, tau, alpha in CASES:
         sample = ps.PairedSample(y)
@@ -121,7 +121,7 @@ def test_guard_catches_roundoff_in_each_kind(monkeypatch, kind, mode):
             with monkeypatch.context() as m:
                 fallbacks = []
                 _count_calls(m, testing, "run_test", fallbacks)
-                m.setattr(randdist.SignDraws, "weight_at_most", wrong_side)
+                m.setattr(randdist.SignDraws, "weights_at_most", wrong_side)
                 got = testing.rejections(sample, spec, sens, engine, ps.METHODS)
             assert got == want, (name, gamma)
             reading = [mth for mth in ps.METHODS if kind in testing._KINDS[mth]

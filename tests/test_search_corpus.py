@@ -40,6 +40,22 @@ def samples() -> dict[str, np.ndarray]:
         "ties-at-tau": rng.integers(0, 7, 100).astype(float),
         # perm-t runs; the standard error overflows, so every other method exits 2
         "scale-1e200": 1e200 * (rng.normal(0.3, 1.0, 100)),
+    } | exact_samples()
+
+
+def exact_samples() -> dict[str, np.ndarray]:
+    """The samples of the exact calls, each of at most 20 pairs."""
+    rng = np.random.default_rng(22)
+    return {
+        "exact-skewed-14": rng.lognormal(0.0, 0.9, 14) - 1.2,
+        "exact-constant": np.full(8, 2.0),
+        # the CLI refuses a single pair: exit 2
+        "exact-one-pair": np.array([1.5]),
+        "exact-two-pairs": np.array([1.5, -0.25]),
+        # integers, 4 of them at tau = 1
+        "exact-ties-at-tau": np.array([1.0, 3, 0, 1, 5, 2, 1, 6, 1, 4, 0, 2]),
+        # perm-t runs; the standard error overflows, so every other method exits 2
+        "exact-scale-1e200": 1e200 * (rng.normal(0.3, 1.0, 12)),
     }
 
 
@@ -85,6 +101,28 @@ def corpus_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
     # a tolerance the interval refuses: exit 2
     calls["interval/skewed-100/tol-0"] = "skewed-100", (
         "interval", "--gamma", "2", "--tol", "0", *_ENGINE)
+    return calls | exact_calls()
+
+
+def exact_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """The exact calls: every method and alternative, on a skewed sample and
+    on each knife edge."""
+    calls = {}
+    taus = {"exact-skewed-14": ("-0.3", "1.6"), "exact-constant": ("1", "1"),
+            "exact-two-pairs": ("0", "0"),
+            "exact-ties-at-tau": ("1", "1"), "exact-scale-1e200": ("0", "0")}
+    for sample, tau_of in taus.items():
+        for method in _METHODS:
+            for alternative, tau in zip(("greater", "less"), tau_of):
+                calls[f"exact/changepoint/{sample}/{method}/{alternative}"] = sample, (
+                    "changepoint", "--tau", tau, "--method", method,
+                    "--alternative", alternative, "--grid-points", "9")
+            calls[f"exact/interval/{sample}/{method}"] = sample, (
+                "interval", "--gammas", "1,2", "--method", method)
+    calls["exact/changepoint/exact-constant/perm-t/all-tied"] = "exact-constant", (
+        "changepoint", "--tau", "2", "--method", "perm-t")
+    calls["exact/changepoint/exact-one-pair"] = "exact-one-pair", (
+        "changepoint", "--tau", "1", "--method", "perm-t")
     return calls
 
 
@@ -102,7 +140,7 @@ def sample_paths(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(corpus_calls()))
 def test_replays_recorded_output(name, sample_paths):
-    if platform_record() != _RECORDED["platform"]:
+    if not name.startswith("exact/") and platform_record() != _RECORDED["platform"]:
         pytest.skip("Monte Carlo digests were recorded on another numpy or BLAS")
     sample, argv = corpus_calls()[name]
     recorded = _RECORDED["calls"][name]

@@ -2,9 +2,9 @@
 
 An exact search chains only halves of the pairs, never enumerating all
 ``2**n`` sign vectors, unless a guard fallback builds a sorted distribution.  A Monte Carlo
-search keeps its sign matrix while theta is unchanged, so an interval
-search at one bias bound draws its signs once per side, and redoes only the
-matrix product when tau moves.  No signs are drawn into a matrix or buffer
+search keeps the rows of its sign matrix it has made while theta is
+unchanged, so an interval search at one bias bound draws its signs from one
+stream per side, and redoes only the matrix product when tau moves.  No signs are drawn into a matrix or buffer
 while another is alive.
 The endpoints stay those recorded before either change.
 """
@@ -67,23 +67,25 @@ def test_monte_carlo_interval_draws_once_per_side(monkeypatch, method, gamma):
     assert len(streams) == 2
 
 
-@pytest.mark.parametrize("search", ["changepoint", "interval"])
-def test_no_sign_matrix_beside_another(monkeypatch, search):
-    # every decision falls back to run_test, whose build draws its own
-    # signs; each array a sign source fills, a search's kept matrix or a
+@pytest.mark.parametrize("search, fallbacks", [("changepoint", True), ("interval", True),
+                                               ("changepoint", False)],
+                         ids=["changepoint", "interval", "changepoint-new-theta"])
+def test_no_sign_matrix_beside_another(monkeypatch, search, fallbacks):
+    # with fallbacks, every decision falls back to run_test, whose build
+    # draws its own signs; without, a changepoint makes a new matrix at each
+    # gamma.  Each array a sign source fills, a search's kept matrix or a
     # build's product block buffer, is made only when no other is alive
-    monkeypatch.setattr(testing, "_GUARD_EPS_PER_DRAW", np.inf)
+    if fallbacks:
+        monkeypatch.setattr(testing, "_GUARD_EPS_PER_DRAW", np.inf)
     alive = []
-    original = randdist._SignSource.blocks
+    original = randdist._SignSource.__init__
 
-    def tracking(source, signs):
-        held = signs if signs.base is None else signs.base
-        if not any(ref() is held for ref in alive):
-            assert not any(ref() is not None for ref in alive)
-            alive.append(weakref.ref(held))
-        return original(source, signs)
+    def tracking(source, *args, **kwargs):
+        assert not any(ref() is not None for ref in alive)
+        original(source, *args, **kwargs)
+        alive.append(weakref.ref(source.signs))
 
-    monkeypatch.setattr(randdist._SignSource, "blocks", tracking)
+    monkeypatch.setattr(randdist._SignSource, "__init__", tracking)
     sample = ps.PairedSample(_c11_sample().y[:12])
     if search == "changepoint":
         ps.changepoint_gamma(sample, tau=0.0, method="combined", engine=MC_ENGINE,
