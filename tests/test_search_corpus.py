@@ -101,7 +101,7 @@ def corpus_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
     # a tolerance the interval refuses: exit 2
     calls["interval/skewed-100/tol-0"] = "skewed-100", (
         "interval", "--gamma", "2", "--tol", "0", *_ENGINE)
-    return calls | exact_calls()
+    return calls | exact_calls() | grid_calls()
 
 
 def exact_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
@@ -123,6 +123,37 @@ def exact_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
         "changepoint", "--tau", "2", "--method", "perm-t")
     calls["exact/changepoint/exact-one-pair"] = "exact-one-pair", (
         "changepoint", "--tau", "1", "--method", "perm-t")
+    return calls
+
+
+def grid_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """Changepoints whose monotonicity grid has 2, 3, 50 and 200 points,
+    exact and Monte Carlo, every method and alternative, on a skewed sample
+    and on each knife edge, and at an alpha that no draw set attains (the
+    least exact p-value of "exact-ties-at-tau" is 1/256; 3000 draws give
+    no Monte Carlo p-value under 1/3000)."""
+    taus = {("exact", "exact-skewed-14"): ("-0.3", "1.6"),
+            ("exact", "exact-constant"): ("1", "1"), ("exact", "exact-two-pairs"): ("0", "0"),
+            ("exact", "exact-ties-at-tau"): ("1", "1"), ("exact", "exact-scale-1e200"): ("0", "0"),
+            ("mc", "skewed-100"): ("-0.4", "0.5"), ("mc", "constant"): ("1", "1"),
+            ("mc", "ties-at-tau"): ("1", "1"), ("mc", "scale-1e200"): ("0", "0")}
+    engines = {"exact": ("exact/grid", ()), "mc": ("grid", _ENGINE)}
+    calls = {}
+    for (engine, sample), tau_of in taus.items():
+        prefix, flags = engines[engine]
+        for method in _METHODS:
+            for alternative, tau in zip(("greater", "less"), tau_of):
+                for points in ("2", "3", "50", "200"):
+                    calls[f"{prefix}/{sample}/{method}/{alternative}/{points}"] = sample, (
+                        "changepoint", "--tau", tau, "--method", method, "--alternative",
+                        alternative, "--grid-points", points, *flags)
+    for (engine, sample, alpha) in (("exact", "exact-ties-at-tau", "0.001"),
+                                    ("mc", "skewed-100", "0.0002")):
+        prefix, flags = engines[engine]
+        for method in _METHODS:
+            calls[f"{prefix}/{sample}/{method}/alpha-{alpha}"] = sample, (
+                "changepoint", "--tau", taus[engine, sample][0], "--method", method,
+                "--alpha", alpha, *flags)
     return calls
 
 
