@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from typing import Union
 
 from .core import METHODS, PairedSample, SensitivityParam, TestSpec
 from .inference import changepoint_gamma, design_sensitivity, sensitivity_interval
@@ -30,6 +31,9 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 _CLI_METHODS = {method.replace("_", "-"): method for method in METHODS}
+
+# The subcommands, in the order -h lists them.
+_COMMANDS = ("test", "changepoint", "interval", "design-sensitivity", "simulate")
 
 
 class CliError(Exception):
@@ -305,91 +309,105 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Union[str, None] = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the ``command`` a call invokes, one
+    of ``_COMMANDS``, only that subcommand's parser is built: a parse of
+    its argv reads no other, and the others' ``add_argument`` calls are
+    most of a build.  A fixed metavar then lists every subcommand, so the
+    top-level usage line is unchanged.  Without one, every subcommand is
+    built, for ``-h`` and for the errors that name the subcommand argument,
+    which the metavar would rename."""
     parser = argparse.ArgumentParser(
         prog="pairsens",
         description="Randomization-based sensitivity analysis for the sample "
         "average treatment effect in paired observational studies.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
 
-    p_test = sub.add_parser("test", help="run one sensitivity-analysis test")
-    p_test.add_argument("--input", "-i", required=True, help="CSV of differences "
-                        "(one column) or treated,control (two columns)")
-    p_test.add_argument("--tau", type=float, required=True,
-                        help="hypothesized sample average treatment effect")
-    p_test.add_argument("--gamma", type=float, required=True, help="bias bound >= 1")
-    p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--method", choices=sorted(_CLI_METHODS), default="studentized")
-    p_test.add_argument("--alternative", choices=["greater", "less"], default="greater")
-    _add_engine_flags(p_test)
-    p_test.set_defaults(func=cmd_test)
+    if not only or command == "test":
+        p_test = sub.add_parser("test", help="run one sensitivity-analysis test")
+        p_test.add_argument("--input", "-i", required=True, help="CSV of differences "
+                            "(one column) or treated,control (two columns)")
+        p_test.add_argument("--tau", type=float, required=True,
+                            help="hypothesized sample average treatment effect")
+        p_test.add_argument("--gamma", type=float, required=True, help="bias bound >= 1")
+        p_test.add_argument("--alpha", type=float, default=0.05)
+        p_test.add_argument("--method", choices=sorted(_CLI_METHODS), default="studentized")
+        p_test.add_argument("--alternative", choices=["greater", "less"], default="greater")
+        _add_engine_flags(p_test)
+        p_test.set_defaults(func=cmd_test)
 
-    p_cp = sub.add_parser("changepoint", help="smallest gamma at which the test "
-                          "stops rejecting")
-    p_cp.add_argument("--input", "-i", required=True)
-    p_cp.add_argument("--tau", type=float, required=True)
-    p_cp.add_argument("--alpha", type=float, default=0.05)
-    p_cp.add_argument("--method", choices=sorted(_CLI_METHODS), default="studentized")
-    p_cp.add_argument("--alternative", choices=["greater", "less"], default="greater")
-    p_cp.add_argument("--gamma-max", type=float, default=1000.0)
-    p_cp.add_argument("--tol", type=float, default=1e-3)
-    p_cp.add_argument("--grid-points", type=int, default=50,
-                      help="points in the post-hoc monotonicity scan")
-    _add_engine_flags(p_cp)
-    p_cp.set_defaults(func=cmd_changepoint)
+    if not only or command == "changepoint":
+        p_cp = sub.add_parser("changepoint", help="smallest gamma at which the test "
+                              "stops rejecting")
+        p_cp.add_argument("--input", "-i", required=True)
+        p_cp.add_argument("--tau", type=float, required=True)
+        p_cp.add_argument("--alpha", type=float, default=0.05)
+        p_cp.add_argument("--method", choices=sorted(_CLI_METHODS), default="studentized")
+        p_cp.add_argument("--alternative", choices=["greater", "less"], default="greater")
+        p_cp.add_argument("--gamma-max", type=float, default=1000.0)
+        p_cp.add_argument("--tol", type=float, default=1e-3)
+        p_cp.add_argument("--grid-points", type=int, default=50,
+                          help="points in the post-hoc monotonicity scan")
+        _add_engine_flags(p_cp)
+        p_cp.set_defaults(func=cmd_changepoint)
 
-    p_iv = sub.add_parser("interval", help="sensitivity interval(s) by test inversion")
-    p_iv.add_argument("--input", "-i", required=True)
-    p_iv.add_argument("--gamma", type=float, default=None)
-    p_iv.add_argument("--gammas", default=None,
-                      help="comma-separated gamma grid for an interval table")
-    p_iv.add_argument("--confidence", type=float, default=0.90)
-    p_iv.add_argument("--method", choices=sorted(_CLI_METHODS), default="studentized")
-    p_iv.add_argument("--tol", type=float, default=None,
-                      help="endpoint tolerance (default scales with the data range)")
-    p_iv.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_engine_flags(p_iv)
-    p_iv.set_defaults(func=cmd_interval)
+    if not only or command == "interval":
+        p_iv = sub.add_parser("interval", help="sensitivity interval(s) by test inversion")
+        p_iv.add_argument("--input", "-i", required=True)
+        p_iv.add_argument("--gamma", type=float, default=None)
+        p_iv.add_argument("--gammas", default=None,
+                          help="comma-separated gamma grid for an interval table")
+        p_iv.add_argument("--confidence", type=float, default=0.90)
+        p_iv.add_argument("--method", choices=sorted(_CLI_METHODS), default="studentized")
+        p_iv.add_argument("--tol", type=float, default=None,
+                          help="endpoint tolerance (default scales with the data range)")
+        p_iv.add_argument("--format", choices=["json", "csv"], default="json")
+        _add_engine_flags(p_iv)
+        p_iv.set_defaults(func=cmd_interval)
 
-    p_ds = sub.add_parser("design-sensitivity", help="power-transition gamma from "
-                          "moments or a sample")
-    p_ds.add_argument("--input", "-i", default=None, help="estimate moments from this CSV")
-    p_ds.add_argument("--tau", type=float, required=True)
-    p_ds.add_argument("--mean", type=float, default=None,
-                      help="population mean of the differences")
-    p_ds.add_argument("--abs-moment", type=float, default=None,
-                      help="population E|Y - tau|")
-    p_ds.set_defaults(func=cmd_design_sensitivity)
+    if not only or command == "design-sensitivity":
+        p_ds = sub.add_parser("design-sensitivity", help="power-transition gamma from "
+                              "moments or a sample")
+        p_ds.add_argument("--input", "-i", default=None, help="estimate moments from this CSV")
+        p_ds.add_argument("--tau", type=float, required=True)
+        p_ds.add_argument("--mean", type=float, default=None,
+                          help="population mean of the differences")
+        p_ds.add_argument("--abs-moment", type=float, default=None,
+                          help="population E|Y - tau|")
+        p_ds.set_defaults(func=cmd_design_sensitivity)
 
-    p_sim = sub.add_parser("simulate", help="size/power of the tests in a scenario")
-    p_sim.add_argument("--scenario", default=None,
-                       help="counterexample or favorable-normal")
-    p_sim.add_argument("--allocation", default=None,
-                       help="CSV with header delta,eta,pi (one row per pair)")
-    p_sim.add_argument("--pairs", type=int, default=None)
-    p_sim.add_argument("--tau", type=float, required=True)
-    p_sim.add_argument("--gamma", type=float, default=None)
-    p_sim.add_argument("--gammas", default=None,
-                       help="comma-separated gamma grid for power curves")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--methods", default="perm-t,neyman,studentized",
-                       help="comma-separated methods to estimate together")
-    p_sim.add_argument("--reps", type=int, default=10_000,
-                       help="number of simulated replications")
-    p_sim.add_argument("--mc-draws", type=int, default=10_000,
-                       help="Monte Carlo draws per reference distribution")
-    p_sim.add_argument("--seed", type=_seed, default=0)
-    p_sim.add_argument("--exact-below", type=int, default=20)
-    p_sim.add_argument("--format", choices=["json", "csv"], default="json")
-    p_sim.set_defaults(func=cmd_simulate)
+    if not only or command == "simulate":
+        p_sim = sub.add_parser("simulate", help="size/power of the tests in a scenario")
+        p_sim.add_argument("--scenario", default=None,
+                           help="counterexample or favorable-normal")
+        p_sim.add_argument("--allocation", default=None,
+                           help="CSV with header delta,eta,pi (one row per pair)")
+        p_sim.add_argument("--pairs", type=int, default=None)
+        p_sim.add_argument("--tau", type=float, required=True)
+        p_sim.add_argument("--gamma", type=float, default=None)
+        p_sim.add_argument("--gammas", default=None,
+                           help="comma-separated gamma grid for power curves")
+        p_sim.add_argument("--alpha", type=float, default=0.05)
+        p_sim.add_argument("--methods", default="perm-t,neyman,studentized",
+                           help="comma-separated methods to estimate together")
+        p_sim.add_argument("--reps", type=int, default=10_000,
+                           help="number of simulated replications")
+        p_sim.add_argument("--mc-draws", type=int, default=10_000,
+                           help="Monte Carlo draws per reference distribution")
+        p_sim.add_argument("--seed", type=_seed, default=0)
+        p_sim.add_argument("--exact-below", type=int, default=20)
+        p_sim.add_argument("--format", choices=["json", "csv"], default="json")
+        p_sim.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

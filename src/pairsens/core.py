@@ -31,6 +31,7 @@ __all__ = [
 METHODS = ("perm_t", "neyman", "studentized", "combined")
 ALTERNATIVES = ("greater", "less")
 RESCALE = "rescale the differences (the test statistics are scale-free)"
+SE_OVERFLOWS = f"the standard error of the differences overflows double precision; {RESCALE}"
 
 
 def _readonly_1d(x, name: str) -> np.ndarray:
@@ -177,10 +178,11 @@ def d_values(sample: PairedSample, tau: float, sens: SensitivityParam) -> np.nda
 
     At ``gamma = 1`` this is exactly ``y_i - tau``.  The map from ``y_i`` to
     each value is monotone nondecreasing for any fixed ``tau`` and ``gamma``.
-    An infinite residual gives +/-inf or NaN, without a warning.
+    An infinite residual, or a finite one beyond about half of double range
+    whose correction overflows, gives +/-inf or NaN, without a warning.
     """
     resid = residuals(sample.y, tau)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return resid - sens.sign_bias * np.abs(resid)
 
 
@@ -219,19 +221,19 @@ def sample_mean_and_se(x) -> tuple[float, float]:
     Sums go through numpy's pairwise summation, which keeps the estimators
     stable for the million-pair samples used in simulations.  Finite input
     whose standard error overflows (differences of about 1e154 or more) raises
-    ValueError rather than return a wrong zero statistic.
+    ValueError rather than return a wrong zero statistic.  Two-dimensional
+    input gives each row's mean and standard error, as arrays, each equal
+    to that of the row alone; it raises if any row's would.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise ValueError("need at least two observations for a standard error")
     finite = bool(np.isfinite(arr).all())
     # finite input that overflows is refused below without numpy's warnings;
     # non-finite input warns as numpy does
     with np.errstate(over="ignore", invalid="ignore") if finite else np.errstate():
-        mean = float(arr.mean())
-        se = float(np.sqrt(arr.var(ddof=1) / arr.size))
-    if finite and not np.isfinite(se):
-        raise ValueError(
-            f"the standard error of the differences overflows double precision; {RESCALE}"
-        )
-    return mean, se
+        mean = arr.mean(axis=-1)
+        se = np.sqrt(arr.var(axis=-1, ddof=1) / arr.shape[-1])
+    if finite and not np.isfinite(se).all():
+        raise ValueError(SE_OVERFLOWS)
+    return (float(mean), float(se)) if arr.ndim == 1 else (mean, se)

@@ -5,7 +5,10 @@ sensitivity intervals invert the one-sided tests over the hypothesized
 value.  Both searches read a reject indicator evaluated with common random
 numbers (one engine seed reused at every point), a deterministic function of
 the search variable, through three shared helpers: ``_walk`` (doubling steps
-outward), ``_scan`` (a monotonicity grid) and ``_bisect``.  The changepoint
+outward), ``_scan`` (a monotonicity grid) and ``_bisect``.  The indicator
+takes a list of points and returns their decisions: ``_scan`` passes its
+whole grid at once, which a changepoint decides together, as the grid shares
+its tau; the others pass one point at a time.  The changepoint
 bisects, scans, then bisects again; each interval side walks, scans, then
 bisects.  Non-monotone indicators are reported, never silently resolved.
 """
@@ -131,7 +134,7 @@ def _bisect(rejects, rej: float, acc: float, tol: float, geometric_above: float 
             mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
-        if rejects(mid):
+        if rejects([mid])[0]:
             rej = mid
         else:
             acc = mid
@@ -139,15 +142,15 @@ def _bisect(rejects, rej: float, acc: float, tol: float, geometric_above: float 
 
 
 def _scan(rejects, grid: list[float]) -> tuple[list[tuple[float, float]], int]:
-    """Evaluate ``grid`` in order, starting from its rejecting end.
+    """Evaluate ``grid``, in one call, starting from its rejecting end.
 
     Once the indicator turns off it should stay off; each rejection after a
     non-rejection is an inversion ``(last non-rejecting point, point)``.
     Returns the inversions and the index of the last rejecting point.
     """
     inversions, last, accepted = [], -1, None
-    for i, t in enumerate(grid):
-        if rejects(t):
+    for i, (t, rejected) in enumerate(zip(grid, rejects(grid))):
+        if rejected:
             last = i
             if accepted is not None:
                 inversions.append((accepted, t))
@@ -162,7 +165,7 @@ def _walk(rejects, start: float, delta: float, want: bool, steps: int) -> tuple[
     Returns ``(point, True)``, or ``(next point, False)`` after ``steps`` evaluations.
     """
     for _ in range(steps):
-        if rejects(start) == want:
+        if rejects([start])[0] == want:
             return start, True
         start += delta
         delta *= 2.0
@@ -201,13 +204,13 @@ def changepoint_gamma(
     spec = TestSpec(tau=tau, alpha=alpha, alternative=alternative, method=method)
     decide = rejector(sample, spec, engine)
 
-    def rejects(g: float) -> bool:
+    def rejects(gammas: list[float]) -> list[bool]:
         nonlocal evals
-        evals += 1
-        return decide(SensitivityParam(g))
+        evals += len(gammas)
+        return decide.many([(SensitivityParam(g), tau) for g in gammas])
 
-    at_one = rejects(1.0)
-    exceeded = at_one and rejects(gamma_max)
+    at_one = rejects([1.0])[0]
+    exceeded = at_one and rejects([gamma_max])[0]
     lo, hi, inversions = 1.0, 1.0, []
     if exceeded:
         lo, hi = gamma_max, math.inf
@@ -316,7 +319,7 @@ def sensitivity_interval(
         # one decider, and so one set of draw buffers, per side's search
         spec = TestSpec(tau=center, alpha=alpha, alternative=alternative, method=method)
         decide = rejector(sample, spec, engine)
-        return lambda t: decide(sens, t)
+        return lambda taus: decide.many([(sens, t) for t in taus])
 
     lower, lower_bracket, nm_lo = _invert_one_side(
         make_rejector("greater"), center, step, tol, -1.0, max_expansions, precheck_points

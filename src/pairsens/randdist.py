@@ -113,6 +113,13 @@ _MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 # anything that grows with its open draws.
 _OPEN_BLOCK = 1 << 12
 
+# Entries of the cut-count tables an exact decider makes at once
+# (``_Halves._count``): a batch of points that share a tau is counted in
+# chunks of at most ``_COUNT_BLOCK // ((n - h + 1) * 2**h)`` points, at
+# least one, so its buffers stay under about 8 MiB, or one point's.  At 17
+# pairs that is 102 points, a whole 50-point grid.
+_COUNT_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -483,7 +490,7 @@ def _statistics(
     s1: np.ndarray,
     s2: np.ndarray,
     m: np.ndarray,
-    sens: SensitivityParam,
+    sens: Union[SensitivityParam, np.ndarray],
     studentized: bool,
     out: _StatBuffers,
 ) -> tuple[np.ndarray, Union[np.ndarray, None]]:
@@ -493,9 +500,11 @@ def _statistics(
     ``out.tstat``, which stay valid until ``out`` is written again; the
     studentized statistic is None unless ``studentized`` is set.  Reference
     builds need it for every draw; an exact decision only for the draws that
-    its cuts leave open (``_Halves``).
+    its cuts leave open (``_Halves``).  ``sens`` may also be an array of sign
+    biases, one per entry of ``out`` (``_observed``), each entry then made
+    by the same operations as at its own bias bound.
     """
-    c = sens.sign_bias
+    c = sens.sign_bias if isinstance(sens, SensitivityParam) else sens
     # a mean beyond double range is +/-inf: its own atom, as perm-t reads it
     # (NaN where an inf sum meets an inf shift)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -628,6 +637,23 @@ def _observed_sums(negative: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.where(negative, -rows, rows), axis=1)[:, -1]
 
 
+def _observed(
+    m: np.ndarray, sums: np.ndarray, cs: np.ndarray, studentized: bool
+) -> tuple[np.ndarray, Union[np.ndarray, None], np.ndarray]:
+    """The observed statistics at each sign bias of ``cs``, from the observed
+    signed sums (``_observed_sums``) of ``m = |y - tau|`` and, when
+    ``studentized``, of m**2, and whether the bound on every draw's sum of
+    squares is finite at each; ``observed_statistics`` refuses a studentized
+    statistic where it is not, and the others are its results, entry by
+    entry.  Nothing warns: an entry that would is one that is refused."""
+    out = _StatBuffers.empty(cs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.array([(1.0 + abs(c)) ** 2 for c in cs.tolist()])
+        fits = np.isfinite(bounds * (m * m).sum())
+        abar, tstat = _statistics(sums[:1], sums[-1:], m, cs, studentized, out)
+    return abar, tstat, fits
+
+
 def observed_statistics(
     sample: PairedSample,
     tau: float,
@@ -652,13 +678,12 @@ def observed_statistics(
     resid = residuals(sample.y, tau)
     m = np.abs(resid)
     # a signed sum that overflows is inf, and inf - inf NaN, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = (1.0 + abs(sens.sign_bias)) ** 2
-        if studentized and not np.isfinite(bound * (m * m).sum()):
-            raise ValueError(f"the squares of |y - tau| overflow double precision; {RESCALE}")
-        if sums is None:
+    if sums is None:
+        with np.errstate(over="ignore", invalid="ignore"):
             sums = _observed_sums(resid < 0.0, _rows(m, studentized))
-    abar, tstat = _statistics(sums[:1], sums[-1:], m, sens, studentized, _StatBuffers.empty(1))
+    abar, tstat, fits = _observed(m, sums, np.array([sens.sign_bias]), studentized)
+    if studentized and not fits[0]:
+        raise ValueError(f"the squares of |y - tau| overflow double precision; {RESCALE}")
     return float(abar[0]), None if tstat is None else float(tstat[0])
 
 
@@ -729,7 +754,7 @@ class _Halves:
     doubling chain's own state after ``h`` pairs, chained in pair order from
     the low half's step table, and ``sb`` holds the high half's signed sums,
     sorted, so ``pa[0, a] + sb[p]`` is a draw's signed sum of m but for
-    rounding; ``cum[j, p]`` counts the sorted positions below ``p`` whose
+    rounding; ``cum[p, j]`` counts the sorted positions below ``p`` whose
     ``b`` has ``j`` + signs.  This is the subset-sum meet in the middle of
     Horowitz and Sahni (1974).  For a cut on the mean, one binary search per
     ``a`` finds the positions surely below the lower cut of ``_sum_cut`` and
@@ -741,6 +766,11 @@ class _Halves:
     ``rows`` 2 (a studentized decider) the tables carry the sums of m**2 as
     a second row, made with those of m, and the chain finishes both at once.
     All of it depends on tau alone, and is redone only when tau moves.
+
+    The cuts' searches and counts of the points a decider will ask for at
+    one tau (``expect``) are made together, a chunk of points at a time, in
+    ``(points, 2**h)`` arrays (``_count``); each point then only bounds or
+    finishes its own draws.
     """
 
     def __init__(self, n: int, rows: int):
@@ -756,11 +786,16 @@ class _Halves:
                                   + 2 * k * np.arange(rows)[:, None] for k in (h, n - h))
         self.low_step, self.step = np.empty(self.low_sel.shape), np.empty(self.sel.shape)
         self.pa = np.empty((rows, 2**h))
-        # row j, column a: the total + count of a with a b of j + signs
-        self.k_table = np.arange(n - h + 1)[:, None] + self.ka
-        self.cum = np.zeros((n - h + 1, 2 ** (n - h) + 1))
-        self.one_hot, self.hot = np.eye(n - h + 1), np.empty((n - h + 1, 2 ** (n - h)))
-        self.below = np.empty(self.k_table.shape)
+        self.cum = np.zeros((2 ** (n - h) + 1, n - h + 1))
+        self.one_hot, self.hot = np.eye(n - h + 1), np.empty((2 ** (n - h), n - h + 1))
+        # [i, a]: 1 where a has i + signs; [(i, j), k]: 1 where i + j is k
+        self.ka_hot = (np.arange(h + 1)[:, None] == self.ka).astype(float)
+        self.to_total = np.zeros(((h + 1) * (n - h + 1), n + 1))
+        i, j = np.divmod(np.arange(len(self.to_total)), n - h + 1)
+        self.to_total[np.arange(len(self.to_total)), i + j] = 1.0
+        self.chunk = max(1, _COUNT_BLOCK // (2**h * (n - h + 1)))
+        # _counts_below's buffer, made for the most points counted at once
+        self.gathered = np.empty(0)
         size = min(2**n, _OPEN_BLOCK)
         self.ramp = np.arange(size)
         self.a, self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(4))
@@ -793,10 +828,54 @@ class _Halves:
         # of its high half's
         b = plus[h:] @ self.place
         self.observed_at = int(plus[:h] @ self.place[:h]), int((self.order == b).argmax())
-        # one-hot columns of the sorted + counts, taken from an identity (a
+        # one-hot rows of the sorted + counts, taken from an identity (a
         # comparison would cast bool to float through a buffer), then summed
-        self.one_hot.take(self.kb[self.order], axis=1, out=self.hot, mode="clip")
-        self.hot.cumsum(axis=1, out=self.cum[:, 1:])
+        self.one_hot.take(self.kb[self.order], axis=0, out=self.hot, mode="clip")
+        self.hot.cumsum(axis=0, out=self.cum[1:])
+        # per kind: the points expected, and those counted, at this tau
+        self.expected, self.counted = {}, {}
+
+    def expect(self, kind: str, keys: list[tuple[float, float, Union[float, None]]]) -> None:
+        """Note the ``(t, c, own)`` at which ``counts_at_most`` will next be
+        asked for ``kind``, in order (``c`` is the sign bias), so that they
+        are counted together."""
+        self.expected[kind], self.counted[kind] = keys, {}
+
+    def _counted(self, kind: str, key: tuple[float, float, Union[float, None]]) -> tuple:
+        """``_count``'s row for ``key``: counted already, or counted now with
+        the expected keys that follow it, a chunk of them, or alone."""
+        if key not in self.counted.get(kind, ()):
+            keys = self.expected.get(kind, [])
+            start = keys.index(key) if key in keys else len(keys)
+            chunk = keys[start : start + self.chunk] or [key]
+            self.counted[kind] = dict(zip(chunk, zip(*self._count(kind, chunk))))
+        return self.counted[kind][key]
+
+    def _count(self, kind: str, keys: list[tuple[float, float, Union[float, None]]]
+               ) -> tuple[np.ndarray, ...]:
+        """What ``counts_at_most`` starts from at each ``(t, c, own)`` of
+        ``keys``, one row each: per a, the sorted positions below
+        ``first[a]`` are in and those from ``last[a]`` out; the cumulative
+        lengths of the open runs between; and the counts per total + count
+        of the draws below first."""
+        low, n = self.pa[0], self.n
+        cuts = [_sum_cuts(kind, t, n, self.sumsq, c, self.total) for t, c, _ in keys]
+        lo, hi = np.array(cuts).T[:, :, None]
+        first = self.sb.searchsorted(lo - low)
+        last = self.sb.searchsorted(hi - low, side="right")
+        a, q = self.observed_at
+        for g, ((cut_lo, cut_hi), (t, _, own)) in enumerate(zip(cuts, keys)):
+            # a NaN cut is no cut
+            if math.isnan(cut_lo):
+                first[g] = 0
+            if math.isnan(cut_hi):
+                last[g] = self.sb.size
+            # the observed draw's own statistic settles it when it is at most
+            # t and first in its open run: at t = own, often the only open draw
+            if own is not None and own <= t and first[g, a] == q < last[g, a]:
+                first[g, a] += 1
+        ends = (last - first).cumsum(axis=1)
+        return first, last, ends, self._counts_below(first)
 
     def counts_at_most(
         self, kind: str, t: float, sens: SensitivityParam, own: Union[float, None] = None,
@@ -806,7 +885,8 @@ class _Halves:
         at most t: exact integers, in float64.  ``own``, the observed
         assignment's statistic (``observed_statistics``, bit for bit its
         draw's), settles that draw when it is at most t and first in its open
-        run: at t = own, often the only open draw.
+        run.  The cuts are searched and counted by ``_count``, with the
+        points expected after this one.
 
         With ``band``, ``(table, low, high)``, a bound may be returned
         instead, and the open draws are finished only when none is: the
@@ -814,40 +894,32 @@ class _Halves:
         counts`` is at least high, else those of the draws the cuts do not
         put out when theirs is at most low.  Both come from ``cum``, below
         ``first`` and below ``last``."""
-        n, low = self.n, self.pa[0]
-        lo, hi = _sum_cuts(kind, t, n, self.sumsq, sens.sign_bias, self.total)
-        # per a, the sorted positions below first[a] are in, from last[a] out
-        if math.isnan(lo):
-            first = np.zeros(low.size, np.intp)
-        else:
-            first = self.sb.searchsorted(lo - low)
-        if math.isnan(hi):
-            last = np.full(low.size, self.sb.size)
-        else:
-            last = self.sb.searchsorted(hi - low, side="right")
-        a, q = self.observed_at
-        if own is not None and own <= t and first[a] == q < last[a]:
-            first[a] += 1
-        counts = self._counts_below(first)
+        first, last, ends, counts = self._counted(kind, (t, sens.sign_bias, own))
+        counts = counts.copy()
         # open draws through each a's run; with none, the counts are exact
-        ends = (last - first).cumsum()
         if band is not None and ends[-1]:
             table, low, high = band
             if table @ counts >= high:
                 return counts
-            upto = self._counts_below(last)
+            upto = self._counts_below(last[None])[0]
             if table @ upto <= low:
                 return upto
         for k, below in self._open(first, last, ends, kind, t, sens):
-            counts += np.bincount(k, weights=below, minlength=n + 1)
+            counts += np.bincount(k, weights=below, minlength=self.n + 1)
         return counts
 
     def _counts_below(self, stops: np.ndarray) -> np.ndarray:
-        """Per total + count, the draws at sorted positions below ``stops[a]``
-        for each a; ``below`` is scratch."""
-        self.cum.take(stops, axis=1, out=self.below, mode="clip")
-        return np.bincount(self.k_table.ravel(), weights=self.below.ravel(),
-                           minlength=self.n + 1)
+        """Per total + count, the draws at sorted positions below
+        ``stops[g, a]`` for each a, in row g for each row of ``stops``: the
+        rows of ``cum`` at the stops, summed per + count of a, then per
+        total, by products with the 0/1 tables ``ka_hot`` and ``to_total``.
+        They add integers under 2**53, exact in any order."""
+        size = stops.size * self.cum.shape[1]
+        if self.gathered.size < size:
+            self.gathered = np.empty(size)
+        gathered = self.gathered[:size].reshape(*stops.shape, -1)
+        self.cum.take(stops, axis=0, out=gathered, mode="clip")
+        return (self.ka_hot @ gathered).reshape(len(stops), -1) @ self.to_total
 
     def _open(
         self, first: np.ndarray, last: np.ndarray, ends: np.ndarray, kind: str, t: float,
@@ -928,7 +1000,7 @@ class SignDraws:
         n = sample.n_pairs
         self.y, self._studentized = sample.y, studentized
         self.mode, self.engine = engine.resolve(n), engine
-        self._source = self._theta = None
+        self._source, self._tables = None, {}
         if self.mode == "exact":
             _check_fits(_EXACT_BYTES_PER_DRAW * 2**n, f"exact enumeration of {n} pairs",
                         "lower the exact cap to use Monte Carlo draws")
@@ -957,6 +1029,24 @@ class SignDraws:
             self.observed_sums = _observed_sums(negative, rows)
             if self.mode == "exact":
                 self._halves.move_to(rows, ~negative)
+
+    def prepare(self, points: list[tuple[SensitivityParam, dict[str, float]]]) -> None:
+        """Make together, for the ``(sens, observed)`` of ``points``, in the
+        order ``weights_at_most`` will be asked for them at this tau with
+        ``own=observed``, what an exact decision makes before it bounds its
+        own draws: the weight tables of their thetas, and the cuts' searches
+        and counts.  A Monte Carlo decision counts its draws alone, and so
+        does a single point: there is nothing to count ahead of it."""
+        if self.mode != "exact" or len(points) < 2:
+            return
+        tables, thetas = self._tables, [sens.theta for sens, _ in points]
+        new = [theta for theta in dict.fromkeys(thetas) if theta not in tables]
+        if new:
+            tables = tables | dict(zip(new, _weight_table(np.array(new)[:, None], self.m.size)))
+        self._tables = {theta: tables[theta] for theta in thetas}
+        for kind in ("mean", "studentized"):
+            self._halves.expect(kind, [(observed[kind], sens.sign_bias, observed[kind])
+                                       for sens, observed in points if kind in observed])
 
     def drop_signs(self) -> None:
         """Free a search's Monte Carlo sign matrix, so the heap can return
@@ -1082,9 +1172,10 @@ class SignDraws:
         """
         if self.mode == "monte_carlo":
             return self._curtailed(sens, observed, band)
-        if sens.theta != self._theta:
-            self._table, self._theta = _weight_table(sens.theta, self.m.size), sens.theta
-        table, own = self._table, own or {}
+        table, own = self._tables.get(sens.theta), own or {}
+        if table is None:
+            table = _weight_table(sens.theta, self.m.size)
+            self._tables = {sens.theta: table}
         band = band and (table, *band)
         return {kind: float(table @ self._halves.counts_at_most(kind, t, sens, own.get(kind), band))
                 for kind, t in observed.items()}

@@ -11,6 +11,7 @@ the sign-normalized scale where reject means statistic >= critical value.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import groupby
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .core import (
     RESCALE,
+    SE_OVERFLOWS,
     PairedSample,
     SensitivityParam,
     TestResult,
@@ -30,6 +32,7 @@ from .randdist import (
     _CUM_SLACK,
     EnumSpec,
     SignDraws,
+    _observed,
     build_f_hat,
     build_g_hat,
     build_pair,
@@ -82,8 +85,30 @@ _STATISTICS = ("mean", "studentized")
 
 
 def _mean_se(sample: PairedSample, tau: float, sens: SensitivityParam) -> tuple[float, float]:
-    """Mean and standard error of the bias-corrected differences."""
-    return sample_mean_and_se(d_values(sample, tau, sens))
+    """Mean and standard error of the bias-corrected differences.  Finite
+    residuals whose correction overflows raise ValueError, as a standard
+    error that overflows does."""
+    d = d_values(sample, tau, sens)
+    if not np.isfinite(d).all() and np.isfinite(residuals(sample.y, tau)).all():
+        raise ValueError(SE_OVERFLOWS)
+    return sample_mean_and_se(d)
+
+
+def _mean_ses(sample: PairedSample, tau: float, cs: np.ndarray) -> list:
+    """``_mean_se`` at each sign bias of ``cs``, from row-wise numpy calls;
+    None at every point when some difference is not finite or some
+    standard error overflows, so that ``_mean_se`` redoes each point alone
+    and raises or warns as it does there."""
+    resid = residuals(sample.y, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = resid - cs[:, None] * np.abs(resid)
+    if np.isfinite(d).all():
+        try:
+            means, ses = sample_mean_and_se(d)
+            return list(zip(means.tolist(), ses.tolist()))
+        except ValueError:
+            pass
+    return [None] * len(cs)
 
 
 def _degenerate(
@@ -248,7 +273,8 @@ def _decider(
     single_use: bool = False,
 ) -> Callable[..., tuple[bool, ...]]:
     """Each of ``methods`` decided as ``run_test(...).reject`` would, as a
-    function of ``sens`` and ``tau`` (default ``spec.tau``), in a tuple.
+    function of ``sens`` and ``tau`` (default ``spec.tau``), in a tuple; its
+    ``many`` gives the tuples of a batch, a list of ``(sens, tau)`` points.
 
     ``stat >= quantile(p)`` holds exactly when the weight of draws at or
     below ``stat`` reaches ``p`` less the quantile's slack, so a decision is
@@ -261,7 +287,14 @@ def _decider(
     weights of the + counts only when the bias bound moves.  A weight within
     ``guard`` of the threshold is re-decided by ``run_test``.  Each ``(gamma,
     tau)`` point is decided once: a search that returns to a point gets the
-    same tuple again.  Every Monte Carlo decision makes only as many of its
+    same tuple again.  The new points of a batch that share a tau, one after
+    another (a changepoint's grid), are decided together: their standard
+    errors, observed statistics, weight tables and cut counts come from
+    row-wise numpy calls (``_mean_ses``, ``randdist._observed``,
+    ``SignDraws.prepare``); then each point, in order, bounds or finishes
+    its own draws, falls back to ``run_test``, or raises as it would alone.
+    A point the row-wise calls do not settle is redone alone.  A single
+    decision is a batch of one.  Every Monte Carlo decision makes only as many of its
     draws as settle its kinds (below); a search keeps them while theta is
     unchanged, a ``single_use`` decider, called once, does not.  The
     standard error is computed once per point, for every method but perm-t.
@@ -295,8 +328,8 @@ def _decider(
     alpha = norm_spec.alpha
     unique = list(dict.fromkeys(methods))
     # neyman reads no draws
-    draws = None
-    if any(_KINDS[m] for m in unique):
+    draws, drawing = None, [m for m in unique if _KINDS[m]]
+    if drawing:
         studentized = any("studentized" in _KINDS[m] for m in unique)
         draws = SignDraws(norm_sample, norm_spec.tau, engine, single_use, studentized)
     threshold = 1.0 - alpha - _CUM_SLACK
@@ -306,39 +339,69 @@ def _decider(
     reads_se = any(m != "perm_t" for m in unique)
     decided = {}
 
-    def decide(sens: SensitivityParam, tau: float = spec.tau) -> tuple[bool, ...]:
-        point = (sens.gamma, tau)
-        if point not in decided:
-            decided[point] = decide_once(sens, tau)
-        return decided[point]
+    def many(points: Sequence[tuple[SensitivityParam, float]]) -> list[tuple[bool, ...]]:
+        new = {}
+        for sens, tau in points:
+            if (sens.gamma, tau) not in decided:
+                new.setdefault((sens.gamma, tau), (sens, tau))
+        for _, run in groupby(new.values(), key=lambda point: point[1]):
+            decide_at(list(run))
+        return [decided[sens.gamma, tau] for sens, tau in points]
 
-    def decide_once(sens: SensitivityParam, tau: float) -> tuple[bool, ...]:
-        t = -tau if flip else tau
+    def decide_at(points: list[tuple[SensitivityParam, float]]) -> None:
+        # the points share a tau, up to the sign of a zero
+        t = -points[0][1] if flip else points[0][1]
         if draws is not None and t != draws.tau:
             draws.move_to(t)
-        mean_se = _mean_se(norm_sample, t, sens) if reads_se else None
-        drawn = [m for m in unique if _KINDS[m] and not _degenerate(m, draws.all_tied, mean_se)]
-        kinds = tuple(k for k in _STATISTICS if any(k in _KINDS[m] for m in drawn))
-        if kinds:
-            stats = observed_statistics(norm_sample, t, sens, "studentized" in kinds,
-                                        draws.observed_sums)
-            observed = {k: stat for k, stat in zip(_STATISTICS, stats) if k in kinds}
-            below = draws.weights_at_most(sens, observed, own=observed, band=band)
+        cs = np.array([sens.sign_bias for sens, _ in points])
+        mean_ses = _mean_ses(norm_sample, t, cs) if reads_se else [None] * len(points)
+        if draws is not None:
+            abar, tstat, fits = _observed(draws.m, draws.observed_sums, cs, studentized)
+            stats = {"mean": abar.tolist(), "studentized": tstat is not None and tstat.tolist()}
 
-        def one(m: str) -> bool:
-            if not _KINDS[m]:
-                return _neyman(mean_se, alpha)[2]
-            if m not in drawn:
-                return False
-            if any(abs(below[k] - threshold) < guard for k in _KINDS[m]):
-                # the build draws its own signs; only one matrix at a time
-                draws.drop_signs()
-                return run_test(sample, replace(spec, method=m, tau=tau), sens, engine).reject
-            return all(below[k] >= threshold for k in _KINDS[m])
+        def drawn_at(g: int, mean_se) -> tuple[list[str], dict[str, float]]:
+            # the methods that read draws at point g, and the observed
+            # statistics of the kinds they read
+            drawn = [m for m in drawing if not _degenerate(m, draws.all_tied, mean_se)]
+            return drawn, {k: stats[k][g] for k in _STATISTICS
+                           if any(k in _KINDS[m] for m in drawn)}
 
-        by_method = {m: one(m) for m in unique}
-        return tuple(by_method[m] for m in methods)
+        # every point but those redone alone, which raise or warn
+        plans = [None if reads_se and mean_se is None else drawn_at(g, mean_se)
+                 for g, mean_se in enumerate(mean_ses)]
+        if draws is not None:
+            draws.prepare([(points[g][0], plan[1]) for g, plan in enumerate(plans)
+                           if plan and ("studentized" not in plan[1] or fits[g])])
+        for g, (sens, tau) in enumerate(points):
+            mean_se = mean_ses[g]
+            if plans[g] is None:
+                mean_se = _mean_se(norm_sample, t, sens)
+                plans[g] = drawn_at(g, mean_se)
+            drawn, observed = plans[g]
+            if "studentized" in observed and not fits[g]:
+                # raises, as at this point alone
+                observed_statistics(norm_sample, t, sens, True, draws.observed_sums)
+            if observed:
+                below = draws.weights_at_most(sens, observed, own=observed, band=band)
+            by_method = {}
+            for m in unique:
+                if not _KINDS[m]:
+                    by_method[m] = _neyman(mean_se, alpha)[2]
+                elif m not in drawn:
+                    by_method[m] = False
+                elif any(abs(below[k] - threshold) < guard for k in _KINDS[m]):
+                    # the build draws its own signs; only one matrix at a time
+                    draws.drop_signs()
+                    by_method[m] = run_test(sample, replace(spec, method=m, tau=tau), sens,
+                                            engine).reject
+                else:
+                    by_method[m] = all(below[k] >= threshold for k in _KINDS[m])
+            decided[sens.gamma, tau] = tuple(by_method[m] for m in methods)
 
+    def decide(sens: SensitivityParam, tau: float = spec.tau) -> tuple[bool, ...]:
+        return many([(sens, tau)])[0]
+
+    decide.many = many
     return decide
 
 
@@ -349,9 +412,15 @@ def rejector(
 ) -> Callable[..., bool]:
     """``run_test(sample, spec, sens, engine).reject`` as a function of
     ``sens`` and ``tau`` (default ``spec.tau``), for a whole search over
-    either or both; see ``_decider``."""
+    either or both; its ``many`` takes a list of ``(sens, tau)`` points and
+    decides those that share a tau together.  See ``_decider``."""
     decide = _decider(sample, spec, engine, [spec.method])
-    return lambda sens, tau=spec.tau: decide(sens, tau)[0]
+
+    def rejects(sens: SensitivityParam, tau: float = spec.tau) -> bool:
+        return decide(sens, tau)[0]
+
+    rejects.many = lambda points: [result[0] for result in decide.many(points)]
+    return rejects
 
 
 def rejections(

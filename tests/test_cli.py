@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -10,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from pairsens import cli
-from pairsens.core import RESCALE
+from pairsens.core import RESCALE, SE_OVERFLOWS
 from pairsens.cli import main
 
 
@@ -642,6 +644,19 @@ class TestExitCodes:
                     '"n_evaluations": 1, '
                     f'"engine": {{"mode": "auto", "draws": {draws}, "seed": 0}}}}\n', "")
 
+    @pytest.mark.parametrize("engine", [[], ["--pairs", "24", "--mc-draws", "200"]],
+                             ids=["exact", "monte-carlo"])
+    def test_simulate_overflowing_correction_exits_two(self, capsys, engine):
+        # at tau 1.7e308 every y - tau is finite, but y - tau - c |y - tau|
+        # overflows once gamma > 1: the standard error is refused by its
+        # scale, without the two warnings it printed before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--scenario", "counterexample", "--pairs", "10",
+                         "--tau=1.7e308", "--gamma", "2", "--reps", "2", *engine]) == 2
+        assert capsys.readouterr() == ("", f"error: {SE_OVERFLOWS}\n")
+        assert SE_OVERFLOWS.endswith(RESCALE)
+
     @pytest.mark.parametrize("argv", [
         ["test", "--input", "{y}", "--tau", "0", "--gamma", "1"],
         ["changepoint", "--input", "{y}", "--tau", "0"],
@@ -660,3 +675,52 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of one in-process call, argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneSubcommandParser:
+    """``main`` builds only the parser of the subcommand it is given; every
+    call prints and exits as with a parser that has every subcommand."""
+
+    ARGVS = [
+        [], ["-h"], ["--help"], ["tset"], ["--", "test"], ["-x"], ["test", "extra"],
+        *([name] for name in cli._COMMANDS),
+        *([name, "-h"] for name in cli._COMMANDS),
+        *([name, "--bogus"] for name in cli._COMMANDS),
+        ["test", "--input"], ["test", "--input", "missing.csv", "--tau", "0", "--gamma", "x"],
+        ["test", "--input", "missing.csv", "--tau", "0", "--gamma", "2"],
+        ["changepoint", "--input", "missing.csv", "--tau", "0", "--method", "t"],
+        ["interval", "--input", "missing.csv", "--gamma", "1", "--format", "xml"],
+        ["design-sensitivity", "--tau", "0", "--mean", "1", "--abs-moment", "2"],
+        ["design-sensitivity", "--tau", "0", "--mean", "1"],
+        ["simulate", "--scenario", "counterexample", "--tau", "2.5", "--gamma", "2",
+         "--seed", "-1"],
+        ["simulate", "--scenario", "nowhere", "--pairs", "4", "--tau", "0", "--gamma", "2"],
+        ["design-sensitivity", "--tau", "0", "--mean", "1", "--abs-moment", "2", "x"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_prints_and_exits_as_the_whole_parser(self, monkeypatch, argv):
+        got = _outcome(argv)
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+        assert got == _outcome(argv)
+
+    def test_builds_the_invoked_subcommand_only(self):
+        for name in cli._COMMANDS:
+            (action,) = cli.build_parser(name)._subparsers._group_actions
+            assert list(action.choices) == [name]
+        for command in (None, "tset", "-h"):
+            (action,) = cli.build_parser(command)._subparsers._group_actions
+            assert list(action.choices) == list(cli._COMMANDS)

@@ -31,10 +31,15 @@ def _record_points(monkeypatch):
         decide, points = original(sample, spec, engine), []
         deciders.append((spec, points))
 
-        def recorded(sens, tau=spec.tau):
-            points.append((sens.gamma, tau, decide(sens, tau)))
-            return points[-1][2]
+        def many(batch):
+            got = decide.many(batch)
+            points.extend((sens.gamma, tau, r) for (sens, tau), r in zip(batch, got))
+            return got
 
+        def recorded(sens, tau=spec.tau):
+            return many([(sens, tau)])[0]
+
+        recorded.many = many
         return recorded
 
     monkeypatch.setattr(inference, "rejector", recording)

@@ -23,24 +23,31 @@ class Recorder:
     """Stands in for ``inference.rejector`` and records every evaluation.
 
     ``indicator(alternative, point)`` decides; when it is None, the real
-    rejector does.  The point is the bias bound in a changepoint search and
-    the hypothesized value in an interval search.
+    rejector does.  The point, ``point_of(sens, tau)``, is the bias bound in
+    a changepoint search and the hypothesized value in an interval search.
+    A search asks through the batch form ``many``, a list of ``(sens,
+    tau)``; the oracles ask one point at a time.  Both record the same
+    points in the same order.
     """
 
-    def __init__(self, indicator=None):
-        self.indicator = indicator
+    def __init__(self, indicator, point_of):
+        self.indicator, self.point_of = indicator, point_of
         self.points = []
 
     def __call__(self, sample, spec, engine=None):
         real = testing.rejector(sample, spec, engine) if self.indicator is None else None
 
-        def decide(sens, tau=None):
-            point = sens.gamma if tau is None else tau
-            self.points.append((spec.alternative, point))
+        def many(points):
+            at = [self.point_of(sens, tau) for sens, tau in points]
+            self.points.extend((spec.alternative, point) for point in at)
             if real is not None:
-                return real(sens) if tau is None else real(sens, tau)
-            return bool(self.indicator(spec.alternative, point))
+                return real.many(points)
+            return [bool(self.indicator(spec.alternative, point)) for point in at]
 
+        def decide(sens, tau=spec.tau):
+            return many([(sens, tau)])[0]
+
+        decide.many = many
         return decide
 
 
@@ -51,11 +58,11 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
-def _differ(monkeypatch, indicator, new, old):
+def _differ(monkeypatch, indicator, new, old, point_of):
     """Run ``new`` and ``old`` on fresh recorders; both must match."""
     runs = []
     for call in (new, old):
-        recorder = Recorder(indicator)
+        recorder = Recorder(indicator, point_of)
         monkeypatch.setattr(inference, "rejector", recorder)
         runs.append((_outcome(call), recorder.points))
     assert runs[0][1] == runs[1][1]
@@ -69,12 +76,15 @@ def _changepoints(monkeypatch, indicator, sample, **kwargs):
         indicator,
         lambda: ps.changepoint_gamma(sample, **kwargs),
         lambda: changepoint_gamma_oracle(sample, **kwargs),
+        lambda sens, tau: sens.gamma,
     )
 
 
-def _invert_one_side_oracle(*args):
-    # the oracle also returns an ``infinite`` flag, which the endpoint repeats
-    endpoint, bracket, _, non_monotone = invert_one_side_oracle(*args)
+def _invert_one_side_oracle(rejects, *args):
+    # the oracle decides one point at a time, and also returns an
+    # ``infinite`` flag, which the endpoint repeats
+    endpoint, bracket, _, non_monotone = invert_one_side_oracle(
+        lambda t: rejects([t])[0], *args)
     return endpoint, bracket, non_monotone
 
 
@@ -87,7 +97,7 @@ def _intervals(monkeypatch, indicator, sample, **kwargs):
     def new():
         return ps.sensitivity_interval(sample, **kwargs)
 
-    return _differ(monkeypatch, indicator, new, old)
+    return _differ(monkeypatch, indicator, new, old, lambda sens, tau: tau)
 
 
 def _steps(edges, flags):
