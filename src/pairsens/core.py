@@ -232,8 +232,12 @@ def sample_mean_and_se(x) -> tuple[float, float]:
     # finite input that overflows is refused below without numpy's warnings;
     # non-finite input warns as numpy does
     with np.errstate(over="ignore", invalid="ignore") if finite else np.errstate():
-        mean = arr.mean(axis=-1)
-        se = np.sqrt(arr.var(axis=-1, ddof=1) / arr.shape[-1])
+        # arr.mean() and sqrt(arr.var(ddof=1) / n), bit for bit, in fewer calls
+        n = arr.shape[-1]
+        mean = np.add.reduce(arr, axis=-1, keepdims=True) / n
+        dev = arr - mean
+        se = np.sqrt(np.add.reduce(dev * dev, axis=-1) / (n - 1) / n)
     if finite and not np.isfinite(se).all():
         raise ValueError(SE_OVERFLOWS)
+    mean = mean[..., 0]
     return (float(mean), float(se)) if arr.ndim == 1 else (mean, se)

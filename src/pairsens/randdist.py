@@ -639,19 +639,20 @@ def _observed_sums(negative: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _observed(
     m: np.ndarray, sums: np.ndarray, cs: np.ndarray, studentized: bool
-) -> tuple[np.ndarray, Union[np.ndarray, None], np.ndarray]:
+) -> tuple[np.ndarray, Union[np.ndarray, None], Union[list[bool], None]]:
     """The observed statistics at each sign bias of ``cs``, from the observed
     signed sums (``_observed_sums``) of ``m = |y - tau|`` and, when
-    ``studentized``, of m**2, and whether the bound on every draw's sum of
-    squares is finite at each; ``observed_statistics`` refuses a studentized
-    statistic where it is not, and the others are its results, entry by
-    entry.  Nothing warns: an entry that would is one that is refused."""
-    out = _StatBuffers.empty(cs.size)
+    ``studentized``, of m**2, and then whether the bound on every draw's sum
+    of squares is finite at each; ``observed_statistics`` refuses a
+    studentized statistic where it is not, and the others are its results,
+    entry by entry.  Nothing warns: an entry that would is one refused."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = np.array([(1.0 + abs(c)) ** 2 for c in cs.tolist()])
-        fits = np.isfinite(bounds * (m * m).sum())
-        abar, tstat = _statistics(sums[:1], sums[-1:], m, cs, studentized, out)
-    return abar, tstat, fits
+        abar, tstat = _statistics(sums[:1], sums[-1:], m, cs, studentized,
+                                  _StatBuffers.empty(cs.size))
+        if not studentized:
+            return abar, None, None
+        sumsq = float((m * m).sum())
+    return abar, tstat, [math.isfinite((1.0 + abs(c)) ** 2 * sumsq) for c in cs.tolist()]
 
 
 def observed_statistics(
@@ -844,38 +845,43 @@ class _Halves:
     def _counted(self, kind: str, key: tuple[float, float, Union[float, None]]) -> tuple:
         """``_count``'s row for ``key``: counted already, or counted now with
         the expected keys that follow it, a chunk of them, or alone."""
-        if key not in self.counted.get(kind, ()):
+        counted = self.counted.get(kind, {})
+        if key not in counted:
             keys = self.expected.get(kind, [])
-            start = keys.index(key) if key in keys else len(keys)
-            chunk = keys[start : start + self.chunk] or [key]
-            self.counted[kind] = dict(zip(chunk, zip(*self._count(kind, chunk))))
-        return self.counted[kind][key]
+            chunk = keys[keys.index(key) :][: self.chunk] if key in keys else [key]
+            counted = self.counted[kind] = dict(zip(chunk, self._count(kind, chunk)))
+        return counted[key]
 
     def _count(self, kind: str, keys: list[tuple[float, float, Union[float, None]]]
-               ) -> tuple[np.ndarray, ...]:
+               ) -> list[tuple[np.ndarray, ...]]:
         """What ``counts_at_most`` starts from at each ``(t, c, own)`` of
-        ``keys``, one row each: per a, the sorted positions below
-        ``first[a]`` are in and those from ``last[a]`` out; the cumulative
-        lengths of the open runs between; and the counts per total + count
-        of the draws below first."""
-        low, n = self.pa[0], self.n
-        cuts = [_sum_cuts(kind, t, n, self.sumsq, c, self.total) for t, c, _ in keys]
-        lo, hi = np.array(cuts).T[:, :, None]
-        first = self.sb.searchsorted(lo - low)
-        last = self.sb.searchsorted(hi - low, side="right")
-        a, q = self.observed_at
-        for g, ((cut_lo, cut_hi), (t, _, own)) in enumerate(zip(cuts, keys)):
-            # a NaN cut is no cut
-            if math.isnan(cut_lo):
-                first[g] = 0
-            if math.isnan(cut_hi):
-                last[g] = self.sb.size
+        ``keys``: per a, the sorted positions below ``first[a]`` are in and
+        those from ``last[a]`` out; the cumulative lengths of the open runs
+        between; and the counts per total + count of the draws below first,
+        made for every key at once.  A binary search costs the same per
+        value searched whether made alone or with others, so each key makes
+        its own."""
+        low, n, (a, q) = self.pa[0], self.n, self.observed_at
+        rows = []
+        for t, c, own in keys:
+            lo, hi = _sum_cuts(kind, t, n, self.sumsq, c, self.total)
+            # per a, the sorted positions below first[a] are in, from
+            # last[a] out; a NaN cut is no cut
+            if math.isnan(lo):
+                first = np.zeros(low.size, np.intp)
+            else:
+                first = self.sb.searchsorted(lo - low)
+            if math.isnan(hi):
+                last = np.full(low.size, self.sb.size)
+            else:
+                last = self.sb.searchsorted(hi - low, side="right")
             # the observed draw's own statistic settles it when it is at most
             # t and first in its open run: at t = own, often the only open draw
-            if own is not None and own <= t and first[g, a] == q < last[g, a]:
-                first[g, a] += 1
-        ends = (last - first).cumsum(axis=1)
-        return first, last, ends, self._counts_below(first)
+            if own is not None and own <= t and first[a] == q < last[a]:
+                first[a] += 1
+            rows.append((first, last, (last - first).cumsum()))
+        counts = self._counts_below(np.array([row[0] for row in rows]))
+        return [(*row, below) for row, below in zip(rows, counts)]
 
     def counts_at_most(
         self, kind: str, t: float, sens: SensitivityParam, own: Union[float, None] = None,

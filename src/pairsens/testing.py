@@ -10,6 +10,7 @@ the sign-normalized scale where reject means statistic >= critical value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import groupby
 from typing import Callable, Sequence, Union
@@ -95,20 +96,22 @@ def _mean_se(sample: PairedSample, tau: float, sens: SensitivityParam) -> tuple[
 
 
 def _mean_ses(sample: PairedSample, tau: float, cs: np.ndarray) -> list:
-    """``_mean_se`` at each sign bias of ``cs``, from row-wise numpy calls;
-    None at every point when some difference is not finite or some
-    standard error overflows, so that ``_mean_se`` redoes each point alone
-    and raises or warns as it does there."""
-    resid = residuals(sample.y, tau)
-    with np.errstate(over="ignore", invalid="ignore"):
+    """``_mean_se`` at each sign bias of ``cs``, from row-wise numpy calls,
+    or None where it is not finite (the differences are not all finite, or
+    the standard error overflows): there ``_mean_se`` redoes the point alone
+    and raises or warns as it does alone.  None at every point when some
+    standard error overflows and every difference is finite, which
+    ``sample_mean_and_se`` refuses."""
+    # non-finite differences give a NaN standard error, here without a warning
+    with np.errstate(all="ignore"):
+        resid = sample.y - tau
         d = resid - cs[:, None] * np.abs(resid)
-    if np.isfinite(d).all():
         try:
             means, ses = sample_mean_and_se(d)
-            return list(zip(means.tolist(), ses.tolist()))
         except ValueError:
-            pass
-    return [None] * len(cs)
+            return [None] * len(cs)
+    return [(mean, se) if math.isfinite(se) else None
+            for mean, se in zip(means.tolist(), ses.tolist())]
 
 
 def _degenerate(
@@ -289,15 +292,16 @@ def _decider(
     tau)`` point is decided once: a search that returns to a point gets the
     same tuple again.  The new points of a batch that share a tau, one after
     another (a changepoint's grid), are decided together: their standard
-    errors, observed statistics, weight tables and cut counts come from
-    row-wise numpy calls (``_mean_ses``, ``randdist._observed``,
+    errors, observed statistics, weight tables and exact cut counts come
+    from row-wise numpy calls (``_mean_ses``, ``randdist._observed``,
     ``SignDraws.prepare``); then each point, in order, bounds or finishes
     its own draws, falls back to ``run_test``, or raises as it would alone.
     A point the row-wise calls do not settle is redone alone.  A single
-    decision is a batch of one.  Every Monte Carlo decision makes only as many of its
-    draws as settle its kinds (below); a search keeps them while theta is
-    unchanged, a ``single_use`` decider, called once, does not.  The
-    standard error is computed once per point, for every method but perm-t.
+    decision is a batch of one.  Every Monte Carlo decision makes only as
+    many of its draws as settle its kinds (below); a search keeps them while
+    theta is unchanged, a ``single_use`` decider, called once, does not.
+    The standard error is computed once per point, for every method but
+    perm-t.
 
     A kind whose draws settled by the cuts already put its weight outside
     the band ``threshold -/+ 2 guard`` finishes none of its open draws: the
@@ -399,7 +403,9 @@ def _decider(
             decided[sens.gamma, tau] = tuple(by_method[m] for m in methods)
 
     def decide(sens: SensitivityParam, tau: float = spec.tau) -> tuple[bool, ...]:
-        return many([(sens, tau)])[0]
+        if (sens.gamma, tau) not in decided:
+            decide_at([(sens, tau)])
+        return decided[sens.gamma, tau]
 
     decide.many = many
     return decide
