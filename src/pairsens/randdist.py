@@ -113,11 +113,11 @@ _MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 # anything that grows with its open draws.
 _OPEN_BLOCK = 1 << 12
 
-# Entries of the cut-count tables an exact decider makes at once
-# (``_Halves._count``): a batch of points that share a tau is counted in
-# chunks of at most ``_COUNT_BLOCK // ((n - h + 1) * 2**h)`` points, at
-# least one, so its buffers stay under about 8 MiB, or one point's.  At 17
-# pairs that is 102 points, a whole 50-point grid.
+# Rows of ``cum`` an exact decider gathers at once (``_Halves._count``): a
+# batch of points that share a tau is counted in chunks of at most
+# ``_COUNT_BLOCK // ((n - h + 1) * 2**h)`` points, at least one, so its
+# buffers, about 11 bytes a gathered entry, stay near 3 MiB, or one point's.
+# At 17 pairs that is 102 points, a whole 50-point grid.
 _COUNT_BLOCK = 1 << 18
 
 
@@ -768,10 +768,10 @@ class _Halves:
     a second row, made with those of m, and the chain finishes both at once.
     All of it depends on tau alone, and is redone only when tau moves.
 
-    The cuts' searches and counts of the points a decider will ask for at
-    one tau (``expect``) are made together, a chunk of points at a time, in
-    ``(points, 2**h)`` arrays (``_count``); each point then only bounds or
-    finishes its own draws.
+    The counts below the cuts of the points a decider will ask for at one
+    tau (``expect``) are made together, a chunk of points at a time, by one
+    gather from ``cum`` and two products (``_count``); each point then only
+    bounds or finishes its own draws.
     """
 
     def __init__(self, n: int, rows: int):
@@ -1040,9 +1040,9 @@ class SignDraws:
         """Make together, for the ``(sens, observed)`` of ``points``, in the
         order ``weights_at_most`` will be asked for them at this tau with
         ``own=observed``, what an exact decision makes before it bounds its
-        own draws: the weight tables of their thetas, and the cuts' searches
-        and counts.  A Monte Carlo decision counts its draws alone, and so
-        does a single point: there is nothing to count ahead of it."""
+        own draws: the weight tables of their thetas, and the counts below
+        the cuts.  A Monte Carlo decision counts its draws alone, and so does
+        a single point: there is nothing to count ahead of it."""
         if self.mode != "exact" or len(points) < 2:
             return
         tables, thetas = self._tables, [sens.theta for sens, _ in points]
