@@ -344,6 +344,9 @@ def _decider(
     decided = {}
 
     def many(points: Sequence[tuple[SensitivityParam, float]]) -> list[tuple[bool, ...]]:
+        # one point, as the bisections and walks ask: no runs to group
+        if len(points) == 1:
+            return [decide(*points[0])]
         new = {}
         for sens, tau in points:
             if (sens.gamma, tau) not in decided:
