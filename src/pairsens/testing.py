@@ -364,7 +364,8 @@ def _decider(
         mean_ses = _mean_ses(norm_sample, t, cs) if reads_se else [None] * len(points)
         if draws is not None:
             abar, tstat, fits = _observed(draws.m, draws.observed_sums, cs, studentized)
-            stats = {"mean": abar.tolist(), "studentized": tstat is not None and tstat.tolist()}
+            stats = {"mean": abar.tolist(),
+                     "studentized": None if tstat is None else tstat.tolist()}
 
         def drawn_at(g: int, mean_se) -> tuple[list[str], dict[str, float]]:
             # the methods that read draws at point g, and the observed
