@@ -113,8 +113,8 @@ _MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 # anything that grows with its open draws.
 _OPEN_BLOCK = 1 << 12
 
-# Rows of ``cum`` an exact decider gathers at once (``_Halves._count``): a
-# batch of points that share a tau is counted in chunks of at most
+# Entries of ``cum`` an exact decider gathers at once (``_Halves._count``):
+# a batch of points that share a tau is counted in chunks of at most
 # ``_COUNT_BLOCK // ((n - h + 1) * 2**h)`` points, at least one, so its
 # buffers, about 11 bytes a gathered entry, stay near 3 MiB, or one point's.
 # At 17 pairs that is 102 points, a whole 50-point grid.
