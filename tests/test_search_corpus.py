@@ -56,6 +56,20 @@ def exact_samples() -> dict[str, np.ndarray]:
         "exact-ties-at-tau": np.array([1.0, 3, 0, 1, 5, 2, 1, 6, 1, 4, 0, 2]),
         # perm-t runs; the standard error overflows, so every other method exits 2
         "exact-scale-1e200": 1e200 * (rng.normal(0.3, 1.0, 12)),
+    } | interval_samples()
+
+
+def interval_samples() -> dict[str, np.ndarray]:
+    """The samples only the exact interval grid calls read."""
+    rng = np.random.default_rng(24)
+    return {
+        # the interval-exact workload's size, and one whose count tables
+        # fill several chunks
+        "exact-skewed-17": rng.lognormal(0.0, 0.9, 17) - 1.2,
+        "exact-skewed-20": rng.lognormal(0.0, 0.9, 20) - 1.2,
+        # (1 + |c|)**2 sum(|y - tau|**2) overflows once tau is far enough
+        # out: gammas 1 and 2 run, the search at 3.5 exits 2 partway
+        "exact-squares-overflow": 8e152 * np.array([1.0, -0.4, 2.2, 0.7, -1.1, 1.6, 0.3, 2.9]),
     }
 
 
@@ -101,7 +115,7 @@ def corpus_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
     # a tolerance the interval refuses: exit 2
     calls["interval/skewed-100/tol-0"] = "skewed-100", (
         "interval", "--gamma", "2", "--tol", "0", *_ENGINE)
-    return calls | exact_calls() | grid_calls()
+    return calls | exact_calls() | grid_calls() | interval_calls()
 
 
 def exact_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
@@ -154,6 +168,21 @@ def grid_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
             calls[f"{prefix}/{sample}/{method}/alpha-{alpha}"] = sample, (
                 "changepoint", "--tau", taus[engine, sample][0], "--method", method,
                 "--alpha", alpha, *flags)
+    return calls
+
+
+def interval_calls() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """Exact intervals, whose precheck grids move tau at every point: every
+    method at two confidences and three gammas, on skewed samples of 17 and
+    20 pairs and on each knife edge."""
+    calls = {}
+    for sample in ("exact-skewed-17", "exact-skewed-20", "exact-constant", "exact-two-pairs",
+                   "exact-ties-at-tau", "exact-scale-1e200", "exact-squares-overflow"):
+        for method in _METHODS:
+            for confidence in ("0.5", "0.99"):
+                calls[f"exact/interval-grid/{sample}/{method}/{confidence}"] = sample, (
+                    "interval", "--gammas", "1,2,3.5", "--confidence", confidence,
+                    "--method", method)
     return calls
 
 
