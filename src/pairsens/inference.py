@@ -7,8 +7,9 @@ numbers (one engine seed reused at every point), a deterministic function of
 the search variable, through three shared helpers: ``_walk`` (doubling steps
 outward), ``_scan`` (a monotonicity grid) and ``_bisect``.  The indicator
 takes a list of points and returns their decisions: ``_scan`` passes its
-whole grid at once, which a changepoint decides together, as the grid shares
-its tau; the others pass one point at a time.  The changepoint
+whole grid at once, which is decided together, whether it shares its tau (a
+changepoint's) or moves it (an interval's); the others pass one point at a
+time.  The changepoint
 bisects, scans, then bisects again; each interval side walks, scans, then
 bisects.  Non-monotone indicators are reported, never silently resolved.
 """

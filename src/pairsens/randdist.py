@@ -113,11 +113,13 @@ _MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 # anything that grows with its open draws.
 _OPEN_BLOCK = 1 << 12
 
-# Entries of ``cum`` an exact decider gathers at once (``_Halves._count``):
-# a batch of points that share a tau is counted in chunks of at most
-# ``_COUNT_BLOCK // ((n - h + 1) * 2**h)`` points, at least one, so its
-# buffers, about 11 bytes a gathered entry, stay near 3 MiB, or one point's.
-# At 17 pairs that is 102 points, a whole 50-point grid.
+# Table entries an exact decider makes at once.  A batch of points is
+# counted (``_Halves._count``) in chunks of at most ``_COUNT_BLOCK // ((n - h
+# + 1) * 2**h)`` points, at least one, so its buffers, about 11 bytes a
+# gathered entry of ``cum``, stay near 3 MiB, or one point's: at 17 pairs 102
+# points, a whole 50-point grid.  Its taus are moved to (``_Halves.move_to``)
+# in chunks whose ``cum`` and high-half step tables hold at most this many
+# entries, at least one tau: at 17 pairs 18 taus, a whole 17-point grid.
 _COUNT_BLOCK = 1 << 18
 
 
@@ -297,9 +299,10 @@ def _check_fits(need: int, what: str, remedy: str) -> None:
 
 def _rows(m: np.ndarray, squares: bool) -> np.ndarray:
     """``m`` as one row, or with ``m**2`` as a second when ``squares`` is set:
-    the values whose signed sums a decision reads.  m**2 only when its sums
-    are read: it overflows long before m does."""
-    return np.array((m, m * m)) if squares else m[None]
+    the values whose signed sums a decision reads; a leading axis of ``m``,
+    one ``|y - tau|`` per tau, is kept.  m**2 only when its sums are read: it
+    overflows long before m does."""
+    return np.array((m, m * m)).swapaxes(0, -2) if squares else m[..., None, :]
 
 
 def _enumerate_exact(
@@ -501,15 +504,16 @@ def _statistics(
     studentized statistic is None unless ``studentized`` is set.  Reference
     builds need it for every draw; an exact decision only for the draws that
     its cuts leave open (``_Halves``).  ``sens`` may also be an array of sign
-    biases, one per entry of ``out`` (``_observed``), each entry then made
-    by the same operations as at its own bias bound.
+    biases and ``m`` one row of ``|y - tau|`` per entry of ``out``
+    (``_observed``), each entry then made by the same operations as at its
+    own bias bound and tau.
     """
     c = sens.sign_bias if isinstance(sens, SensitivityParam) else sens
     # a mean beyond double range is +/-inf: its own atom, as perm-t reads it
     # (NaN where an inf sum meets an inf shift)
     with np.errstate(over="ignore", invalid="ignore"):
-        abar = np.subtract(s1, c * m.sum(), out=out.abar)
-    np.divide(abar, m.size, out=abar)
+        abar = np.subtract(s1, c * m.sum(axis=-1), out=out.abar)
+    np.divide(abar, m.shape[-1], out=abar)
     if not studentized:
         return abar, None
     return abar, _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)
@@ -535,12 +539,13 @@ def _studentized(
     within-draw variance) map to 0 when the mean is 0 and to +/-inf matching
     the sign of the mean otherwise.  Every step is elementwise, so a draw's
     result does not depend on the other draws selected.  A standard error that
-    underflows to 0 (data near 1e-162) divides without a warning.
+    underflows to 0 (data near 1e-162) divides without a warning.  Rows of
+    ``m`` and entries of ``c`` go with entries of the selection.
     """
-    n = m.size
+    n = m.shape[-1]
     # the sum of squares and its tolerance pass through tstat, written last
     sumsq = np.multiply(2.0 * c, s2, out=tstat)
-    np.subtract((1.0 + c * c) * (m * m).sum(), sumsq, out=sumsq)
+    np.subtract((1.0 + c * c) * (m * m).sum(axis=-1), sumsq, out=sumsq)
     np.maximum(sumsq, 0.0, out=sumsq)
     ssd = np.multiply(n, abar, out=ssd)
     np.multiply(ssd, abar, out=ssd)
@@ -633,26 +638,29 @@ def _observed_sums(negative: np.ndarray, rows: np.ndarray) -> np.ndarray:
     - where ``negative`` (``y - tau < 0``), else +, added left to right as the
     doubling enumeration adds them: the first value, then each next one
     added or subtracted (``x - v`` is ``x + (-v)`` in IEEE arithmetic, and
-    ``0.0 + v`` is v, no value being -0.0)."""
-    return np.add.accumulate(np.where(negative, -rows, rows), axis=1)[:, -1]
+    ``0.0 + v`` is v, no value being -0.0).  Leading axes, one per tau, are
+    kept."""
+    return np.add.accumulate(np.where(negative[..., None, :], -rows, rows), axis=-1)[..., -1]
 
 
 def _observed(
     m: np.ndarray, sums: np.ndarray, cs: np.ndarray, studentized: bool
 ) -> tuple[np.ndarray, Union[np.ndarray, None], Union[list[bool], None]]:
-    """The observed statistics at each sign bias of ``cs``, from the observed
-    signed sums (``_observed_sums``) of ``m = |y - tau|`` and, when
-    ``studentized``, of m**2, and then whether the bound on every draw's sum
-    of squares is finite at each; ``observed_statistics`` refuses a
-    studentized statistic where it is not, and the others are its results,
-    entry by entry.  Nothing warns: an entry that would is one refused."""
+    """The observed statistics at each sign bias of ``cs``, from the rows of
+    ``m = |y - tau|`` and of their observed signed sums (``_observed_sums``)
+    of m and, when ``studentized``, of m**2, one row per entry, and then
+    whether the bound on every draw's sum of squares is finite at each;
+    ``observed_statistics`` refuses a studentized statistic where it is not,
+    and the others are its results, entry by entry.  Nothing warns: an entry
+    that would is one refused."""
     with np.errstate(over="ignore", invalid="ignore"):
-        abar, tstat = _statistics(sums[:1], sums[-1:], m, cs, studentized,
+        abar, tstat = _statistics(sums[:, 0], sums[:, -1], m, cs, studentized,
                                   _StatBuffers.empty(cs.size))
         if not studentized:
             return abar, None, None
-        sumsq = float((m * m).sum())
-    return abar, tstat, [math.isfinite((1.0 + abs(c)) ** 2 * sumsq) for c in cs.tolist()]
+        sumsqs = (m * m).sum(axis=-1).tolist()
+    return abar, tstat, [math.isfinite((1.0 + abs(c)) ** 2 * sumsq)
+                         for c, sumsq in zip(cs.tolist(), sumsqs)]
 
 
 def observed_statistics(
@@ -682,7 +690,7 @@ def observed_statistics(
     if sums is None:
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _observed_sums(resid < 0.0, _rows(m, studentized))
-    abar, tstat, fits = _observed(m, sums, np.array([sens.sign_bias]), studentized)
+    abar, tstat, fits = _observed(m[None], sums[None], np.array([sens.sign_bias]), studentized)
     if studentized and not fits[0]:
         raise ValueError(f"the squares of |y - tau| overflow double precision; {RESCALE}")
     return float(abar[0]), None if tstat is None else float(tstat[0])
@@ -751,27 +759,30 @@ class _Halves:
     below a cut without being stored one by one.
 
     The pairs split at ``h = n // 2``: sign vector ``a + 2**h * b`` joins the
-    low half's vector ``a`` and the high half's ``b``.  ``pa[0, a]`` is the
-    doubling chain's own state after ``h`` pairs, chained in pair order from
-    the low half's step table, and ``sb`` holds the high half's signed sums,
-    sorted, so ``pa[0, a] + sb[p]`` is a draw's signed sum of m but for
-    rounding; ``cum[p, j]`` counts the sorted positions below ``p`` whose
-    ``b`` has ``j`` + signs.  This is the subset-sum meet in the middle of
-    Horowitz and Sahni (1974).  For a cut on the mean, one binary search per
-    ``a`` finds the positions surely below the lower cut of ``_sum_cut`` and
-    those surely above the upper one, and ``cum`` turns the first into
-    counts per total + count, in ``O(2**(n/2) log)``.  The draws between are
-    open: their sums are finished on the chain from ``pa[:, a]`` over the
-    high half's pairs, a block at a time, so each is decided by
-    ``_statistics`` on the very floats the full enumeration gives it.  With
-    ``rows`` 2 (a studentized decider) the tables carry the sums of m**2 as
-    a second row, made with those of m, and the chain finishes both at once.
-    All of it depends on tau alone, and is redone only when tau moves.
+    low half's vector ``a`` and the high half's ``b``.  ``pa[i, 0, a]`` is the
+    doubling chain's own state after ``h`` pairs at the ``i``-th tau of a
+    move, chained in pair order from the low half's step table, and
+    ``sb[i]`` holds the high half's signed sums, sorted, so ``pa[i, 0, a] +
+    sb[i, p]`` is a draw's signed sum of m but for rounding; ``cum[i, p,
+    j]`` counts the sorted positions below ``p`` whose ``b`` has ``j`` +
+    signs.  This is the subset-sum meet in the middle of Horowitz and Sahni
+    (1974).  For a cut on the mean, one binary search per ``a`` finds the
+    positions surely below the lower cut of ``_sum_cut`` and those surely
+    above the upper one, and ``cum`` turns the first into counts per total
+    + count, in ``O(2**(n/2) log)``.  The draws between are open: their sums
+    are finished on the chain from ``pa[i, :, a]`` over the high half's
+    pairs, a block at a time, so each is decided by ``_statistics`` on the
+    very floats the full enumeration gives it.  With ``rows`` 2 (a
+    studentized decider) the tables carry the sums of m**2 as a second row,
+    made with those of m, and the chain finishes both at once.
 
-    The counts below the cuts of the points a decider will ask for at one
-    tau (``expect``) are made together, a chunk of points at a time, by one
-    gather from ``cum`` and two products (``_count``); each point then only
-    bounds or finishes its own draws.
+    All of it depends on tau alone.  ``move_to`` makes the tables of
+    several taus at once, each table with a leading tau axis, row-wise: a
+    move holds at most ``per_move`` taus, so that their ``cum`` and high-half
+    step tables, the largest, hold at most ``_COUNT_BLOCK`` entries (with
+    both rows 18 taus at 17 pairs, 8 at 20, one from 23).  ``_count`` makes
+    the counts below the cuts of up to ``chunk`` points at once, each at any
+    of the move's taus, and hands each its own.
     """
 
     def __init__(self, n: int, rows: int):
@@ -785,16 +796,15 @@ class _Halves:
         # from [-v, v]: -v[j, i], or +v[j, i] where bit i of b is set
         self.low_sel, self.sel = (np.arange(k)[:, None, None] + k * _bit_table(k)[:, None]
                                   + 2 * k * np.arange(rows)[:, None] for k in (h, n - h))
-        self.low_step, self.step = np.empty(self.low_sel.shape), np.empty(self.sel.shape)
-        self.pa = np.empty((rows, 2**h))
-        self.cum = np.zeros((2 ** (n - h) + 1, n - h + 1))
-        self.one_hot, self.hot = np.eye(n - h + 1), np.empty((2 ** (n - h), n - h + 1))
+        self.one_hot = np.eye(n - h + 1, dtype=np.int32)
         # [i, a]: 1 where a has i + signs; [(i, j), k]: 1 where i + j is k
         self.ka_hot = (np.arange(h + 1)[:, None] == self.ka).astype(float)
         self.to_total = np.zeros(((h + 1) * (n - h + 1), n + 1))
         i, j = np.divmod(np.arange(len(self.to_total)), n - h + 1)
         self.to_total[np.arange(len(self.to_total)), i + j] = 1.0
         self.chunk = max(1, _COUNT_BLOCK // (2**h * (n - h + 1)))
+        self.per_move = max(1, _COUNT_BLOCK // ((2 ** (n - h) + 1) * (n - h + 1) + self.sel.size))
+        self._hold(1)
         # _counts_below's buffer, made for the most points counted at once
         self.gathered = np.empty(0)
         size = min(2**n, _OPEN_BLOCK)
@@ -804,95 +814,101 @@ class _Halves:
         self.sums = np.empty(rows * size)
         self.out = _StatBuffers.empty(size)
 
+    def _hold(self, taus: int) -> None:
+        """Make the tables' buffers for ``taus`` taus; ``cum``'s first row of
+        each tau stays 0."""
+        n, h = self.n, self.h
+        self.low_step = np.empty((taus, *self.low_sel.shape))
+        self.step = np.empty((taus, *self.sel.shape))
+        self.pa = np.empty((taus, len(self.sel[0]), 2**h))
+        self.hot = np.empty((taus, 2 ** (n - h), n - h + 1), np.int32)
+        # where each tau's row of sb starts in its flat order
+        self.starts = 2 ** (n - h) * np.arange(taus)[:, None]
+        self.cum = np.zeros((taus, 2 ** (n - h) + 1, n - h + 1))
+
     def move_to(self, rows: np.ndarray, plus: np.ndarray) -> None:
-        """Redo the halves' sums, their order and ``cum`` for new ``rows``,
-        ``m = |y - tau|`` and, with a second row, m**2 (``_rows``), and find
-        the observed assignment's draw, + where ``plus``."""
-        h = self.h
-        self.m = m = rows[0]
+        """Redo the halves' sums, their order and ``cum`` at each tau of a
+        move from its ``rows[i]``, ``m = |y - tau|`` and, with a second row,
+        m**2 (``_rows``), and find the observed assignment's draw, + where
+        ``plus[i]``.  Each tau's tables are bit for bit those of a move to it
+        alone."""
+        h, taus = self.h, len(rows)
+        if len(self.pa) != taus:
+            self._hold(taus)
+        low_step, step, pa, hot = (self.low_step[:taus], self.step[:taus], self.pa[:taus],
+                                   self.hot[:taus])
+        self.m = m = rows[:, 0]
         # adding a step is the chain's step for that pair; taken, not
         # multiplied, as a broadcast product buffers its operands
-        for v, sel, out in ((rows[:, :h], self.low_sel, self.low_step),
-                            (rows[:, h:], self.sel, self.step)):
-            np.concatenate((-v, v), axis=1).take(sel, out=out, mode="clip")
-        # the low half's chain from 0, in pair order as the enumeration adds
-        self.pa.fill(0.0)
-        for step in self.low_step:
-            np.add(self.pa, step, out=self.pa)
-        self.total = float(m.sum())
-        self.sumsq = float(rows[-1].sum())
+        for v, sel, out in ((rows[..., :h], self.low_sel, low_step),
+                            (rows[..., h:], self.sel, step)):
+            np.concatenate((-v, v), axis=2).reshape(taus, -1).take(sel, axis=1, out=out,
+                                                                   mode="clip")
+        # the low half's chain from 0, in pair order as the enumeration adds:
+        # a reduction along an outer axis adds its terms one by one, in order
+        np.add.reduce(low_step, axis=1, initial=0.0, out=pa)
+        self.total = m.sum(axis=1).tolist()
+        self.sumsq = rows[:, -1].sum(axis=1).tolist()
         # any order of summing the steps rounds within the bound of _sum_cut
-        sb = self.step[:, 0].sum(axis=0)
-        self.order = sb.argsort()
-        self.sb = sb[self.order]
+        sb = step[:, :, 0].sum(axis=1)
+        self.order = sb.argsort(axis=1)
+        self.sb = sb.take(self.order + self.starts[:taus])
         # the observed draw: its low half's vector, and the sorted position
         # of its high half's
-        b = plus[h:] @ self.place
-        self.observed_at = int(plus[:h] @ self.place[:h]), int((self.order == b).argmax())
-        # one-hot rows of the sorted + counts, taken from an identity (a
-        # comparison would cast bool to float through a buffer), then summed
-        self.one_hot.take(self.kb[self.order], axis=0, out=self.hot, mode="clip")
-        self.hot.cumsum(axis=0, out=self.cum[1:])
-        # per kind: the points expected, and those counted, at this tau
-        self.expected, self.counted = {}, {}
+        b = plus[:, h:] @ self.place
+        self.observed_at = list(zip((plus[:, :h] @ self.place[:h]).tolist(),
+                                    (self.order == b[:, None]).argmax(axis=1).tolist()))
+        # one-hot rows of the sorted + counts, taken from an identity, then
+        # summed in int32, whose running sums vectorize where float64's do not
+        self.one_hot.take(self.kb[self.order], axis=0, out=hot, mode="clip")
+        hot.cumsum(axis=1, out=hot)
+        self.cum[:taus, 1:] = hot
 
-    def expect(self, kind: str, keys: list[tuple[float, float, Union[float, None]]]) -> None:
-        """Note the ``(t, c, own)`` at which ``counts_at_most`` will next be
-        asked for ``kind``, in order (``c`` is the sign bias), so that they
-        are counted together."""
-        self.expected[kind], self.counted[kind] = keys, {}
-
-    def _counted(self, kind: str, key: tuple[float, float, Union[float, None]]) -> tuple:
-        """``_count``'s row for ``key``: counted already, or counted now with
-        the expected keys that follow it, a chunk of them, or alone."""
-        counted = self.counted.get(kind, {})
-        if key not in counted:
-            keys = self.expected.get(kind, [])
-            chunk = keys[keys.index(key) :][: self.chunk] if key in keys else [key]
-            counted = self.counted[kind] = dict(zip(chunk, self._count(kind, chunk)))
-        return counted[key]
-
-    def _count(self, kind: str, keys: list[tuple[float, float, Union[float, None]]]
+    def _count(self, kind: str, keys: list[tuple[float, float, Union[float, None], int]]
                ) -> list[tuple[np.ndarray, ...]]:
-        """What ``counts_at_most`` starts from at each ``(t, c, own)`` of
-        ``keys``: per a, the sorted positions below ``first[a]`` are in and
-        those from ``last[a]`` out; the cumulative lengths of the open runs
-        between; and the counts per total + count of the draws below first,
-        made for every key at once.  A binary search costs the same per
-        value searched whether made alone or with others, so each key makes
-        its own."""
-        low, n, (a, q) = self.pa[0], self.n, self.observed_at
-        rows = []
-        for t, c, own in keys:
-            lo, hi = _sum_cuts(kind, t, n, self.sumsq, c, self.total)
+        """What ``counts_at_most`` starts from at each ``(t, c, own, at)`` of
+        ``keys``, at most ``chunk`` of them, at the move's ``at``-th tau: per
+        a, the sorted positions below ``first[a]`` are in and those from
+        ``last[a]`` out; the cumulative lengths of the open runs between; and
+        the counts per total + count of the draws below first, made for
+        every key at once.  A binary search costs the same per value
+        searched whether made alone or with others, so each key makes its
+        own."""
+        n, rows = self.n, []
+        for t, c, own, at in keys:
+            low, sb, (a, q) = self.pa[at, 0], self.sb[at], self.observed_at[at]
+            lo, hi = _sum_cuts(kind, t, n, self.sumsq[at], c, self.total[at])
             # per a, the sorted positions below first[a] are in, from
             # last[a] out; a NaN cut is no cut
             if math.isnan(lo):
                 first = np.zeros(low.size, np.intp)
             else:
-                first = self.sb.searchsorted(lo - low)
+                first = sb.searchsorted(lo - low)
             if math.isnan(hi):
-                last = np.full(low.size, self.sb.size)
+                last = np.full(low.size, sb.size)
             else:
-                last = self.sb.searchsorted(hi - low, side="right")
+                last = sb.searchsorted(hi - low, side="right")
             # the observed draw's own statistic settles it when it is at most
             # t and first in its open run: at t = own, often the only open draw
             if own is not None and own <= t and first[a] == q < last[a]:
                 first[a] += 1
             rows.append((first, last, (last - first).cumsum()))
-        counts = self._counts_below(np.array([row[0] for row in rows]))
+        counts = self._counts_below(np.array([row[0] for row in rows]),
+                                    [key[-1] for key in keys])
         return [(*row, below) for row, below in zip(rows, counts)]
 
     def counts_at_most(
         self, kind: str, t: float, sens: SensitivityParam, own: Union[float, None] = None,
-        band: Union[tuple[np.ndarray, float, float], None] = None,
+        band: Union[tuple[np.ndarray, float, float], None] = None, at: int = 0,
+        counted: Union[tuple[np.ndarray, ...], None] = None,
     ) -> np.ndarray:
         """Per total + count k, how many draws have a statistic of ``kind``
-        at most t: exact integers, in float64.  ``own``, the observed
-        assignment's statistic (``observed_statistics``, bit for bit its
-        draw's), settles that draw when it is at most t and first in its open
-        run.  The cuts are searched and counted by ``_count``, with the
-        points expected after this one.
+        at most t at the move's ``at``-th tau: exact integers, in float64.
+        ``own``, the observed assignment's statistic (``observed_statistics``,
+        bit for bit its draw's), settles that draw when it is at most t and
+        first in its open run.  The cuts are searched and counted by
+        ``_count``: ``counted`` is its row for this point when a batch counted
+        it with others, else the point is counted alone.
 
         With ``band``, ``(table, low, high)``, a bound may be returned
         instead, and the open draws are finished only when none is: the
@@ -900,45 +916,48 @@ class _Halves:
         counts`` is at least high, else those of the draws the cuts do not
         put out when theirs is at most low.  Both come from ``cum``, below
         ``first`` and below ``last``."""
-        first, last, ends, counts = self._counted(kind, (t, sens.sign_bias, own))
-        counts = counts.copy()
+        first, last, ends, counts = counted or self._count(kind, [(t, sens.sign_bias, own, at)])[0]
         # open draws through each a's run; with none, the counts are exact
         if band is not None and ends[-1]:
             table, low, high = band
             if table @ counts >= high:
                 return counts
-            upto = self._counts_below(last[None])[0]
+            upto = self._counts_below(last[None], [at])[0]
             if table @ upto <= low:
                 return upto
-        for k, below in self._open(first, last, ends, kind, t, sens):
+        for k, below in self._open(first, last, ends, kind, t, sens, at):
             counts += np.bincount(k, weights=below, minlength=self.n + 1)
         return counts
 
-    def _counts_below(self, stops: np.ndarray) -> np.ndarray:
+    def _counts_below(self, stops: np.ndarray, at: list[int]) -> np.ndarray:
         """Per total + count, the draws at sorted positions below
-        ``stops[g, a]`` for each a, in row g for each row of ``stops``: the
-        rows of ``cum`` at the stops, summed per + count of a, then per
-        total, by products with the 0/1 tables ``ka_hot`` and ``to_total``.
-        They add integers under 2**53, exact in any order."""
-        size = stops.size * self.cum.shape[1]
+        ``stops[g, a]`` for each a, in row g for each row of ``stops``, at
+        the move's ``at[g]``-th tau: the rows of ``cum`` at the stops,
+        summed per + count of a, then per total, by products with the 0/1
+        tables ``ka_hot`` and ``to_total``.  They add integers under 2**53,
+        exact in any order."""
+        places, width = self.cum.shape[1:]
+        size = stops.size * width
         if self.gathered.size < size:
             self.gathered = np.empty(size)
         gathered = self.gathered[:size].reshape(*stops.shape, -1)
-        self.cum.take(stops, axis=0, out=gathered, mode="clip")
+        rows = stops + places * np.array(at)[:, None] if any(at) else stops
+        self.cum.reshape(-1, width).take(rows, axis=0, out=gathered, mode="clip")
         return (self.ka_hot @ gathered).reshape(len(stops), -1) @ self.to_total
 
     def _open(
         self, first: np.ndarray, last: np.ndarray, ends: np.ndarray, kind: str, t: float,
-        sens: SensitivityParam,
+        sens: SensitivityParam, at: int,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per block of the open draws, each a's sorted positions from
-        ``first[a]`` up to ``last[a]`` (``ends``, the cumulative counts of
-        those runs): their + counts and 1.0 where their statistic is at most
-        t, views of the block buffers valid until the next block."""
-        h, m = self.h, self.m
+        """Per block of the open draws at the move's ``at``-th tau, each a's
+        sorted positions from ``first[a]`` up to ``last[a]`` (``ends``, the
+        cumulative counts of those runs): their + counts and 1.0 where their
+        statistic is at most t, views of the block buffers valid until the
+        next block."""
+        h, m, pa, order = self.h, self.m[at], self.pa[at], self.order[at]
         # every row is finished, whichever the statistic reads: a take of
         # some rows would copy them
-        studentized, rows = kind == "studentized", len(self.pa)
+        studentized, rows = kind == "studentized", len(pa)
         # flat position p of a's run is sorted position p + offset[a]
         offset = last - ends
         for start in range(0, int(ends[-1]), self.ramp.size):
@@ -954,7 +973,7 @@ class _Halves:
             offset.take(a, out=pos, mode="clip")
             pos += self.ramp[:size]
             pos += start
-            self.order.take(pos, out=b, mode="clip")
+            order.take(pos, out=b, mode="clip")
             self.ka.take(a, out=k, mode="clip")
             k += self.kb.take(b, out=pos, mode="clip")
             # the doubling chain's sums of the draws (a, b): from pa[:, a], add
@@ -962,8 +981,8 @@ class _Halves:
             # subtracts where a bit is clear, and x - v is x + (-v) in IEEE
             steps = self.steps[: (m.size - h) * rows * size].reshape(-1, rows, size)
             sums = self.sums[: rows * size].reshape(rows, size)
-            self.pa.take(a, axis=1, out=sums, mode="clip")
-            self.step.take(b, axis=2, out=steps, mode="clip")
+            pa.take(a, axis=1, out=sums, mode="clip")
+            self.step[at].take(b, axis=2, out=steps, mode="clip")
             # at a tau far out the sums overflow, as the enumeration's would
             # on the same adds; the statistic reads them, without a warning
             with np.errstate(over="ignore", invalid="ignore"):
@@ -1012,7 +1031,9 @@ class SignDraws:
                         "lower the exact cap to use Monte Carlo draws")
             self.n_draws = 2**n
             self._halves = _Halves(n, 1 + studentized)
+            self.batch = self._halves.chunk, self._halves.per_move
         else:
+            self.batch = math.inf, math.inf
             self.n_draws = draws = engine.draws
             self._keeps = not single_use
             if single_use:
@@ -1023,12 +1044,15 @@ class SignDraws:
                         "use fewer Monte Carlo draws")
         self.move_to(tau)
 
-    def move_to(self, tau: float) -> None:
-        """Make later calls use the hypothesized value ``tau``."""
-        self.tau = tau
-        resid = residuals(self.y, tau)
+    def move_to(self, *taus: float) -> None:
+        """Make later calls use the hypothesized values ``taus``, the
+        ``at``-th of them where a call takes ``at``: each attribute below
+        gains a leading tau axis, row-wise, and an exact move makes every
+        tau's tables at once (at most ``batch[1]`` taus)."""
+        self.taus = taus
+        resid = residuals(self.y, np.array(taus)[:, None])
         self.m, negative = np.abs(resid), resid < 0.0
-        self.all_tied = not self.m.any()
+        self.all_tied = (~self.m.any(axis=1)).tolist()
         # squares that overflow are refused by observed_statistics, not here
         with np.errstate(over="ignore", invalid="ignore"):
             rows = _rows(self.m, self._studentized)
@@ -1036,23 +1060,30 @@ class SignDraws:
             if self.mode == "exact":
                 self._halves.move_to(rows, ~negative)
 
-    def prepare(self, points: list[tuple[SensitivityParam, dict[str, float]]]) -> None:
-        """Make together, for the ``(sens, observed)`` of ``points``, in the
-        order ``weights_at_most`` will be asked for them at this tau with
-        ``own=observed``, what an exact decision makes before it bounds its
-        own draws: the weight tables of their thetas, and the counts below
-        the cuts.  A Monte Carlo decision counts its draws alone, and so does
-        a single point: there is nothing to count ahead of it."""
-        if self.mode != "exact" or len(points) < 2:
-            return
-        tables, thetas = self._tables, [sens.theta for sens, _ in points]
+    def prepare(self, points: list[tuple[SensitivityParam, dict[str, float], int]]) -> list:
+        """Make together, for the ``(sens, observed, at)`` of ``points``, at
+        most ``batch[0]`` of them, what an exact decision makes before it
+        bounds its own draws: the weight tables of their thetas, and the
+        counts below the cuts; it returns each point's counts by kind, for
+        ``weights_at_most`` with ``own=observed``.  A Monte Carlo decision
+        counts its draws alone: there is nothing to count ahead of it
+        (None)."""
+        if self.mode != "exact":
+            return [None] * len(points)
+        tables, thetas = self._tables, [sens.theta for sens, _, _ in points]
         new = [theta for theta in dict.fromkeys(thetas) if theta not in tables]
         if new:
-            tables = tables | dict(zip(new, _weight_table(np.array(new)[:, None], self.m.size)))
+            tables = tables | dict(zip(new, _weight_table(np.array(new)[:, None],
+                                                          self._halves.n)))
         self._tables = {theta: tables[theta] for theta in thetas}
+        counted = [{} for _ in points]
         for kind in ("mean", "studentized"):
-            self._halves.expect(kind, [(observed[kind], sens.sign_bias, observed[kind])
-                                       for sens, observed in points if kind in observed])
+            which = [g for g, (_, observed, _) in enumerate(points) if kind in observed]
+            keys = [(points[g][1][kind], points[g][0].sign_bias, points[g][1][kind], points[g][2])
+                    for g in which]
+            for g, row in zip(which, self._halves._count(kind, keys) if keys else []):
+                counted[g][kind] = row
+        return counted
 
     def drop_signs(self) -> None:
         """Free a search's Monte Carlo sign matrix, so the heap can return
@@ -1061,7 +1092,7 @@ class SignDraws:
 
     def _curtailed(
         self, sens: SensitivityParam, observed: dict[str, float],
-        band: Union[tuple[float, float], None],
+        band: Union[tuple[float, float], None], at: int,
     ) -> dict[str, float]:
         """The Monte Carlo weights of ``weights_at_most``, by kind, from only
         as many draws as settle them.
@@ -1087,8 +1118,8 @@ class SignDraws:
         where that bound does not apply, ``_sum_cut`` of the cuts of
         ``_cuts`` on its mean does.
         """
-        m, n, draws = self.m, self.m.size, self.n_draws
-        low, high = band or (-math.inf, math.inf)
+        m, draws = self.m[at], self.n_draws
+        n, (low, high) = m.size, band or (-math.inf, math.inf)
         # the open kinds' counts of draws surely in and surely out
         weights, done, cuts = {}, dict.fromkeys(observed, (0, 0)), {}
 
@@ -1152,12 +1183,15 @@ class SignDraws:
 
     def weights_at_most(
         self, sens: SensitivityParam, observed: dict[str, float], own: Union[dict, None] = None,
-        band: Union[tuple[float, float], None] = None,
+        band: Union[tuple[float, float], None] = None, at: int = 0,
+        counted: Union[dict, None] = None,
     ) -> dict[str, float]:
         """For each kind, "mean" or "studentized", that ``observed`` names, the
-        total weight of the draws whose statistic is <= its observed value.
-        ``own`` holds the observed assignment's statistics at this tau, by
-        kind, when known (``_Halves.counts_at_most``).
+        total weight of the draws whose statistic is <= its observed value,
+        at the ``at``-th tau of the last move.  ``own`` holds the observed
+        assignment's statistics at this tau, by kind, when known, and
+        ``counted`` the point's exact counts by kind when ``prepare`` made
+        them (``_Halves.counts_at_most``).
 
         An exact weight is ``table @ counts``: the number of such draws per
         count k of + signs, an exact integer, times ``theta**k * (1 -
@@ -1177,13 +1211,14 @@ class SignDraws:
         the one above.
         """
         if self.mode == "monte_carlo":
-            return self._curtailed(sens, observed, band)
-        table, own = self._tables.get(sens.theta), own or {}
+            return self._curtailed(sens, observed, band, at)
+        table, own, counted = self._tables.get(sens.theta), own or {}, counted or {}
         if table is None:
-            table = _weight_table(sens.theta, self.m.size)
+            table = _weight_table(sens.theta, self._halves.n)
             self._tables = {sens.theta: table}
         band = band and (table, *band)
-        return {kind: float(table @ self._halves.counts_at_most(kind, t, sens, own.get(kind), band))
+        return {kind: float(table @ self._halves.counts_at_most(
+                    kind, t, sens, own.get(kind), band, at, counted.get(kind)))
                 for kind, t in observed.items()}
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from itertools import groupby
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -95,16 +94,16 @@ def _mean_se(sample: PairedSample, tau: float, sens: SensitivityParam) -> tuple[
     return sample_mean_and_se(d)
 
 
-def _mean_ses(sample: PairedSample, tau: float, cs: np.ndarray) -> list:
-    """``_mean_se`` at each sign bias of ``cs``, from row-wise numpy calls,
-    or None where it is not finite (the differences are not all finite, or
+def _mean_ses(sample: PairedSample, taus: np.ndarray, cs: np.ndarray) -> list:
+    """``_mean_se`` at each tau of ``taus`` and sign bias of ``cs``, from
+    row-wise numpy calls, or None where it is not finite (the differences are not all finite, or
     the standard error overflows): there ``_mean_se`` redoes the point alone
     and raises or warns as it does alone.  None at every point when some
     standard error overflows and every difference is finite, which
     ``sample_mean_and_se`` refuses."""
     # non-finite differences give a NaN standard error, here without a warning
     with np.errstate(all="ignore"):
-        resid = sample.y - tau
+        resid = sample.y - taus[:, None]
         d = resid - cs[:, None] * np.abs(resid)
         try:
             means, ses = sample_mean_and_se(d)
@@ -290,14 +289,16 @@ def _decider(
     weights of the + counts only when the bias bound moves.  A weight within
     ``guard`` of the threshold is re-decided by ``run_test``.  Each ``(gamma,
     tau)`` point is decided once: a search that returns to a point gets the
-    same tuple again.  The new points of a batch that share a tau, one after
-    another (a changepoint's grid), are decided together: their standard
-    errors, observed statistics, weight tables and exact cut counts come
-    from row-wise numpy calls (``_mean_ses``, ``randdist._observed``,
-    ``SignDraws.prepare``); then each point, in order, bounds or finishes
-    its own draws, falls back to ``run_test``, or raises as it would alone.
-    A point the row-wise calls do not settle is redone alone.  A single
-    decision is a batch of one.  Every Monte Carlo decision makes only as
+    same tuple again.  The new points of a batch, at one tau (a
+    changepoint's grid) or at many (an interval's), are decided together, in
+    runs of at most ``SignDraws.batch`` points and taus: one move makes the
+    tables of all the run's taus, row-wise, and the points' standard errors,
+    observed statistics, weight tables and exact cut counts come from
+    row-wise numpy calls (``_mean_ses``, ``randdist._observed``,
+    ``SignDraws.prepare``); then each point, in order, takes its tau's
+    tables and bounds or finishes its own draws, falls back to ``run_test``,
+    or raises as it would alone.  A point the row-wise calls do not settle
+    is redone alone.  A single decision is a batch of one.  Every Monte Carlo decision makes only as
     many of its draws as settle its kinds (below); a search keeps them while
     theta is unchanged, a ``single_use`` decider, called once, does not.
     The standard error is computed once per point, for every method but
@@ -341,56 +342,78 @@ def _decider(
         guard = _GUARD_EPS_PER_DRAW * draws.n_draws * _EPS
         band = (threshold - 2.0 * guard, threshold + 2.0 * guard)
     reads_se = any(m != "perm_t" for m in unique)
+    # the most points, and taus, decided together
+    most = (math.inf, math.inf) if draws is None else draws.batch
     decided = {}
 
     def many(points: Sequence[tuple[SensitivityParam, float]]) -> list[tuple[bool, ...]]:
-        # one point, as the bisections and walks ask: no runs to group
+        # one point, as the bisections and walks ask: nothing to group
         if len(points) == 1:
             return [decide(*points[0])]
         new = {}
         for sens, tau in points:
             if (sens.gamma, tau) not in decided:
                 new.setdefault((sens.gamma, tau), (sens, tau))
-        for _, run in groupby(new.values(), key=lambda point: point[1]):
-            decide_at(list(run))
+        # runs of the new points in order, each within the draws' batch
+        run, taus = [], set()
+        for point in new.values():
+            if len(run) == most[0] or point[1] not in taus and len(taus) == most[1]:
+                decide_at(run)
+                run, taus = [], set()
+            run.append(point)
+            taus.add(point[1])
+        if run:
+            decide_at(run)
         return [decided[sens.gamma, tau] for sens, tau in points]
 
     def decide_at(points: list[tuple[SensitivityParam, float]]) -> None:
-        # the points share a tau, up to the sign of a zero
-        t = -points[0][1] if flip else points[0][1]
-        if draws is not None and t != draws.tau:
-            draws.move_to(t)
-        cs = np.array([sens.sign_bias for sens, _ in points])
-        mean_ses = _mean_ses(norm_sample, t, cs) if reads_se else [None] * len(points)
+        ts = [-tau if flip else tau for _, tau in points]
+        at = None
         if draws is not None:
-            abar, tstat, fits = _observed(draws.m, draws.observed_sums, cs, studentized)
+            # the draws' taus, moved to unless the points' are among them
+            taus = dict.fromkeys(ts)
+            if not all(map(draws.taus.__contains__, taus)):
+                draws.move_to(*taus)
+            at = list(map(dict(zip(draws.taus, range(len(draws.taus)))).__getitem__, ts))
+        cs = np.array([sens.sign_bias for sens, _ in points])
+        mean_ses = _mean_ses(norm_sample, np.array(ts), cs) if reads_se else [None] * len(points)
+        if draws is not None:
+            # a view for one point: a list index copies, through a conversion
+            rows = slice(at[0], at[0] + 1) if len(at) == 1 else at
+            abar, tstat, fits = _observed(draws.m[rows], draws.observed_sums[rows], cs,
+                                          studentized)
             stats = {"mean": abar.tolist(),
                      "studentized": None if tstat is None else tstat.tolist()}
 
         def drawn_at(g: int, mean_se) -> tuple[list[str], dict[str, float]]:
             # the methods that read draws at point g, and the observed
             # statistics of the kinds they read
-            drawn = [m for m in drawing if not _degenerate(m, draws.all_tied, mean_se)]
+            drawn = [m for m in drawing if not _degenerate(m, draws.all_tied[at[g]], mean_se)]
             return drawn, {k: stats[k][g] for k in _STATISTICS
                            if any(k in _KINDS[m] for m in drawn)}
 
         # every point but those redone alone, which raise or warn
         plans = [None if reads_se and mean_se is None else drawn_at(g, mean_se)
                  for g, mean_se in enumerate(mean_ses)]
-        if draws is not None:
-            draws.prepare([(points[g][0], plan[1]) for g, plan in enumerate(plans)
-                           if plan and ("studentized" not in plan[1] or fits[g])])
+        # a single point counts alone
+        counted = {}
+        if draws is not None and len(points) > 1:
+            ready = [g for g, plan in enumerate(plans)
+                     if plan and ("studentized" not in plan[1] or fits[g])]
+            counted = dict(zip(ready, draws.prepare([(points[g][0], plans[g][1], at[g])
+                                                     for g in ready])))
         for g, (sens, tau) in enumerate(points):
             mean_se = mean_ses[g]
             if plans[g] is None:
-                mean_se = _mean_se(norm_sample, t, sens)
+                mean_se = _mean_se(norm_sample, ts[g], sens)
                 plans[g] = drawn_at(g, mean_se)
             drawn, observed = plans[g]
             if "studentized" in observed and not fits[g]:
                 # raises, as at this point alone
-                observed_statistics(norm_sample, t, sens, True, draws.observed_sums)
+                observed_statistics(norm_sample, ts[g], sens, True, draws.observed_sums[at[g]])
             if observed:
-                below = draws.weights_at_most(sens, observed, own=observed, band=band)
+                below = draws.weights_at_most(sens, observed, own=observed, band=band, at=at[g],
+                                              counted=counted.get(g))
             by_method = {}
             for m in unique:
                 if not _KINDS[m]:
@@ -423,7 +446,7 @@ def rejector(
     """``run_test(sample, spec, sens, engine).reject`` as a function of
     ``sens`` and ``tau`` (default ``spec.tau``), for a whole search over
     either or both; its ``many`` takes a list of ``(sens, tau)`` points and
-    decides those that share a tau together.  See ``_decider``."""
+    decides them together.  See ``_decider``."""
     decide = _decider(sample, spec, engine, [spec.method])
 
     def rejects(sens: SensitivityParam, tau: float = spec.tau) -> bool:

@@ -455,7 +455,7 @@ def test_search_keeps_the_rows_it_has_made(monkeypatch):
     made = []
     for tau in taus:
         searched.move_to(tau)
-        stats = randdist.observed_statistics(sample, tau, sens, True, searched.observed_sums)
+        stats = randdist.observed_statistics(sample, tau, sens, True, searched.observed_sums[0])
         searched.weights_at_most(sens, dict(zip(("mean", "studentized"), stats)), band=band)
         made.append(searched._source.made)
         assert 2 * words[1] == made[-1] * n
@@ -465,8 +465,8 @@ def test_search_keeps_the_rows_it_has_made(monkeypatch):
     assert any(k % rows for k in made) and not any(k % gen for k in made)
     for tau in taus:
         searched.move_to(tau)
-        m = searched.m
-        stats = randdist.observed_statistics(sample, tau, sens, True, searched.observed_sums)
+        m = searched.m[0]
+        stats = randdist.observed_statistics(sample, tau, sens, True, searched.observed_sums[0])
         got = searched.weights_at_most(sens, dict(zip(("mean", "studentized"), stats)))
         s1, s2 = randdist._SignSource(n, sens.theta, seed, draws).fill(m)
         built = randdist._statistics(s1, s2, m, sens, True, randdist._StatBuffers.empty(draws))

@@ -51,8 +51,8 @@ def _unbanded(monkeypatch):
     """Make every decision read the full weights, whatever band it passes."""
     original = randdist.SignDraws.weights_at_most
 
-    def full(draws, sens, observed, own=None, band=None):
-        return original(draws, sens, observed, own)
+    def full(draws, sens, observed, own=None, band=None, **kwargs):
+        return original(draws, sens, observed, own, **kwargs)
 
     monkeypatch.setattr(randdist.SignDraws, "weights_at_most", full)
 

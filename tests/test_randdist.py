@@ -491,7 +491,7 @@ class TestBlockedProduct:
         drawn.weights_at_most(sens, {"mean": 0.0, "studentized": 0.0})
         kept = np.concatenate(made)
         products.append(None)
-        streamed = randdist._SignSource(n, sens.theta, 4, draws).fill(drawn.m)
+        streamed = randdist._SignSource(n, sens.theta, 4, draws).fill(drawn.m[0])
         rows = randdist._product_rows(n)
         assert products == [rows, rows, rows + 1, None, rows, rows, rows + 1]
         for k, s in zip(kept.T, streamed):

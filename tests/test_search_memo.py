@@ -83,9 +83,9 @@ def test_exact_interval_decides_fewer_points_than_it_evaluates(monkeypatch):
     decisions = []
     original = randdist.SignDraws.weights_at_most
 
-    def counting(draws, *args, **kwargs):
-        decisions.append(draws.tau)
-        return original(draws, *args, **kwargs)
+    def counting(draws, sens, *args, **kwargs):
+        decisions.append(sens.gamma)
+        return original(draws, sens, *args, **kwargs)
 
     monkeypatch.setattr(randdist.SignDraws, "weights_at_most", counting)
     ps.sensitivity_interval(SAMPLE, 1.7, method="studentized", engine=ENGINES["exact"])

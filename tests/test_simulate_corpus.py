@@ -103,9 +103,9 @@ def test_own_bound_calls_observe_negative_t(monkeypatch):
     seen = []
     original = randdist.SignDraws.weights_at_most
 
-    def recording(draws, sens, observed, own=None, band=None):
+    def recording(draws, sens, observed, *args, **kwargs):
         seen.append(observed["studentized"])
-        return original(draws, sens, observed, own, band)
+        return original(draws, sens, observed, *args, **kwargs)
 
     monkeypatch.setattr(randdist.SignDraws, "weights_at_most", recording)
     replay(corpus_calls()["favorable-normal/studentized/own-bound"][1])

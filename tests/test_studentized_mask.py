@@ -54,7 +54,7 @@ ENGINES = {
 def _oracle(draws, sens, engine):
     """Every draw's mean and studentized statistic on the full chain, and
     its + count (None for Monte Carlo draws)."""
-    m = draws.m
+    m = draws.m[0]
     if engine.mode == "exact":
         s1, s2, k = enumerate_exact_concat(m)
     else:
@@ -70,15 +70,15 @@ def _check(draws, sens, kind, t, stats, k):
     count, and the weight."""
     below = draws.weights_at_most(sens, {kind: t})[kind]
     want = stats[kind] <= t
-    msg = f"{kind} tau={draws.tau} gamma={sens.gamma} t={t!r}"
+    msg = f"{kind} tau={draws.taus[0]} gamma={sens.gamma} t={t!r}"
     if draws.mode == "exact":
         counts = draws._halves.counts_at_most(kind, t, sens)
-        assert_array_equal(counts, np.bincount(k[want], minlength=draws.m.size + 1), err_msg=msg)
+        assert_array_equal(counts, np.bincount(k[want], minlength=draws.m[0].size + 1), err_msg=msg)
         # the observed assignment's own statistic settles its draw alike
-        own = stats[kind][np.sum((draws.y >= draws.tau) << np.arange(draws.m.size))]
+        own = stats[kind][np.sum((draws.y >= draws.taus[0]) << np.arange(draws.m[0].size))]
         assert_array_equal(draws._halves.counts_at_most(kind, t, sens, own), counts, err_msg=msg)
         # the masked sum of per-draw weights, in another order: within the guard
-        w = randdist._weight_table(sens.theta, draws.m.size)[k]
+        w = randdist._weight_table(sens.theta, draws.m[0].size)[k]
         assert abs(below - float(w @ want)) < draws.n_draws * np.finfo(float).eps, msg
     else:
         assert below == np.count_nonzero(want) / draws.n_draws, msg
@@ -145,8 +145,8 @@ def test_counts_around_the_split_sum_cut(gamma, name):
     engine, sens = ENGINES["exact"], ps.SensitivityParam(gamma)
     draws = randdist.SignDraws(ps.PairedSample(y), taus[0], engine)
     stats, k = _oracle(draws, sens, engine)
-    n, total = y.size, float(np.sum(draws.m))
-    shift = sens.sign_bias * np.sum(draws.m)
+    n, total = y.size, float(np.sum(draws.m[0]))
+    shift = sens.sign_bias * np.sum(draws.m[0])
     means = np.unique(stats["mean"])
     for a in means[np.linspace(0, means.size - 1, 5).astype(int)]:
         width = randdist._sum_cut(a, 1.0, n, total, shift) - (n * a + shift)
@@ -186,7 +186,7 @@ def test_mask_a_few_ulps_from_each_cut(mode, gamma, name):
     draws = randdist.SignDraws(ps.PairedSample(y), taus[0], engine)
     stats, k = _oracle(draws, sens, engine)
     means = np.unique(stats["mean"][stats["mean"] != 0.0])
-    n, sumsq, c = y.size, float(np.sum(draws.m**2)), sens.sign_bias
+    n, sumsq, c = y.size, float(np.sum(draws.m[0]**2)), sens.sign_bias
     edges = 0
     for a in means[np.linspace(0, means.size - 1, 6).astype(int)]:
         for side in (0, 1):
@@ -261,7 +261,7 @@ def test_huge_t_falls_back_to_the_sign_rule(mode, spread):
     n, limit = y.size, _limit(y.size)
     engine = ENGINES[mode]
     draws = randdist.SignDraws(ps.PairedSample(y), 0.0, engine)
-    sumsq = float(np.sum(draws.m**2))
+    sumsq = float(np.sum(draws.m[0]**2))
     for gamma in (1.0, 2.0):
         sens = ps.SensitivityParam(gamma)
         stats, k = _oracle(draws, sens, engine)
@@ -300,12 +300,12 @@ def test_observed_statistics_equal_the_loop(name):
                 try:
                     want = observed_statistics_loop(sample, tau, sens, studentized)
                 except ValueError:
-                    for sums in (None, draws.observed_sums):
+                    for sums in (None, draws.observed_sums[0]):
                         with pytest.raises(ValueError, match="rescale"):
                             randdist.observed_statistics(sample, tau, sens, studentized, sums)
                     continue
                 with np.errstate(all="ignore"):
-                    for sums in (None, draws.observed_sums):
+                    for sums in (None, draws.observed_sums[0]):
                         got = randdist.observed_statistics(sample, tau, sens, studentized, sums)
                         assert _same(got, want), (tau, gamma, studentized, sums)
 
