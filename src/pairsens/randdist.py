@@ -108,18 +108,18 @@ _MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 
 # Open draws an exact decision finishes per block: those its cuts leave
 # open, whose signed sums it takes from the doubling chain.  A block's
-# buffers, 73 bytes a draw plus 16 a draw x pair of the high half (at most
-# 1.3 MiB), are made once per ``SignDraws``, so no decision allocates
-# anything that grows with its open draws.
+# buffers, 81 bytes a draw plus 16 a draw x pair of the high half (at most
+# 1.3 MiB), are made once per ``SignDraws``, and a block makes only its run
+# index, 8 bytes a draw, so no decision allocates anything that grows with
+# its open draws.
 _OPEN_BLOCK = 1 << 12
 
 # Table entries an exact decider makes at once.  A batch of points is
 # counted (``_Halves._count``) in chunks of at most ``_COUNT_BLOCK // ((n - h
 # + 1) * 2**h)`` points, at least one, so its buffers, about 11 bytes a
-# gathered entry of ``cum``, stay near 3 MiB, or one point's: at 17 pairs 102
-# points, a whole 50-point grid.  Its taus are moved to (``_Halves.move_to``)
-# in chunks whose ``cum`` and high-half step tables hold at most this many
-# entries, at least one tau: at 17 pairs 18 taus, a whole 17-point grid.
+# gathered entry of ``cum``, stay near 3 MiB, or one point's: at 17 pairs a
+# whole 50-point grid.  Its taus are moved to in chunks whose ``cum`` and
+# step tables hold at most this many entries: at 17 pairs a 17-point grid.
 _COUNT_BLOCK = 1 << 18
 
 
@@ -496,8 +496,11 @@ def _statistics(
     sens: Union[SensitivityParam, np.ndarray],
     studentized: bool,
     out: _StatBuffers,
+    m_sums: Union[tuple, None] = None,
 ) -> tuple[np.ndarray, Union[np.ndarray, None]]:
-    """Per-draw mean statistic and, for every draw, the studentized statistic.
+    """Per-draw mean statistic and, for every draw, the studentized statistic,
+    from the draws' signed sums of m and m**2; ``m_sums``, ``(sum(m),
+    sum(m**2))`` when known, are not summed again.
 
     Both are written into ``out`` and returned as ``out.abar`` and
     ``out.tstat``, which stay valid until ``out`` is written again; the
@@ -508,29 +511,32 @@ def _statistics(
     (``_observed``), each entry then made by the same operations as at its
     own bias bound and tau.
     """
-    c = sens.sign_bias if isinstance(sens, SensitivityParam) else sens
+    c, n = sens.sign_bias if isinstance(sens, SensitivityParam) else sens, m.shape[-1]
     # a mean beyond double range is +/-inf: its own atom, as perm-t reads it
     # (NaN where an inf sum meets an inf shift)
     with np.errstate(over="ignore", invalid="ignore"):
-        abar = np.subtract(s1, c * m.sum(axis=-1), out=out.abar)
-    np.divide(abar, m.shape[-1], out=abar)
+        abar = np.subtract(s1, c * (m.sum(axis=-1) if m_sums is None else m_sums[0]),
+                           out=out.abar)
+    np.divide(abar, n, out=abar)
     if not studentized:
         return abar, None
-    return abar, _studentized(abar, s2, m, c, out.tstat, out.scratch, out.mask)
+    m2sum = (m * m).sum(axis=-1) if m_sums is None else m_sums[1]
+    return abar, _studentized(abar, s2, n, m2sum, c, out.tstat, out.scratch, out.mask)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _studentized(
     abar: np.ndarray,
     s2: np.ndarray,
-    m: np.ndarray,
+    n: int,
+    m2sum: Union[float, np.ndarray],
     c: float,
     tstat: np.ndarray,
     ssd: np.ndarray,
     degenerate: np.ndarray,
 ) -> np.ndarray:
     """Studentized statistic of any selection of draws, from their means and
-    signed sums of m**2; returns ``tstat``.
+    signed sums of m**2, n and ``m2sum = sum(m**2)``; returns ``tstat``.
 
     ``ssd`` and ``degenerate`` are scratch of the selection's length, and
     ``tstat`` may be ``s2`` itself.  It uses
@@ -539,13 +545,12 @@ def _studentized(
     within-draw variance) map to 0 when the mean is 0 and to +/-inf matching
     the sign of the mean otherwise.  Every step is elementwise, so a draw's
     result does not depend on the other draws selected.  A standard error that
-    underflows to 0 (data near 1e-162) divides without a warning.  Rows of
-    ``m`` and entries of ``c`` go with entries of the selection.
+    underflows to 0 (data near 1e-162) divides without a warning.  Entries
+    of ``m2sum`` and ``c`` go with entries of the selection.
     """
-    n = m.shape[-1]
     # the sum of squares and its tolerance pass through tstat, written last
     sumsq = np.multiply(2.0 * c, s2, out=tstat)
-    np.subtract((1.0 + c * c) * (m * m).sum(axis=-1), sumsq, out=sumsq)
+    np.subtract((1.0 + c * c) * m2sum, sumsq, out=sumsq)
     np.maximum(sumsq, 0.0, out=sumsq)
     ssd = np.multiply(n, abar, out=ssd)
     np.multiply(ssd, abar, out=ssd)
@@ -654,13 +659,13 @@ def _observed(
     and the others are its results, entry by entry.  Nothing warns: an entry
     that would is one refused."""
     with np.errstate(over="ignore", invalid="ignore"):
+        m_sums = m.sum(axis=-1), (m * m).sum(axis=-1) if studentized else None
         abar, tstat = _statistics(sums[:, 0], sums[:, -1], m, cs, studentized,
-                                  _StatBuffers.empty(cs.size))
-        if not studentized:
-            return abar, None, None
-        sumsqs = (m * m).sum(axis=-1).tolist()
+                                  _StatBuffers.empty(cs.size), m_sums)
+    if not studentized:
+        return abar, None, None
     return abar, tstat, [math.isfinite((1.0 + abs(c)) ** 2 * sumsq)
-                         for c, sumsq in zip(cs.tolist(), sumsqs)]
+                         for c, sumsq in zip(cs.tolist(), m_sums[1].tolist())]
 
 
 def observed_statistics(
@@ -778,11 +783,12 @@ class _Halves:
 
     All of it depends on tau alone.  ``move_to`` makes the tables of
     several taus at once, each table with a leading tau axis, row-wise: a
-    move holds at most ``per_move`` taus, so that their ``cum`` and high-half
-    step tables, the largest, hold at most ``_COUNT_BLOCK`` entries (with
-    both rows 18 taus at 17 pairs, 8 at 20, one from 23).  ``_count`` makes
-    the counts below the cuts of up to ``chunk`` points at once, each at any
-    of the move's taus, and hands each its own.
+    move holds at most ``per_move`` taus, so that the ``cum`` and step
+    tables it makes hold at most ``_COUNT_BLOCK`` entries (with both rows 18
+    taus at 17 pairs, 6 at 20, one from 23).  The high half's step table is
+    taken from its ``[-v, v]`` for one tau at a time, as its draws are
+    finished.  ``_count`` counts below the cuts of up to ``chunk`` points at
+    once, each at any of the move's taus, and hands each its own.
     """
 
     def __init__(self, n: int, rows: int):
@@ -792,10 +798,12 @@ class _Halves:
         self.kb = _bit_table(n - h).sum(axis=0)
         # the place value of each pair's bit in a half's vector (h <= n - h)
         self.place = 1 << np.arange(n - h)
-        # [i, j, b]: where move_to takes row j's step i of a half's vector b
-        # from [-v, v]: -v[j, i], or +v[j, i] where bit i of b is set
+        # [i, j, b]: where row j's step i of a half's vector b is taken from
+        # [-v, v]: -v[j, i], or +v[j, i] where bit i of b is set; sb sums the
+        # first row's alone
         self.low_sel, self.sel = (np.arange(k)[:, None, None] + k * _bit_table(k)[:, None]
                                   + 2 * k * np.arange(rows)[:, None] for k in (h, n - h))
+        self.sb_sel = self.sel[:, 0].copy()
         self.one_hot = np.eye(n - h + 1, dtype=np.int32)
         # [i, a]: 1 where a has i + signs; [(i, j), k]: 1 where i + j is k
         self.ka_hot = (np.arange(h + 1)[:, None] == self.ka).astype(float)
@@ -803,28 +811,26 @@ class _Halves:
         i, j = np.divmod(np.arange(len(self.to_total)), n - h + 1)
         self.to_total[np.arange(len(self.to_total)), i + j] = 1.0
         self.chunk = max(1, _COUNT_BLOCK // (2**h * (n - h + 1)))
-        self.per_move = max(1, _COUNT_BLOCK // ((2 ** (n - h) + 1) * (n - h + 1) + self.sel.size))
-        self._hold(1)
-        # _counts_below's buffer, made for the most points counted at once
-        self.gathered = np.empty(0)
+        per_tau = (2 ** (n - h) + 1) * (n - h + 1) + self.sb_sel.size + self.low_sel.size
+        self.per_move = max(1, _COUNT_BLOCK // per_tau)
+        # a move's tables at one tau: pa and cum, which its points read, and
+        # the steps and one-hot rows they are made from (see move_to)
+        self.one_tau = (np.empty((1, rows, 2**h)), np.zeros((1, 2 ** (n - h) + 1, n - h + 1)),
+                        np.empty((1, *self.low_sel.shape)), np.empty((1, *self.sb_sel.shape)),
+                        np.empty((1, 2 ** (n - h), n - h + 1), np.int32))
+        # where each tau's row of sb starts in its flat order
+        self.starts = 2 ** (n - h) * np.arange(self.per_move)[:, None]
+        # _counts_below's buffer for one point
+        self.gathered = np.empty((1, 2**h, n - h + 1))
         size = min(2**n, _OPEN_BLOCK)
         self.ramp = np.arange(size)
-        self.a, self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(4))
-        self.steps = np.empty((n - h) * rows * size)
+        self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(3))
+        # the high half's step table, at the move's tau finished last, and an
+        # open block's chain: pa[:, a], then the steps of b
+        self.step, self.step_at = np.empty(self.sel.shape), None
+        self.chain = np.empty((n - h + 1) * rows * size)
         self.sums = np.empty(rows * size)
         self.out = _StatBuffers.empty(size)
-
-    def _hold(self, taus: int) -> None:
-        """Make the tables' buffers for ``taus`` taus; ``cum``'s first row of
-        each tau stays 0."""
-        n, h = self.n, self.h
-        self.low_step = np.empty((taus, *self.low_sel.shape))
-        self.step = np.empty((taus, *self.sel.shape))
-        self.pa = np.empty((taus, len(self.sel[0]), 2**h))
-        self.hot = np.empty((taus, 2 ** (n - h), n - h + 1), np.int32)
-        # where each tau's row of sb starts in its flat order
-        self.starts = 2 ** (n - h) * np.arange(taus)[:, None]
-        self.cum = np.zeros((taus, 2 ** (n - h) + 1, n - h + 1))
 
     def move_to(self, rows: np.ndarray, plus: np.ndarray) -> None:
         """Redo the halves' sums, their order and ``cum`` at each tau of a
@@ -833,24 +839,30 @@ class _Halves:
         ``plus[i]``.  Each tau's tables are bit for bit those of a move to it
         alone."""
         h, taus = self.h, len(rows)
-        if len(self.pa) != taus:
-            self._hold(taus)
-        low_step, step, pa, hot = (self.low_step[:taus], self.step[:taus], self.pa[:taus],
-                                   self.hot[:taus])
+        self.step_at = None
+        # one tau's tables are kept, as most moves are to one tau; a batch's
+        # are made for it and freed once read or by the next move, so that
+        # the heap hands their memory on to the next batch or search
+        if taus == 1:
+            self.pa, self.cum, low_step, sb_step, hot = self.one_tau
+        else:
+            self.pa = np.empty((taus, *self.one_tau[0].shape[1:]))
+            self.cum = np.zeros((taus, *self.one_tau[1].shape[1:]))
+            low_step = sb_step = hot = None
         self.m = m = rows[:, 0]
-        # adding a step is the chain's step for that pair; taken, not
-        # multiplied, as a broadcast product buffers its operands
-        for v, sel, out in ((rows[..., :h], self.low_sel, low_step),
-                            (rows[..., h:], self.sel, step)):
-            np.concatenate((-v, v), axis=2).reshape(taus, -1).take(sel, axis=1, out=out,
-                                                                   mode="clip")
+        # each half's [-v, v], rows after one another, per tau; adding a step
+        # taken from it is the chain's step for that pair (taken, not
+        # multiplied, as a broadcast product buffers its operands)
+        low, self.high = (np.concatenate((-v, v), axis=2).reshape(taus, -1)
+                          for v in (rows[..., :h], rows[..., h:]))
         # the low half's chain from 0, in pair order as the enumeration adds:
         # a reduction along an outer axis adds its terms one by one, in order
-        np.add.reduce(low_step, axis=1, initial=0.0, out=pa)
+        np.add.reduce(low.take(self.low_sel, axis=1, out=low_step, mode="clip"), axis=1,
+                      initial=0.0, out=self.pa)
         self.total = m.sum(axis=1).tolist()
         self.sumsq = rows[:, -1].sum(axis=1).tolist()
         # any order of summing the steps rounds within the bound of _sum_cut
-        sb = step[:, :, 0].sum(axis=1)
+        sb = self.high.take(self.sb_sel, axis=1, out=sb_step, mode="clip").sum(axis=1)
         self.order = sb.argsort(axis=1)
         self.sb = sb.take(self.order + self.starts[:taus])
         # the observed draw: its low half's vector, and the sorted position
@@ -860,9 +872,9 @@ class _Halves:
                                     (self.order == b[:, None]).argmax(axis=1).tolist()))
         # one-hot rows of the sorted + counts, taken from an identity, then
         # summed in int32, whose running sums vectorize where float64's do not
-        self.one_hot.take(self.kb[self.order], axis=0, out=hot, mode="clip")
+        hot = self.one_hot.take(self.kb.take(self.order), axis=0, out=hot, mode="clip")
         hot.cumsum(axis=1, out=hot)
-        self.cum[:taus, 1:] = hot
+        self.cum[:, 1:] = hot
 
     def _count(self, kind: str, keys: list[tuple[float, float, Union[float, None], int]]
                ) -> list[tuple[np.ndarray, ...]]:
@@ -937,10 +949,8 @@ class _Halves:
         tables ``ka_hot`` and ``to_total``.  They add integers under 2**53,
         exact in any order."""
         places, width = self.cum.shape[1:]
-        size = stops.size * width
-        if self.gathered.size < size:
-            self.gathered = np.empty(size)
-        gathered = self.gathered[:size].reshape(*stops.shape, -1)
+        # one point's buffer is kept, as most points are counted alone
+        gathered = self.gathered if len(stops) == 1 else np.empty((*stops.shape, width))
         rows = stops + places * np.array(at)[:, None] if any(at) else stops
         self.cum.reshape(-1, width).take(rows, axis=0, out=gathered, mode="clip")
         return (self.ka_hot @ gathered).reshape(len(stops), -1) @ self.to_total
@@ -954,7 +964,12 @@ class _Halves:
         cumulative counts of those runs): their + counts and 1.0 where their
         statistic is at most t, views of the block buffers valid until the
         next block."""
-        h, m, pa, order = self.h, self.m[at], self.pa[at], self.order[at]
+        n, h, m, pa, order = self.n, self.h, self.m[at], self.pa[at], self.order[at]
+        # sum(m) and, with two rows, sum(m**2)
+        m_sums = self.total[at], self.sumsq[at]
+        if self.step_at != at:
+            self.high[at].take(self.sel, out=self.step, mode="clip")
+            self.step_at = at
         # every row is finished, whichever the statistic reads: a take of
         # some rows would copy them
         studentized, rows = kind == "studentized", len(pa)
@@ -962,34 +977,27 @@ class _Halves:
         offset = last - ends
         for start in range(0, int(ends[-1]), self.ramp.size):
             size = min(self.ramp.size, int(ends[-1]) - start)
-            a, pos, b, k = (x[:size] for x in (self.a, self.pos, self.b, self.k_block))
-            # a run starts a block position after each end inside the block
-            lo, hi = ends.searchsorted((start, start + size - 1), side="right")
-            a.fill(0)
-            a[0] = lo
-            if hi > lo:
-                np.add.at(a, ends[lo:hi] - start, 1)
-            a.cumsum(out=a)
-            offset.take(a, out=pos, mode="clip")
-            pos += self.ramp[:size]
-            pos += start
+            pos, b, k = (x[:size] for x in (self.pos, self.b, self.k_block))
+            # flat position p is in the run of the first a whose end passes p
+            p = np.add(self.ramp[:size], start, out=pos)
+            a = ends.searchsorted(p, side="right")
+            pos += offset.take(a, out=b, mode="clip")
             order.take(pos, out=b, mode="clip")
             self.ka.take(a, out=k, mode="clip")
             k += self.kb.take(b, out=pos, mode="clip")
-            # the doubling chain's sums of the draws (a, b): from pa[:, a], add
-            # the high half's steps of b in turn, all rows at once; it
-            # subtracts where a bit is clear, and x - v is x + (-v) in IEEE
-            steps = self.steps[: (m.size - h) * rows * size].reshape(-1, rows, size)
-            sums = self.sums[: rows * size].reshape(rows, size)
-            pa.take(a, axis=1, out=sums, mode="clip")
-            self.step[at].take(b, axis=2, out=steps, mode="clip")
+            # the doubling chain's sums of the draws (a, b): pa[:, a], then
+            # the high half's steps of b added in turn, all rows at once, by a
+            # reduction along the outer axis; it subtracts where a bit is
+            # clear, and x - v is x + (-v) in IEEE
+            chain = self.chain[: (n - h + 1) * rows * size].reshape(-1, rows, size)
+            pa.take(a, axis=1, out=chain[0], mode="clip")
+            self.step.take(b, axis=2, out=chain[1:], mode="clip")
             # at a tau far out the sums overflow, as the enumeration's would
             # on the same adds; the statistic reads them, without a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                for row in steps:
-                    np.add(sums, row, out=sums)
+                sums = np.add.reduce(chain, axis=0, out=self.sums[: rows * size].reshape(rows, size))
             out = _StatBuffers(*(x[:size] for x in self.out))
-            stat = _statistics(sums[0], sums[-1], m, sens, studentized, out)[studentized]
+            stat = _statistics(sums[0], sums[-1], m, sens, studentized, out, m_sums)[studentized]
             yield k, np.less_equal(stat, t, out=out.scratch)
 
 
@@ -1170,7 +1178,7 @@ class SignDraws:
                 block_sums = np.matmul(source.rows(start, stop), coef, out=sums[:rows])
                 block_out = _StatBuffers(*(x[:rows] for x in out))
                 stats = _statistics(block_sums[:, 0], block_sums[:, 1], m, sens,
-                                    "studentized" in done, block_out)
+                                    "studentized" in done, block_out, (total, sumsq))
                 for kind in done:
                     stat = stats[kind == "studentized"]
                     below = np.count_nonzero(np.less_equal(stat, observed[kind], out=block_out.mask))

@@ -96,11 +96,11 @@ def _mean_se(sample: PairedSample, tau: float, sens: SensitivityParam) -> tuple[
 
 def _mean_ses(sample: PairedSample, taus: np.ndarray, cs: np.ndarray) -> list:
     """``_mean_se`` at each tau of ``taus`` and sign bias of ``cs``, from
-    row-wise numpy calls, or None where it is not finite (the differences are not all finite, or
-    the standard error overflows): there ``_mean_se`` redoes the point alone
-    and raises or warns as it does alone.  None at every point when some
-    standard error overflows and every difference is finite, which
-    ``sample_mean_and_se`` refuses."""
+    row-wise numpy calls, or None where it is not finite (the differences
+    are not all finite, or the standard error overflows): there ``_mean_se``
+    redoes the point alone and raises or warns as it does alone.  None at
+    every point when some standard error overflows and every difference is
+    finite, which ``sample_mean_and_se`` refuses."""
     # non-finite differences give a NaN standard error, here without a warning
     with np.errstate(all="ignore"):
         resid = sample.y - taus[:, None]
@@ -298,9 +298,10 @@ def _decider(
     ``SignDraws.prepare``); then each point, in order, takes its tau's
     tables and bounds or finishes its own draws, falls back to ``run_test``,
     or raises as it would alone.  A point the row-wise calls do not settle
-    is redone alone.  A single decision is a batch of one.  Every Monte Carlo decision makes only as
-    many of its draws as settle its kinds (below); a search keeps them while
-    theta is unchanged, a ``single_use`` decider, called once, does not.
+    is redone alone.  A single decision is a batch of one.  Every Monte
+    Carlo decision makes only as many of its draws as settle its kinds
+    (below); a search keeps them while theta is unchanged, a
+    ``single_use`` decider, called once, does not.
     The standard error is computed once per point, for every method but
     perm-t.
 
@@ -349,7 +350,10 @@ def _decider(
     def many(points: Sequence[tuple[SensitivityParam, float]]) -> list[tuple[bool, ...]]:
         # one point, as the bisections and walks ask: nothing to group
         if len(points) == 1:
-            return [decide(*points[0])]
+            key = points[0][0].gamma, points[0][1]
+            if key not in decided:
+                decide_at(list(points))
+            return [decided[key]]
         new = {}
         for sens, tau in points:
             if (sens.gamma, tau) not in decided:
@@ -371,10 +375,9 @@ def _decider(
         at = None
         if draws is not None:
             # the draws' taus, moved to unless the points' are among them
-            taus = dict.fromkeys(ts)
-            if not all(map(draws.taus.__contains__, taus)):
-                draws.move_to(*taus)
-            at = list(map(dict(zip(draws.taus, range(len(draws.taus)))).__getitem__, ts))
+            if not set(ts).issubset(draws.taus):
+                draws.move_to(*dict.fromkeys(ts))
+            at = [draws.taus.index(t) for t in ts]
         cs = np.array([sens.sign_bias for sens, _ in points])
         mean_ses = _mean_ses(norm_sample, np.array(ts), cs) if reads_se else [None] * len(points)
         if draws is not None:
@@ -429,10 +432,10 @@ def _decider(
                     by_method[m] = all(below[k] >= threshold for k in _KINDS[m])
             decided[sens.gamma, tau] = tuple(by_method[m] for m in methods)
 
+    # many refers to no function that holds it, so that a search's draws are
+    # freed as soon as the search ends, not by the cycle collector
     def decide(sens: SensitivityParam, tau: float = spec.tau) -> tuple[bool, ...]:
-        if (sens.gamma, tau) not in decided:
-            decide_at([(sens, tau)])
-        return decided[sens.gamma, tau]
+        return many([(sens, tau)])[0]
 
     decide.many = many
     return decide

@@ -61,14 +61,16 @@ def _points(tau, span):
 
 
 def _run(monkeypatch, sample, spec, engine, methods, points, batched):
-    """The decisions, the ``weights_at_most`` calls and the ``run_test``
-    fallbacks, in order, and the error raised, if any."""
+    """The decisions, the ``weights_at_most`` calls and the weights or bounds
+    they returned, the ``run_test`` fallbacks, in order, and the error
+    raised, if any."""
     asked, fell_back = [], []
     weights_at_most, run_test = randdist.SignDraws.weights_at_most, testing.run_test
 
     def asking(draws, sens, observed, own=None, band=None, at=0, counted=None):
-        asked.append((sens.gamma, draws.taus[at], dict(observed), band))
-        return weights_at_most(draws, sens, observed, own, band, at, counted)
+        weights = weights_at_most(draws, sens, observed, own, band, at, counted)
+        asked.append((sens.gamma, draws.taus[at], dict(observed), band, weights))
+        return weights
 
     def falling_back(sample, spec, sens, engine=None):
         fell_back.append((spec.method, sens.gamma, spec.tau))
@@ -111,8 +113,9 @@ def test_batch_decides_as_one_at_a_time(monkeypatch, name, alternative, mode, gu
         for methods in METHOD_LISTS:
             batched = _run(monkeypatch, sample, spec, ENGINES[mode], methods, points, True)
             alone = _run(monkeypatch, sample, spec, ENGINES[mode], methods, points, False)
-            # the same weights asked for and the same fallbacks, in the same
-            # order, so the same points decided before any error
+            # the same weights asked for and returned and the same
+            # fallbacks, in the same order, so the same points decided
+            # before any error
             assert batched[1:] == alone[1:], methods
             if batched[3] is None:
                 assert batched[0] == alone[0] and len(alone[0]) == len(points)
@@ -202,8 +205,8 @@ def test_scan_asks_for_its_grid_at_once(monkeypatch):
     assert batches == [50, 17, 17]
 
 
-@pytest.mark.parametrize("n, method, per_move", [(17, "studentized", 18), (17, "perm_t", 26),
-                                                 (20, "studentized", 8), (20, "perm_t", 12)])
+@pytest.mark.parametrize("n, method, per_move", [(17, "studentized", 18), (17, "perm_t", 22),
+                                                 (20, "studentized", 6), (20, "perm_t", 8)])
 def test_exact_interval_grid_moves_in_chunks(monkeypatch, n, method, per_move):
     # each _Halves.move_to call is one move, of len(rows) taus: an interval
     # side's 17-point grid, whose ends its walks decided, moves to its 15 new
@@ -240,7 +243,7 @@ def test_exact_interval_grid_moves_in_chunks(monkeypatch, n, method, per_move):
     alone, whole = runs[0], runs[17]
     assert all(len(taus) == 1 for taus in alone)
     grid = [taus for taus in whole if len(taus) > 1]
-    chunks = [min(per_move, 15), 15 - min(per_move, 15)] if per_move < 15 else [15]
+    chunks = [min(per_move, 15 - start) for start in range(0, 15, per_move)]
     assert [len(taus) for taus in grid] == chunks * 2
     on_grid = {tau for taus in grid for tau in taus}
     assert [taus for taus in whole if len(taus) == 1] == [
