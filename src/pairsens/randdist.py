@@ -108,7 +108,7 @@ _MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 
 # Open draws an exact decision finishes per block: those its cuts leave
 # open, whose signed sums it takes from the doubling chain.  A block's
-# buffers, 81 bytes a draw plus 16 a draw x pair of the high half (at most
+# buffers, 65 bytes a draw plus 16 a draw x pair of the high half (at most
 # 1.3 MiB), are made once per ``SignDraws``, and a block makes only its run
 # index, 8 bytes a draw, so no decision allocates anything that grows with
 # its open draws.
@@ -489,6 +489,16 @@ class _StatBuffers(NamedTuple):
         return cls(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
 
 
+def _m_sums(m: np.ndarray, squares: bool) -> tuple:
+    """``(sum(m), sum(m**2))`` along the last axis, as ``_statistics`` reads
+    them, the second only when ``squares`` is set.  A sum of m that
+    overflows is the mean's inf shift, without a warning; squares that
+    overflow warn."""
+    with np.errstate(over="ignore"):
+        total = m.sum(axis=-1)
+    return total, (m * m).sum(axis=-1) if squares else None
+
+
 def _statistics(
     s1: np.ndarray,
     s2: np.ndarray,
@@ -496,11 +506,11 @@ def _statistics(
     sens: Union[SensitivityParam, np.ndarray],
     studentized: bool,
     out: _StatBuffers,
-    m_sums: Union[tuple, None] = None,
+    m_sums: tuple,
 ) -> tuple[np.ndarray, Union[np.ndarray, None]]:
     """Per-draw mean statistic and, for every draw, the studentized statistic,
-    from the draws' signed sums of m and m**2; ``m_sums``, ``(sum(m),
-    sum(m**2))`` when known, are not summed again.
+    from the draws' signed sums of m and m**2 and ``m_sums``, ``(sum(m),
+    sum(m**2))`` (the second read only when ``studentized``).
 
     Both are written into ``out`` and returned as ``out.abar`` and
     ``out.tstat``, which stay valid until ``out`` is written again; the
@@ -515,13 +525,11 @@ def _statistics(
     # a mean beyond double range is +/-inf: its own atom, as perm-t reads it
     # (NaN where an inf sum meets an inf shift)
     with np.errstate(over="ignore", invalid="ignore"):
-        abar = np.subtract(s1, c * (m.sum(axis=-1) if m_sums is None else m_sums[0]),
-                           out=out.abar)
+        abar = np.subtract(s1, c * m_sums[0], out=out.abar)
     np.divide(abar, n, out=abar)
     if not studentized:
         return abar, None
-    m2sum = (m * m).sum(axis=-1) if m_sums is None else m_sums[1]
-    return abar, _studentized(abar, s2, n, m2sum, c, out.tstat, out.scratch, out.mask)
+    return abar, _studentized(abar, s2, n, m_sums[1], c, out.tstat, out.scratch, out.mask)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -785,7 +793,8 @@ class _Halves:
     several taus at once, each table with a leading tau axis, row-wise: a
     move holds at most ``per_move`` taus, so that the ``cum`` and step
     tables it makes hold at most ``_COUNT_BLOCK`` entries (with both rows 18
-    taus at 17 pairs, 6 at 20, one from 23).  The high half's step table is
+    taus at 17 pairs, 6 at 20, one from 23), in buffers kept for the most
+    taus moved to at once.  The high half's step table is
     taken from its ``[-v, v]`` for one tau at a time, as its draws are
     finished.  ``_count`` counts below the cuts of up to ``chunk`` points at
     once, each at any of the move's taus, and hands each its own.
@@ -813,22 +822,19 @@ class _Halves:
         self.chunk = max(1, _COUNT_BLOCK // (2**h * (n - h + 1)))
         per_tau = (2 ** (n - h) + 1) * (n - h + 1) + self.sb_sel.size + self.low_sel.size
         self.per_move = max(1, _COUNT_BLOCK // per_tau)
-        # a move's tables at one tau: pa and cum, which its points read, and
-        # the steps and one-hot rows they are made from (see move_to)
-        self.one_tau = (np.empty((1, rows, 2**h)), np.zeros((1, 2 ** (n - h) + 1, n - h + 1)),
-                        np.empty((1, *self.low_sel.shape)), np.empty((1, *self.sb_sel.shape)),
-                        np.empty((1, 2 ** (n - h), n - h + 1), np.int32))
         # where each tau's row of sb starts in its flat order
         self.starts = 2 ** (n - h) * np.arange(self.per_move)[:, None]
-        # _counts_below's buffer for one point
-        self.gathered = np.empty((1, 2**h, n - h + 1))
+        # move_to's and _counts_below's buffers, made for the most taus and
+        # points at once so far, so that most moves and counts allocate no
+        # table
+        self.buffers, self.gathered = (np.empty(0),), np.empty(0)
         size = min(2**n, _OPEN_BLOCK)
         self.ramp = np.arange(size)
         self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(3))
         # the high half's step table, at the move's tau finished last, and an
-        # open block's chain: pa[:, a], then the steps of b
+        # open block's steps of b and sums
         self.step, self.step_at = np.empty(self.sel.shape), None
-        self.chain = np.empty((n - h + 1) * rows * size)
+        self.steps = np.empty((n - h) * rows * size)
         self.sums = np.empty(rows * size)
         self.out = _StatBuffers.empty(size)
 
@@ -838,17 +844,17 @@ class _Halves:
         m**2 (``_rows``), and find the observed assignment's draw, + where
         ``plus[i]``.  Each tau's tables are bit for bit those of a move to it
         alone."""
-        h, taus = self.h, len(rows)
+        n, h, taus = self.n, self.h, len(rows)
         self.step_at = None
-        # one tau's tables are kept, as most moves are to one tau; a batch's
-        # are made for it and freed once read or by the next move, so that
-        # the heap hands their memory on to the next batch or search
-        if taus == 1:
-            self.pa, self.cum, low_step, sb_step, hot = self.one_tau
-        else:
-            self.pa = np.empty((taus, *self.one_tau[0].shape[1:]))
-            self.cum = np.zeros((taus, *self.one_tau[1].shape[1:]))
-            low_step = sb_step = hot = None
+        # pa and cum, which the points read, and the steps and one-hot rows
+        # they are made from; cum's first row stays 0
+        if len(self.buffers[0]) < taus:
+            self.buffers = (np.empty((taus, rows.shape[1], 2**h)),
+                            np.zeros((taus, 2 ** (n - h) + 1, n - h + 1)),
+                            np.empty((taus, *self.low_sel.shape)),
+                            np.empty((taus, *self.sb_sel.shape)),
+                            np.empty((taus, 2 ** (n - h), n - h + 1), np.int32))
+        self.pa, self.cum, low_step, sb_step, hot = (x[:taus] for x in self.buffers)
         self.m = m = rows[:, 0]
         # each half's [-v, v], rows after one another, per tau; adding a step
         # taken from it is the chain's step for that pair (taken, not
@@ -856,7 +862,8 @@ class _Halves:
         low, self.high = (np.concatenate((-v, v), axis=2).reshape(taus, -1)
                           for v in (rows[..., :h], rows[..., h:]))
         # the low half's chain from 0, in pair order as the enumeration adds:
-        # a reduction along an outer axis adds its terms one by one, in order
+        # a reduction along an outer axis adds its terms one by one, in order,
+        # while the axes inside it hold more than one value (here 2**h)
         np.add.reduce(low.take(self.low_sel, axis=1, out=low_step, mode="clip"), axis=1,
                       initial=0.0, out=self.pa)
         self.total = m.sum(axis=1).tolist()
@@ -949,8 +956,9 @@ class _Halves:
         tables ``ka_hot`` and ``to_total``.  They add integers under 2**53,
         exact in any order."""
         places, width = self.cum.shape[1:]
-        # one point's buffer is kept, as most points are counted alone
-        gathered = self.gathered if len(stops) == 1 else np.empty((*stops.shape, width))
+        if self.gathered.size < stops.size * width:
+            self.gathered = np.empty(stops.size * width)
+        gathered = self.gathered[: stops.size * width].reshape(*stops.shape, width)
         rows = stops + places * np.array(at)[:, None] if any(at) else stops
         self.cum.reshape(-1, width).take(rows, axis=0, out=gathered, mode="clip")
         return (self.ka_hot @ gathered).reshape(len(stops), -1) @ self.to_total
@@ -967,15 +975,16 @@ class _Halves:
         n, h, m, pa, order = self.n, self.h, self.m[at], self.pa[at], self.order[at]
         # sum(m) and, with two rows, sum(m**2)
         m_sums = self.total[at], self.sumsq[at]
-        if self.step_at != at:
-            self.high[at].take(self.sel, out=self.step, mode="clip")
-            self.step_at = at
         # every row is finished, whichever the statistic reads: a take of
         # some rows would copy them
         studentized, rows = kind == "studentized", len(pa)
         # flat position p of a's run is sorted position p + offset[a]
         offset = last - ends
         for start in range(0, int(ends[-1]), self.ramp.size):
+            # the high half's step table, made when a tau first opens draws
+            if self.step_at != at:
+                self.high[at].take(self.sel, out=self.step, mode="clip")
+                self.step_at = at
             size = min(self.ramp.size, int(ends[-1]) - start)
             pos, b, k = (x[:size] for x in (self.pos, self.b, self.k_block))
             # flat position p is in the run of the first a whose end passes p
@@ -985,17 +994,20 @@ class _Halves:
             order.take(pos, out=b, mode="clip")
             self.ka.take(a, out=k, mode="clip")
             k += self.kb.take(b, out=pos, mode="clip")
-            # the doubling chain's sums of the draws (a, b): pa[:, a], then
-            # the high half's steps of b added in turn, all rows at once, by a
-            # reduction along the outer axis; it subtracts where a bit is
-            # clear, and x - v is x + (-v) in IEEE
-            chain = self.chain[: (n - h + 1) * rows * size].reshape(-1, rows, size)
-            pa.take(a, axis=1, out=chain[0], mode="clip")
-            self.step.take(b, axis=2, out=chain[1:], mode="clip")
+            # the doubling chain's sums of the draws (a, b): from pa[:, a], add
+            # the high half's steps of b in turn, all rows at once; it
+            # subtracts where a bit is clear, and x - v is x + (-v) in IEEE.
+            # One add a step: a reduction over the steps sums pairwise where
+            # a block is one draw of one row
+            steps = self.steps[: (n - h) * rows * size].reshape(-1, rows, size)
+            sums = self.sums[: rows * size].reshape(rows, size)
+            pa.take(a, axis=1, out=sums, mode="clip")
+            self.step.take(b, axis=2, out=steps, mode="clip")
             # at a tau far out the sums overflow, as the enumeration's would
             # on the same adds; the statistic reads them, without a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                sums = np.add.reduce(chain, axis=0, out=self.sums[: rows * size].reshape(rows, size))
+                for row in steps:
+                    np.add(sums, row, out=sums)
             out = _StatBuffers(*(x[:size] for x in self.out))
             stat = _statistics(sums[0], sums[-1], m, sens, studentized, out, m_sums)[studentized]
             yield k, np.less_equal(stat, t, out=out.scratch)
@@ -1258,7 +1270,8 @@ def _build(
                     "use fewer Monte Carlo draws")
         s1, s2 = _SignSource(n, sens.theta, engine.seed, n_draws).fill(m)
         draw_weights = None
-    abar, tstat = _statistics(s1, s2, m, sens, studentized, _StatBuffers.empty(n_draws))
+    abar, tstat = _statistics(s1, s2, m, sens, studentized, _StatBuffers.empty(n_draws),
+                              _m_sums(m, studentized))
     # frees the sums and scratch before the sorts allocate
     del s1, s2
     by_kind = {"mean": abar, "studentized": tstat}

@@ -381,10 +381,8 @@ def _decider(
         cs = np.array([sens.sign_bias for sens, _ in points])
         mean_ses = _mean_ses(norm_sample, np.array(ts), cs) if reads_se else [None] * len(points)
         if draws is not None:
-            # a view for one point: a list index copies, through a conversion
-            rows = slice(at[0], at[0] + 1) if len(at) == 1 else at
-            abar, tstat, fits = _observed(draws.m[rows], draws.observed_sums[rows], cs,
-                                          studentized)
+            abar, tstat, fits = _observed(draws.m.take(at, axis=0),
+                                          draws.observed_sums.take(at, axis=0), cs, studentized)
             stats = {"mean": abar.tolist(),
                      "studentized": None if tstat is None else tstat.tolist()}
 

@@ -177,7 +177,8 @@ def observed_statistics_loop(sample, tau, sens, studentized=True):
                 s1 += mi
                 s2 += sq
     abar, tstat = randdist._statistics(np.array([s1]), np.array([s2]), m, sens, studentized,
-                                       randdist._StatBuffers.empty(1))
+                                       randdist._StatBuffers.empty(1),
+                                       randdist._m_sums(m, studentized))
     return float(abar[0]), None if tstat is None else float(tstat[0])
 
 

@@ -615,9 +615,11 @@ class TestStatisticsKinds:
         m = np.abs(rng.normal(size=12))
         s1, s2 = randdist._SignSource(m.size, 0.7, 3, 2000).fill(m)
         sens = ps.SensitivityParam(0.7 / 0.3)
-        abar, tstat = randdist._statistics(s1, s2, m, sens, False, _garbage_buffers(2000))
+        abar, tstat = randdist._statistics(s1, s2, m, sens, False, _garbage_buffers(2000),
+                                           randdist._m_sums(m, False))
         assert tstat is None
-        full = randdist._statistics(s1, s2, m, sens, True, _garbage_buffers(2000))
+        full = randdist._statistics(s1, s2, m, sens, True, _garbage_buffers(2000),
+                                    randdist._m_sums(m, True))
         assert_array_equal(abar, full[0])
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
@@ -654,7 +656,8 @@ class TestStatisticsInPlace:
             s1, s2, _ = enumerate_exact_concat(m)
             for gamma in (1.0, 2.0, 1000.0):
                 sens = ps.SensitivityParam(gamma)
-                got = randdist._statistics(s1, s2, m, sens, studentized, out)
+                got = randdist._statistics(s1, s2, m, sens, studentized, out,
+                                           randdist._m_sums(m, studentized))
                 want = statistics_alloc(s1, s2, m, sens, studentized)
                 assert_array_equal(got[0], want[0])
                 if studentized:
@@ -670,7 +673,7 @@ class TestStatisticsInPlace:
             sens = ps.SensitivityParam(gamma)
             m = np.abs(y - 0.5)
             s1, s2 = randdist._SignSource(m.size, sens.theta, seed, 3001).fill(m)
-            got = randdist._statistics(s1, s2, m, sens, True, out)
+            got = randdist._statistics(s1, s2, m, sens, True, out, randdist._m_sums(m, True))
             want = statistics_alloc(s1, s2, m, sens, True)
             assert_array_equal(got[0], want[0])
             assert_array_equal(got[1], want[1])

@@ -157,6 +157,27 @@ def test_counts_around_the_split_sum_cut(gamma, name):
                 _check(draws, sens, kind, t, stats, k)
 
 
+def test_one_open_draw_of_the_mean_alone(monkeypatch):
+    # a perm-t decider carries one row; at t a draw's own mean that draw is
+    # often the only one open, a block of one draw, whose sum must still add
+    # the high half's eight or more steps one at a time, as the chain does
+    rng = np.random.default_rng(1)
+    y = rng.normal(0.3, 1.0, 16) * 10.0 ** rng.integers(-4, 4, 16)
+    engine = ENGINES["exact"]
+    draws = randdist.SignDraws(ps.PairedSample(y), 0.0, engine, studentized=False)
+    assert draws._halves.n - draws._halves.h >= 8
+    opened = _record_open(monkeypatch)
+    for gamma in (1.0, 2.0):
+        sens = ps.SensitivityParam(gamma)
+        stats, k = _oracle(draws, sens, engine)
+        for d in rng.choice(k.size, 48, replace=False):
+            t = float(stats["mean"][d])
+            counts = draws._halves.counts_at_most("mean", t, sens)
+            want = np.bincount(k[stats["mean"] <= t], minlength=y.size + 1)
+            assert_array_equal(counts, want, err_msg=f"gamma={gamma} t={t!r}")
+    assert sum(n_open == 1 for n_open, _ in opened) >= 48
+
+
 def _limit(n):
     """The largest |t| the band takes for n pairs, give or take an ulp."""
     return math.sqrt((n - 1) * (0.5 / randdist._DEGENERATE_RTOL - 1.0))
