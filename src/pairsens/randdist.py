@@ -109,9 +109,8 @@ _MC_PRODUCT_SIGNS, _MC_PRODUCT_ROWS = 1 << 19, 32
 # Open draws an exact decision finishes per block: those its cuts leave
 # open, whose signed sums it takes from the doubling chain.  A block's
 # buffers, 65 bytes a draw plus 16 a draw x pair of the high half (at most
-# 1.3 MiB), are made once per ``SignDraws``, and a block makes only its run
-# index, 8 bytes a draw, so no decision allocates anything that grows with
-# its open draws.
+# 1.3 MiB), are made once per ``SignDraws``; a block allocates only its run
+# index, 8 bytes a draw, so no decision's memory grows with its open draws.
 _OPEN_BLOCK = 1 << 12
 
 # Table entries an exact decider makes at once.  A batch of points is
@@ -489,16 +488,6 @@ class _StatBuffers(NamedTuple):
         return cls(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
 
 
-def _m_sums(m: np.ndarray, squares: bool) -> tuple:
-    """``(sum(m), sum(m**2))`` along the last axis, as ``_statistics`` reads
-    them, the second only when ``squares`` is set.  A sum of m that
-    overflows is the mean's inf shift, without a warning; squares that
-    overflow warn."""
-    with np.errstate(over="ignore"):
-        total = m.sum(axis=-1)
-    return total, (m * m).sum(axis=-1) if squares else None
-
-
 def _statistics(
     s1: np.ndarray,
     s2: np.ndarray,
@@ -647,25 +636,23 @@ def _own_cuts(t: float, n: int, sumsq: float, c: float, total: float) -> Union[C
 
 
 def _observed_sums(negative: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The observed assignment's signed sum of each of ``rows`` (``_rows``),
-    - where ``negative`` (``y - tau < 0``), else +, added left to right as the
-    doubling enumeration adds them: the first value, then each next one
-    added or subtracted (``x - v`` is ``x + (-v)`` in IEEE arithmetic, and
-    ``0.0 + v`` is v, no value being -0.0).  Leading axes, one per tau, are
-    kept."""
+    """The observed assignment's signed sum of each of ``rows`` (``_rows``,
+    leading tau axes kept), - where ``negative`` (``y - tau < 0``), else +,
+    added left to right as the doubling enumeration adds them: the first
+    value, then each next one added or subtracted (``x - v`` is ``x + (-v)``
+    in IEEE arithmetic, and ``0.0 + v`` is v, no value being -0.0)."""
     return np.add.accumulate(np.where(negative[..., None, :], -rows, rows), axis=-1)[..., -1]
 
 
 def _observed(
     m: np.ndarray, sums: np.ndarray, cs: np.ndarray, studentized: bool
 ) -> tuple[np.ndarray, Union[np.ndarray, None], Union[list[bool], None]]:
-    """The observed statistics at each sign bias of ``cs``, from the rows of
-    ``m = |y - tau|`` and of their observed signed sums (``_observed_sums``)
-    of m and, when ``studentized``, of m**2, one row per entry, and then
-    whether the bound on every draw's sum of squares is finite at each;
-    ``observed_statistics`` refuses a studentized statistic where it is not,
-    and the others are its results, entry by entry.  Nothing warns: an entry
-    that would is one refused."""
+    """The observed statistics at each sign bias of ``cs``, one entry per row
+    of ``m = |y - tau|`` and of its observed signed sums (``_observed_sums``)
+    of m and, when ``studentized``, m**2, then whether the bound on every
+    draw's sum of squares is finite at each: ``observed_statistics`` refuses
+    a studentized statistic where it is not, and else gives these, entry by
+    entry.  Nothing warns: an entry that would is one refused."""
     with np.errstate(over="ignore", invalid="ignore"):
         m_sums = m.sum(axis=-1), (m * m).sum(axis=-1) if studentized else None
         abar, tstat = _statistics(sums[:, 0], sums[:, -1], m, cs, studentized,
@@ -789,15 +776,13 @@ class _Halves:
     studentized decider) the tables carry the sums of m**2 as a second row,
     made with those of m, and the chain finishes both at once.
 
-    All of it depends on tau alone.  ``move_to`` makes the tables of
-    several taus at once, each table with a leading tau axis, row-wise: a
-    move holds at most ``per_move`` taus, so that the ``cum`` and step
-    tables it makes hold at most ``_COUNT_BLOCK`` entries (with both rows 18
-    taus at 17 pairs, 6 at 20, one from 23), in buffers kept for the most
-    taus moved to at once.  The high half's step table is
-    taken from its ``[-v, v]`` for one tau at a time, as its draws are
-    finished.  ``_count`` counts below the cuts of up to ``chunk`` points at
-    once, each at any of the move's taus, and hands each its own.
+    All of it depends on tau alone.  ``move_to`` makes it for up to
+    ``per_move`` taus at once, row-wise, each table with a leading tau axis,
+    so that ``cum`` and the step tables hold at most ``_COUNT_BLOCK``
+    entries (with both rows 18 taus at 17 pairs, 6 at 20, one from 23).  The
+    high half's step table is made for one tau at a time, when its draws
+    are opened.  ``_count`` counts below the cuts of up to ``chunk`` points
+    at once, each at any of the taus.
     """
 
     def __init__(self, n: int, rows: int):
@@ -824,10 +809,12 @@ class _Halves:
         self.per_move = max(1, _COUNT_BLOCK // per_tau)
         # where each tau's row of sb starts in its flat order
         self.starts = 2 ** (n - h) * np.arange(self.per_move)[:, None]
-        # move_to's and _counts_below's buffers, made for the most taus and
-        # points at once so far, so that most moves and counts allocate no
-        # table
-        self.buffers, self.gathered = (np.empty(0),), np.empty(0)
+        # one tau's tables (see move_to), and _counts_below's buffer, grown to
+        # the most points counted at once
+        self.one_tau = (np.empty((1, rows, 2**h)), np.zeros((1, 2 ** (n - h) + 1, n - h + 1)),
+                        np.empty((1, *self.low_sel.shape)), np.empty((1, *self.sb_sel.shape)),
+                        np.empty((1, 2 ** (n - h), n - h + 1), np.int32))
+        self.gathered = np.empty(0)
         size = min(2**n, _OPEN_BLOCK)
         self.ramp = np.arange(size)
         self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(3))
@@ -847,14 +834,15 @@ class _Halves:
         n, h, taus = self.n, self.h, len(rows)
         self.step_at = None
         # pa and cum, which the points read, and the steps and one-hot rows
-        # they are made from; cum's first row stays 0
-        if len(self.buffers[0]) < taus:
-            self.buffers = (np.empty((taus, rows.shape[1], 2**h)),
-                            np.zeros((taus, 2 ** (n - h) + 1, n - h + 1)),
-                            np.empty((taus, *self.low_sel.shape)),
-                            np.empty((taus, *self.sb_sel.shape)),
-                            np.empty((taus, 2 ** (n - h), n - h + 1), np.int32))
-        self.pa, self.cum, low_step, sb_step, hot = (x[:taus] for x in self.buffers)
+        # they are made from: kept for one tau, made for a batch and freed by
+        # the next move (kept at a batch's size, they faulted 2,350 pages an
+        # interval call against 1,340, 4-6 % slower in a fresh process)
+        if taus == 1:
+            self.pa, self.cum, low_step, sb_step, hot = self.one_tau
+        else:
+            self.pa = np.empty((taus, rows.shape[1], 2**h))
+            self.cum = np.zeros((taus, 2 ** (n - h) + 1, n - h + 1))
+            low_step = sb_step = hot = None
         self.m = m = rows[:, 0]
         # each half's [-v, v], rows after one another, per tau; adding a step
         # taken from it is the chain's step for that pair (taken, not
@@ -866,8 +854,7 @@ class _Halves:
         # while the axes inside it hold more than one value (here 2**h)
         np.add.reduce(low.take(self.low_sel, axis=1, out=low_step, mode="clip"), axis=1,
                       initial=0.0, out=self.pa)
-        self.total = m.sum(axis=1).tolist()
-        self.sumsq = rows[:, -1].sum(axis=1).tolist()
+        self.total, self.sumsq = m.sum(axis=1).tolist(), rows[:, -1].sum(axis=1).tolist()
         # any order of summing the steps rounds within the bound of _sum_cut
         sb = self.high.take(self.sb_sel, axis=1, out=sb_step, mode="clip").sum(axis=1)
         self.order = sb.argsort(axis=1)
@@ -890,9 +877,8 @@ class _Halves:
         a, the sorted positions below ``first[a]`` are in and those from
         ``last[a]`` out; the cumulative lengths of the open runs between; and
         the counts per total + count of the draws below first, made for
-        every key at once.  A binary search costs the same per value
-        searched whether made alone or with others, so each key makes its
-        own."""
+        every key at once.  Each key makes its own binary searches: they cost
+        the same per value searched alone or with others."""
         n, rows = self.n, []
         for t, c, own, at in keys:
             low, sb, (a, q) = self.pa[at, 0], self.sb[at], self.observed_at[at]
@@ -926,8 +912,7 @@ class _Halves:
         ``own``, the observed assignment's statistic (``observed_statistics``,
         bit for bit its draw's), settles that draw when it is at most t and
         first in its open run.  The cuts are searched and counted by
-        ``_count``: ``counted`` is its row for this point when a batch counted
-        it with others, else the point is counted alone.
+        ``_count``, alone or, as ``counted``, in a batch's pass.
 
         With ``band``, ``(table, low, high)``, a bound may be returned
         instead, and the open draws are finished only when none is: the
@@ -949,12 +934,11 @@ class _Halves:
         return counts
 
     def _counts_below(self, stops: np.ndarray, at: list[int]) -> np.ndarray:
-        """Per total + count, the draws at sorted positions below
-        ``stops[g, a]`` for each a, in row g for each row of ``stops``, at
-        the move's ``at[g]``-th tau: the rows of ``cum`` at the stops,
-        summed per + count of a, then per total, by products with the 0/1
-        tables ``ka_hot`` and ``to_total``.  They add integers under 2**53,
-        exact in any order."""
+        """Per total + count, the draws at sorted positions below ``stops[g,
+        a]`` for each a, in row g for each row of ``stops``, at the move's
+        ``at[g]``-th tau: the rows of ``cum`` at the stops, summed per + count
+        of a, then per total, by products with the 0/1 tables ``ka_hot`` and
+        ``to_total``.  They add integers under 2**53, exact in any order."""
         places, width = self.cum.shape[1:]
         if self.gathered.size < stops.size * width:
             self.gathered = np.empty(stops.size * width)
@@ -970,10 +954,8 @@ class _Halves:
         """Per block of the open draws at the move's ``at``-th tau, each a's
         sorted positions from ``first[a]`` up to ``last[a]`` (``ends``, the
         cumulative counts of those runs): their + counts and 1.0 where their
-        statistic is at most t, views of the block buffers valid until the
-        next block."""
+        statistic is at most t, views of block buffers valid until the next."""
         n, h, m, pa, order = self.n, self.h, self.m[at], self.pa[at], self.order[at]
-        # sum(m) and, with two rows, sum(m**2)
         m_sums = self.total[at], self.sumsq[at]
         # every row is finished, whichever the statistic reads: a take of
         # some rows would copy them
@@ -1065,10 +1047,9 @@ class SignDraws:
         self.move_to(tau)
 
     def move_to(self, *taus: float) -> None:
-        """Make later calls use the hypothesized values ``taus``, the
-        ``at``-th of them where a call takes ``at``: each attribute below
-        gains a leading tau axis, row-wise, and an exact move makes every
-        tau's tables at once (at most ``batch[1]`` taus)."""
+        """Make later calls use the hypothesized values ``taus``, the ``at``-th
+        where a call takes ``at``: each attribute below gains a leading tau
+        axis, and an exact move makes all their tables (at most ``batch[1]``)."""
         self.taus = taus
         resid = residuals(self.y, np.array(taus)[:, None])
         self.m, negative = np.abs(resid), resid < 0.0
@@ -1083,11 +1064,9 @@ class SignDraws:
     def prepare(self, points: list[tuple[SensitivityParam, dict[str, float], int]]) -> list:
         """Make together, for the ``(sens, observed, at)`` of ``points``, at
         most ``batch[0]`` of them, what an exact decision makes before it
-        bounds its own draws: the weight tables of their thetas, and the
-        counts below the cuts; it returns each point's counts by kind, for
-        ``weights_at_most`` with ``own=observed``.  A Monte Carlo decision
-        counts its draws alone: there is nothing to count ahead of it
-        (None)."""
+        bounds its own draws: their thetas' weight tables, and each point's
+        counts below the cuts by kind, returned for ``weights_at_most`` with
+        ``own=observed``; None for Monte Carlo points, which count alone."""
         if self.mode != "exact":
             return [None] * len(points)
         tables, thetas = self._tables, [sens.theta for sens, _, _ in points]
@@ -1270,8 +1249,11 @@ def _build(
                     "use fewer Monte Carlo draws")
         s1, s2 = _SignSource(n, sens.theta, engine.seed, n_draws).fill(m)
         draw_weights = None
+    # an overflowing sum of m is the mean's inf shift; squares that overflow warn
+    with np.errstate(over="ignore"):
+        total = m.sum()
     abar, tstat = _statistics(s1, s2, m, sens, studentized, _StatBuffers.empty(n_draws),
-                              _m_sums(m, studentized))
+                              (total, (m * m).sum() if studentized else None))
     # frees the sums and scratch before the sorts allocate
     del s1, s2
     by_kind = {"mean": abar, "studentized": tstat}

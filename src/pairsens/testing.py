@@ -290,20 +290,18 @@ def _decider(
     ``guard`` of the threshold is re-decided by ``run_test``.  Each ``(gamma,
     tau)`` point is decided once: a search that returns to a point gets the
     same tuple again.  The new points of a batch, at one tau (a
-    changepoint's grid) or at many (an interval's), are decided together, in
-    runs of at most ``SignDraws.batch`` points and taus: one move makes the
-    tables of all the run's taus, row-wise, and the points' standard errors,
-    observed statistics, weight tables and exact cut counts come from
-    row-wise numpy calls (``_mean_ses``, ``randdist._observed``,
-    ``SignDraws.prepare``); then each point, in order, takes its tau's
-    tables and bounds or finishes its own draws, falls back to ``run_test``,
-    or raises as it would alone.  A point the row-wise calls do not settle
-    is redone alone.  A single decision is a batch of one.  Every Monte
-    Carlo decision makes only as many of its draws as settle its kinds
-    (below); a search keeps them while theta is unchanged, a
-    ``single_use`` decider, called once, does not.
-    The standard error is computed once per point, for every method but
-    perm-t.
+    changepoint's grid) or many (an interval's), are decided together in
+    runs of at most ``SignDraws.batch`` points and taus: one move makes all
+    the run's tables, and row-wise calls give the points' standard errors,
+    observed statistics, weight tables and exact cut counts (``_mean_ses``,
+    ``randdist._observed``, ``SignDraws.prepare``); then each point, in
+    order, bounds or finishes its own draws, falls back to ``run_test``, or
+    raises as it would alone; one the row-wise calls do not settle is redone
+    alone.  A single decision is a batch of one.  Every Monte Carlo decision
+    makes only as many of its draws as settle its kinds (below); a search
+    keeps them while theta is unchanged, a ``single_use`` decider, called
+    once, does not.  The standard error is computed once per point, for
+    every method but perm-t.
 
     A kind whose draws settled by the cuts already put its weight outside
     the band ``threshold -/+ 2 guard`` finishes none of its open draws: the
@@ -430,8 +428,7 @@ def _decider(
                     by_method[m] = all(below[k] >= threshold for k in _KINDS[m])
             decided[sens.gamma, tau] = tuple(by_method[m] for m in methods)
 
-    # many refers to no function that holds it, so that a search's draws are
-    # freed as soon as the search ends, not by the cycle collector
+    # many holds no reference to decide: no cycle outlives a search's draws
     def decide(sens: SensitivityParam, tau: float = spec.tau) -> tuple[bool, ...]:
         return many([(sens, tau)])[0]
 

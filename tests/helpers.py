@@ -50,6 +50,14 @@ def ks_distance(dist_a, dist_b):
     return max(gaps)
 
 
+def m_sums(m, studentized):
+    """``(sum(m), sum(m**2))`` as ``randdist._statistics`` takes them, the
+    second only when ``studentized``, as a build sums them."""
+    with np.errstate(over="ignore"):
+        total = m.sum()
+    return total, (m * m).sum() if studentized else None
+
+
 def enumerate_exact_concat(m):
     """Reference doubling enumeration that concatenates new arrays per pair.
 
@@ -178,7 +186,7 @@ def observed_statistics_loop(sample, tau, sens, studentized=True):
                 s2 += sq
     abar, tstat = randdist._statistics(np.array([s1]), np.array([s2]), m, sens, studentized,
                                        randdist._StatBuffers.empty(1),
-                                       randdist._m_sums(m, studentized))
+                                       m_sums(m, studentized))
     return float(abar[0]), None if tstat is None else float(tstat[0])
 
 

@@ -27,7 +27,7 @@ from numpy.testing import assert_array_equal
 import pairsens as ps
 from pairsens import cli, randdist, testing
 
-from helpers import rejections_sorted
+from helpers import m_sums, rejections_sorted
 from test_decision_band import _fallbacks, _unbanded
 
 SAMPLES = {
@@ -345,7 +345,7 @@ def _build_statistics(y, tau, gamma, draws, seed):
     signs = randdist._SignSource(m.size, sens.theta, seed, draws, keep=True).rows(0, draws)
     s1, s2 = randdist._signed_sums(m, draws, lambda a, b: signs[a:b])
     out = randdist._StatBuffers.empty(draws)
-    tstat = randdist._statistics(s1, s2, m, sens, True, out, randdist._m_sums(m, True))[1].copy()
+    tstat = randdist._statistics(s1, s2, m, sens, True, out, m_sums(m, True))[1].copy()
     return m, s1, s2, tstat, signs, sens
 
 
@@ -412,7 +412,7 @@ def test_block_tstat_across_t_stays_open(direction):
     blocks = [(signs[i : i + gen] @ m, signs[i : i + gen] @ (m * m)) for i in range(0, draws, gen)]
     b1, b2 = (np.concatenate(x) for x in zip(*blocks))
     block = randdist._statistics(b1, b2, m, sens, True, randdist._StatBuffers.empty(draws),
-                                 randdist._m_sums(m, True))[1]
+                                 m_sums(m, True))[1]
     if direction == "in":
         (across,) = np.nonzero(block > whole)
         r = across[0]
@@ -471,7 +471,7 @@ def test_search_keeps_the_rows_it_has_made(monkeypatch):
         got = searched.weights_at_most(sens, dict(zip(("mean", "studentized"), stats)))
         s1, s2 = randdist._SignSource(n, sens.theta, seed, draws).fill(m)
         built = randdist._statistics(s1, s2, m, sens, True, randdist._StatBuffers.empty(draws),
-                                     randdist._m_sums(m, True))
+                                     m_sums(m, True))
         assert got == {kind: np.count_nonzero(stat <= t) / draws
                        for kind, stat, t in zip(("mean", "studentized"), built, stats)}
     assert searched._source.made == draws

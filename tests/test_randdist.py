@@ -13,6 +13,7 @@ from helpers import (
     draw_monte_carlo_where,
     enumerate_exact_concat,
     ks_distance,
+    m_sums,
     mc_quantile_consistent,
     statistics_alloc,
 )
@@ -616,10 +617,10 @@ class TestStatisticsKinds:
         s1, s2 = randdist._SignSource(m.size, 0.7, 3, 2000).fill(m)
         sens = ps.SensitivityParam(0.7 / 0.3)
         abar, tstat = randdist._statistics(s1, s2, m, sens, False, _garbage_buffers(2000),
-                                           randdist._m_sums(m, False))
+                                           m_sums(m, False))
         assert tstat is None
         full = randdist._statistics(s1, s2, m, sens, True, _garbage_buffers(2000),
-                                    randdist._m_sums(m, True))
+                                    m_sums(m, True))
         assert_array_equal(abar, full[0])
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
@@ -657,7 +658,7 @@ class TestStatisticsInPlace:
             for gamma in (1.0, 2.0, 1000.0):
                 sens = ps.SensitivityParam(gamma)
                 got = randdist._statistics(s1, s2, m, sens, studentized, out,
-                                           randdist._m_sums(m, studentized))
+                                           m_sums(m, studentized))
                 want = statistics_alloc(s1, s2, m, sens, studentized)
                 assert_array_equal(got[0], want[0])
                 if studentized:
@@ -673,7 +674,7 @@ class TestStatisticsInPlace:
             sens = ps.SensitivityParam(gamma)
             m = np.abs(y - 0.5)
             s1, s2 = randdist._SignSource(m.size, sens.theta, seed, 3001).fill(m)
-            got = randdist._statistics(s1, s2, m, sens, True, out, randdist._m_sums(m, True))
+            got = randdist._statistics(s1, s2, m, sens, True, out, m_sums(m, True))
             want = statistics_alloc(s1, s2, m, sens, True)
             assert_array_equal(got[0], want[0])
             assert_array_equal(got[1], want[1])
