@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import sys
@@ -23,7 +24,6 @@ from typing import Union
 from .core import METHODS, PairedSample, SensitivityParam, TestSpec
 from .inference import changepoint_gamma, design_sensitivity, sensitivity_interval
 from .randdist import EnumSpec
-from .sim import SCENARIO_NAMES, estimate_size_power_multi, load_allocation
 from .testing import run_test
 
 EXIT_OK = 0
@@ -34,6 +34,18 @@ _CLI_METHODS = {method.replace("_", "-"): method for method in METHODS}
 
 # The subcommands, in the order -h lists them.
 _COMMANDS = ("test", "changepoint", "interval", "design-sensitivity", "simulate")
+
+
+# What ``simulate`` reads of the simulation harness.  They resolve from
+# ``pairsens.sim`` on first read (PEP 562), so that the other commands do not
+# import it; a name set on this module, as a tracer's wrapper is, comes first.
+_SIM_NAMES = ("SCENARIO_NAMES", "estimate_size_power_multi", "load_allocation")
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        return getattr(importlib.import_module(".sim", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -247,11 +259,13 @@ def cmd_design_sensitivity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # read through the module, so that its __getattr__ or a wrapper set on it answers
+    this = sys.modules[__name__]
     if (args.scenario is None) == (args.allocation is None):
         raise CliError("provide exactly one of --scenario or --allocation")
     if args.allocation is not None:
         try:
-            scenario = load_allocation(args.allocation)
+            scenario = this.load_allocation(args.allocation)
         except OSError as exc:
             raise CliError(str(exc)) from None
         if args.pairs is not None and args.pairs != scenario.n_pairs:
@@ -260,7 +274,7 @@ def cmd_simulate(args) -> int:
         scenario_name = args.allocation
     else:
         name = args.scenario.replace("-", "_")
-        if name not in SCENARIO_NAMES:
+        if name not in this.SCENARIO_NAMES:
             raise CliError(f"unknown scenario {args.scenario!r}")
         if args.pairs is None:
             raise CliError("--pairs is required with --scenario")
@@ -278,7 +292,7 @@ def cmd_simulate(args) -> int:
     engine = _engine_from(args, args.mc_draws)
     rows = []
     for g in gammas:
-        results = estimate_size_power_multi(
+        results = this.estimate_size_power_multi(
             scenario,
             methods,
             tau=args.tau,

@@ -4,6 +4,10 @@ All randomness flows through numpy's counter-based Philox generator so that
 work split across replications or draws can be reproduced independently of
 how it is scheduled: every consumer derives its stream from a SeedSequence,
 and parallel units are given spawned child sequences.
+
+``numpy.random`` loads on first use, when a Monte Carlo engine first seeds:
+``SeedLike`` names it only as a forward reference, so importing the package,
+and running an exact command, does not pay its import.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 __all__ = ["SeedLike", "as_generator", "as_seed_sequence"]
 
-SeedLike = Union[int, np.random.SeedSequence, None]
+SeedLike = Union[int, "np.random.SeedSequence", None]
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
