@@ -10,6 +10,7 @@ exactly over all ``2**n`` sign vectors; larger ones use seeded Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -117,8 +118,8 @@ _OPEN_BLOCK = 1 << 12
 # counted (``_Halves._count``) in chunks of at most ``_COUNT_BLOCK // ((n - h
 # + 1) * 2**h)`` points, at least one, so its buffers, about 11 bytes a
 # gathered entry of ``cum``, stay near 3 MiB, or one point's: at 17 pairs a
-# whole 50-point grid.  Its taus are moved to in chunks whose ``cum`` and
-# step tables hold at most this many entries: at 17 pairs a 17-point grid.
+# whole 50-point grid.  Its taus are moved to in chunks whose tables hold
+# about this many entries at most: at 17 pairs a 17-point grid.
 _COUNT_BLOCK = 1 << 18
 
 
@@ -645,16 +646,17 @@ def _observed_sums(negative: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _observed(
-    m: np.ndarray, sums: np.ndarray, cs: np.ndarray, studentized: bool
+    m: np.ndarray, m_sums: np.ndarray, sums: np.ndarray, cs: np.ndarray, studentized: bool
 ) -> tuple[np.ndarray, Union[np.ndarray, None], Union[list[bool], None]]:
     """The observed statistics at each sign bias of ``cs``, one entry per row
-    of ``m = |y - tau|`` and of its observed signed sums (``_observed_sums``)
-    of m and, when ``studentized``, m**2, then whether the bound on every
-    draw's sum of squares is finite at each: ``observed_statistics`` refuses
-    a studentized statistic where it is not, and else gives these, entry by
-    entry.  Nothing warns: an entry that would is one refused."""
+    of ``m = |y - tau|``, of its sums and of its observed signed sums
+    (``_rows(m).sum(axis=-1)`` and ``_observed_sums``) of m and, when
+    ``studentized``, m**2, then whether the bound on every draw's sum of
+    squares is finite at each: ``observed_statistics`` refuses a studentized
+    statistic where it is not, and else gives these, entry by entry.
+    Nothing warns: an entry that would is one refused."""
+    m_sums = m_sums[:, 0], m_sums[:, -1] if studentized else None
     with np.errstate(over="ignore", invalid="ignore"):
-        m_sums = m.sum(axis=-1), (m * m).sum(axis=-1) if studentized else None
         abar, tstat = _statistics(sums[:, 0], sums[:, -1], m, cs, studentized,
                                   _StatBuffers.empty(cs.size), m_sums)
     if not studentized:
@@ -687,10 +689,13 @@ def observed_statistics(
     resid = residuals(sample.y, tau)
     m = np.abs(resid)
     # a signed sum that overflows is inf, and inf - inf NaN, without a warning
-    if sums is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = _observed_sums(resid < 0.0, _rows(m, studentized))
-    abar, tstat, fits = _observed(m[None], sums[None], np.array([sens.sign_bias]), studentized)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _rows(m, studentized)
+        if sums is None:
+            sums = _observed_sums(resid < 0.0, rows)
+        m_sums = rows.sum(axis=-1)
+    abar, tstat, fits = _observed(m[None], m_sums[None], sums[None], np.array([sens.sign_bias]),
+                                  studentized)
     if studentized and not fits[0]:
         raise ValueError(f"the squares of |y - tau| overflow double precision; {RESCALE}")
     return float(abar[0]), None if tstat is None else float(tstat[0])
@@ -754,6 +759,74 @@ def _sum_cuts(kind: str, t: float, n: int, sumsq: float, c: float, total: float
     return _sum_cut(lo, -1.0, n, total, c * total), _sum_cut(hi, 1.0, n, total, c * total)
 
 
+class _HalvesTables(NamedTuple):
+    """What a ``_Halves`` reads that depends on n, its rows and the block
+    sizes alone (``_halves_tables``); see ``_Halves`` for their use."""
+
+    ka: np.ndarray
+    kb: np.ndarray
+    place: np.ndarray
+    low_sel: np.ndarray
+    sel: np.ndarray
+    signs: np.ndarray
+    one_hot: np.ndarray
+    ka_hot: np.ndarray
+    to_total: np.ndarray
+    chunk: int
+    per_move: int
+    starts: np.ndarray
+    ramp: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)
+def _halves_tables(n: int, rows: int, count_block: int, open_block: int) -> _HalvesTables:
+    """The constant tables of an exact decider of n pairs and ``rows`` rows,
+    built once per process and read-only but for the two selections, so that
+    the deciders of one search (an interval's two sides at each gamma) share
+    one copy.  Two sizes are kept: a changepoint's studentized and perm-t
+    deciders."""
+    h = n // 2
+    low, high = _bit_table(h), _bit_table(n - h)
+    # [i, j, b]: where row j's step i of a half's vector b is taken from
+    # [-v, v]: -v[j, p], or +v[j, p] where bit i of b is set, p being the
+    # half's i-th pair
+    low_sel, sel = (first + np.arange(k)[:, None, None] + n * bits[:, None]
+                    + 2 * n * np.arange(rows)[:, None] for first, k, bits in ((0, h, low), (h, n - h, high)))
+    ka = low.sum(axis=0)
+    # [i, a]: 1 where a has i + signs; [(i, j), k]: 1 where i + j is k
+    to_total = np.zeros(((h + 1) * (n - h + 1), n + 1))
+    i, j = np.divmod(np.arange(len(to_total)), n - h + 1)
+    to_total[np.arange(len(to_total)), i + j] = 1.0
+    # per tau a move makes cum, the low half's steps and, in about (n - h)
+    # 2**(n - h) entries more, the one-hot + counts, sb and its order
+    per_tau = (2 ** (n - h) + 1) * (n - h + 1) + (n - h) * 2 ** (n - h) + low_sel.size
+    per_move = max(1, count_block // per_tau)
+    tables = _HalvesTables(
+        ka=ka,
+        kb=high.sum(axis=0),
+        # the place value of each pair's bit in a half's vector (h <= n - h)
+        place=1 << np.arange(n - h),
+        low_sel=low_sel,
+        sel=sel,
+        # [i, b]: the sign of the high half's pair i in its vector b
+        signs=np.where(high, 1.0, -1.0),
+        one_hot=np.eye(n - h + 1, dtype=np.int32),
+        ka_hot=(np.arange(h + 1)[:, None] == ka).astype(float),
+        to_total=to_total,
+        chunk=max(1, count_block // (2**h * (n - h + 1))),
+        per_move=per_move,
+        # where each tau's row of sb starts in its flat order
+        starts=2 ** (n - h) * np.arange(per_move)[:, None],
+        ramp=np.arange(min(2**n, open_block)),
+    )
+    # but for the selections: numpy's take copies an index array that is
+    # not writeable, at every move and every opened tau
+    for table in tables:
+        if isinstance(table, np.ndarray) and table is not low_sel and table is not sel:
+            table.setflags(write=False)
+    return tables
+
+
 class _Halves:
     """An exact decision's draws as two halves of the pairs, counted at or
     below a cut without being stored one by one.
@@ -762,8 +835,9 @@ class _Halves:
     low half's vector ``a`` and the high half's ``b``.  ``pa[i, 0, a]`` is the
     doubling chain's own state after ``h`` pairs at the ``i``-th tau of a
     move, chained in pair order from the low half's step table, and
-    ``sb[i]`` holds the high half's signed sums, sorted, so ``pa[i, 0, a] +
-    sb[i, p]`` is a draw's signed sum of m but for rounding; ``cum[i, p,
+    ``sb[i]`` holds the high half's signed sums of m, one product with the
+    +/-1 table ``signs``, sorted, so ``pa[i, 0, a] + sb[i, p]`` is a draw's
+    signed sum of m but for rounding; ``cum[i, p,
     j]`` counts the sorted positions below ``p`` whose ``b`` has ``j`` +
     signs.  This is the subset-sum meet in the middle of Horowitz and Sahni
     (1974).  For a cut on the mean, one binary search per ``a`` finds the
@@ -778,45 +852,28 @@ class _Halves:
 
     All of it depends on tau alone.  ``move_to`` makes it for up to
     ``per_move`` taus at once, row-wise, each table with a leading tau axis,
-    so that ``cum`` and the step tables hold at most ``_COUNT_BLOCK``
-    entries (with both rows 18 taus at 17 pairs, 6 at 20, one from 23).  The
-    high half's step table is made for one tau at a time, when its draws
-    are opened.  ``_count`` counts below the cuts of up to ``chunk`` points
-    at once, each at any of the taus.
+    so that ``cum`` and the low half's step table hold about
+    ``_COUNT_BLOCK`` entries at most (with both rows 18 taus at 17 pairs, 6
+    at 20, one from 23).  The high half's step table is made for one tau at
+    a time, when its draws are opened.  ``_count`` counts below the cuts of
+    up to ``chunk`` points at once, each at any of the taus.  The tables
+    that depend on n and the rows alone (the bit, selection, +/-1 and
+    one-hot tables, ``chunk`` and ``per_move``) are built once per process
+    and shared, read-only but for the selections (``_halves_tables``); a
+    decider's own are its tau's tables and its block buffers.
     """
 
     def __init__(self, n: int, rows: int):
         h = n // 2
         self.n, self.h = n, h
-        self.ka = _bit_table(h).sum(axis=0)
-        self.kb = _bit_table(n - h).sum(axis=0)
-        # the place value of each pair's bit in a half's vector (h <= n - h)
-        self.place = 1 << np.arange(n - h)
-        # [i, j, b]: where row j's step i of a half's vector b is taken from
-        # [-v, v]: -v[j, i], or +v[j, i] where bit i of b is set; sb sums the
-        # first row's alone
-        self.low_sel, self.sel = (np.arange(k)[:, None, None] + k * _bit_table(k)[:, None]
-                                  + 2 * k * np.arange(rows)[:, None] for k in (h, n - h))
-        self.sb_sel = self.sel[:, 0].copy()
-        self.one_hot = np.eye(n - h + 1, dtype=np.int32)
-        # [i, a]: 1 where a has i + signs; [(i, j), k]: 1 where i + j is k
-        self.ka_hot = (np.arange(h + 1)[:, None] == self.ka).astype(float)
-        self.to_total = np.zeros(((h + 1) * (n - h + 1), n + 1))
-        i, j = np.divmod(np.arange(len(self.to_total)), n - h + 1)
-        self.to_total[np.arange(len(self.to_total)), i + j] = 1.0
-        self.chunk = max(1, _COUNT_BLOCK // (2**h * (n - h + 1)))
-        per_tau = (2 ** (n - h) + 1) * (n - h + 1) + self.sb_sel.size + self.low_sel.size
-        self.per_move = max(1, _COUNT_BLOCK // per_tau)
-        # where each tau's row of sb starts in its flat order
-        self.starts = 2 ** (n - h) * np.arange(self.per_move)[:, None]
+        vars(self).update(_halves_tables(n, rows, _COUNT_BLOCK, _OPEN_BLOCK)._asdict())
         # one tau's tables (see move_to), and _counts_below's buffer, grown to
         # the most points counted at once
         self.one_tau = (np.empty((1, rows, 2**h)), np.zeros((1, 2 ** (n - h) + 1, n - h + 1)),
-                        np.empty((1, *self.low_sel.shape)), np.empty((1, *self.sb_sel.shape)),
+                        np.empty((1, *self.low_sel.shape)),
                         np.empty((1, 2 ** (n - h), n - h + 1), np.int32))
         self.gathered = np.empty(0)
-        size = min(2**n, _OPEN_BLOCK)
-        self.ramp = np.arange(size)
+        size = self.ramp.size
         self.pos, self.b, self.k_block = (np.empty(size, np.intp) for _ in range(3))
         # the high half's step table, at the move's tau finished last, and an
         # open block's steps of b and sums
@@ -825,12 +882,12 @@ class _Halves:
         self.sums = np.empty(rows * size)
         self.out = _StatBuffers.empty(size)
 
-    def move_to(self, rows: np.ndarray, plus: np.ndarray) -> None:
+    def move_to(self, rows: np.ndarray, plus: np.ndarray, m_sums: np.ndarray) -> None:
         """Redo the halves' sums, their order and ``cum`` at each tau of a
         move from its ``rows[i]``, ``m = |y - tau|`` and, with a second row,
-        m**2 (``_rows``), and find the observed assignment's draw, + where
-        ``plus[i]``.  Each tau's tables are bit for bit those of a move to it
-        alone."""
+        m**2 (``_rows``), and their sums ``m_sums[i]`` (``rows.sum(axis=-1)``),
+        and find the observed assignment's draw, + where ``plus[i]``.  Each
+        tau's tables are bit for bit those of a move to it alone."""
         n, h, taus = self.n, self.h, len(rows)
         self.step_at = None
         # pa and cum, which the points read, and the steps and one-hot rows
@@ -838,27 +895,32 @@ class _Halves:
         # the next move (kept at a batch's size, they faulted 2,350 pages an
         # interval call against 1,340, 4-6 % slower in a fresh process)
         if taus == 1:
-            self.pa, self.cum, low_step, sb_step, hot = self.one_tau
+            self.pa, self.cum, low_step, hot = self.one_tau
         else:
             self.pa = np.empty((taus, rows.shape[1], 2**h))
             self.cum = np.zeros((taus, 2 ** (n - h) + 1, n - h + 1))
-            low_step = sb_step = hot = None
-        self.m = m = rows[:, 0]
-        # each half's [-v, v], rows after one another, per tau; adding a step
-        # taken from it is the chain's step for that pair (taken, not
-        # multiplied, as a broadcast product buffers its operands)
-        low, self.high = (np.concatenate((-v, v), axis=2).reshape(taus, -1)
-                          for v in (rows[..., :h], rows[..., h:]))
+            low_step = hot = None
+        self.m = rows[:, 0]
+        # [-v, v], rows after one another, per tau; adding a step taken from
+        # it is the chain's step for that pair (taken, not multiplied, as a
+        # broadcast product buffers its operands)
+        self.signed = np.concatenate((-rows, rows), axis=2).reshape(taus, -1)
         # the low half's chain from 0, in pair order as the enumeration adds:
         # a reduction along an outer axis adds its terms one by one, in order,
         # while the axes inside it hold more than one value (here 2**h)
-        np.add.reduce(low.take(self.low_sel, axis=1, out=low_step, mode="clip"), axis=1,
+        np.add.reduce(self.signed.take(self.low_sel, axis=1, out=low_step, mode="clip"), axis=1,
                       initial=0.0, out=self.pa)
-        self.total, self.sumsq = m.sum(axis=1).tolist(), rows[:, -1].sum(axis=1).tolist()
-        # any order of summing the steps rounds within the bound of _sum_cut
-        sb = self.high.take(self.sb_sel, axis=1, out=sb_step, mode="clip").sum(axis=1)
+        self.total, self.sumsq = m_sums[:, 0].tolist(), m_sums[:, -1].tolist()
+        # the high half's signed sums of m, by one product with the +/-1
+        # table: they add its n - h terms in the product's order, and any
+        # order rounds within the bound of _sum_cut.  One vector-matrix
+        # product per tau, as a matrix product's rows could round otherwise,
+        # keeps a tau's sums those of a move to it alone
+        sb = np.matmul(rows[:, :1, h:], self.signs)[:, 0]
         self.order = sb.argsort(axis=1)
         self.sb = sb.take(self.order + self.starts[:taus])
+        # the unsorted sums go before the one-hot rows are made
+        del sb
         # the observed draw: its low half's vector, and the sorted position
         # of its high half's
         b = plus[:, h:] @ self.place
@@ -965,7 +1027,7 @@ class _Halves:
         for start in range(0, int(ends[-1]), self.ramp.size):
             # the high half's step table, made when a tau first opens draws
             if self.step_at != at:
-                self.high[at].take(self.sel, out=self.step, mode="clip")
+                self.signed[at].take(self.sel, out=self.step, mode="clip")
                 self.step_at = at
             size = min(self.ramp.size, int(ends[-1]) - start)
             pos, b, k = (x[:size] for x in (self.pos, self.b, self.k_block))
@@ -1058,8 +1120,11 @@ class SignDraws:
         with np.errstate(over="ignore", invalid="ignore"):
             rows = _rows(self.m, self._studentized)
             self.observed_sums = _observed_sums(negative, rows)
+            # sum(m) and, with the squares, sum(m**2): the observed
+            # statistics and the exact tables read these
+            self.m_sums = rows.sum(axis=-1)
             if self.mode == "exact":
-                self._halves.move_to(rows, ~negative)
+                self._halves.move_to(rows, ~negative, self.m_sums)
 
     def prepare(self, points: list[tuple[SensitivityParam, dict[str, float], int]]) -> list:
         """Make together, for the ``(sens, observed, at)`` of ``points``, at

@@ -379,7 +379,7 @@ def _decider(
         cs = np.array([sens.sign_bias for sens, _ in points])
         mean_ses = _mean_ses(norm_sample, np.array(ts), cs) if reads_se else [None] * len(points)
         if draws is not None:
-            abar, tstat, fits = _observed(draws.m.take(at, axis=0),
+            abar, tstat, fits = _observed(draws.m.take(at, axis=0), draws.m_sums.take(at, axis=0),
                                           draws.observed_sums.take(at, axis=0), cs, studentized)
             stats = {"mean": abar.tolist(),
                      "studentized": None if tstat is None else tstat.tolist()}

@@ -215,9 +215,9 @@ def test_exact_interval_grid_moves_in_chunks(monkeypatch, n, method, per_move):
     moves, moved = [], []
     original, draws_move = randdist._Halves.move_to, randdist.SignDraws.move_to
 
-    def moving(halves, rows, plus):
+    def moving(halves, rows, plus, m_sums):
         moves.append(len(rows))
-        return original(halves, rows, plus)
+        return original(halves, rows, plus, m_sums)
 
     def draws_moving(draws, *taus):
         moved.append(taus)
